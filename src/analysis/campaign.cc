@@ -337,7 +337,8 @@ StatusReporter::StatusReporter(std::string path, std::size_t total_jobs)
     : path_(std::move(path)), total_(total_jobs),
       start_(std::chrono::steady_clock::now())
 {
-    maybeWrite(true); // heartbeat exists from the first moment
+    if (enabled())
+        maybeWrite(true); // heartbeat exists from the first moment
 }
 
 StatusReporter::~StatusReporter()

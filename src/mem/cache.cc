@@ -1,5 +1,6 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "base/logging.hh"
@@ -30,14 +31,23 @@ bool
 Cache::contains(sim::Addr addr) const
 {
     const std::uint64_t line = lineOf(addr);
-    const unsigned set = setOf(line);
-    const auto *base =
-        &lines_[static_cast<std::size_t>(set) * geometry_.ways];
-    for (unsigned i = 0; i < geometry_.ways; ++i) {
-        if (base[i] == line)
-            return true;
-    }
-    return false;
+    const std::uint64_t *way = setBase(line);
+    return std::find(way, way + geometry_.ways, line) !=
+           way + geometry_.ways;
+}
+
+bool
+Cache::fill(sim::Addr addr)
+{
+    if (contains(addr))
+        return false;
+    const std::uint64_t line = lineOf(addr);
+    std::uint64_t *way = setBase(line);
+    // Shift everything down one way; LRU falls off the end.
+    std::copy_backward(way, way + geometry_.ways - 1,
+                       way + geometry_.ways);
+    way[0] = line;
+    return true;
 }
 
 void

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/types.hh"
@@ -39,29 +40,29 @@ class Cache
     unsigned lineBytes() const { return geometry_.lineBytes; }
 
     /**
-     * Probe for `addr`; on hit, refresh LRU state. Inline: runs up to
-     * three times (L1/L2/LLC) per guest memory op.
+     * Look up `addr` and make its line the most recent in its set,
+     * installing it in place of the LRU way on a miss. Inline: runs up
+     * to three times (L1/L2/LLC) per full memory access.
      * @return true on hit.
      */
     bool
     access(sim::Addr addr)
     {
         const std::uint64_t line = lineOf(addr);
-        const unsigned set = setOf(line);
-        auto *base =
-            &lines_[static_cast<std::size_t>(set) * geometry_.ways];
+        std::uint64_t *way = setBase(line);
         // MRU way first: repeated touches to the hot line need no LRU
         // shuffle at all, and this is the overwhelmingly common case.
-        if (base[0] == line) {
+        if (way[0] == line) {
             ++hits_;
             return true;
         }
+        // One walk does both lookup and refill: rotate the set down a
+        // way at a time with the line entering at the MRU way, until
+        // its old copy (a hit) or the LRU way (a miss) falls out.
+        std::uint64_t out = std::exchange(way[0], line);
         for (unsigned i = 1; i < geometry_.ways; ++i) {
-            if (base[i] == line) {
-                // Move to MRU position.
-                for (unsigned j = i; j > 0; --j)
-                    base[j] = base[j - 1];
-                base[0] = line;
+            out = std::exchange(way[i], out);
+            if (out == line) {
                 ++hits_;
                 return true;
             }
@@ -71,21 +72,13 @@ class Cache
     }
 
     /**
-     * Install the line containing `addr` (after a miss), evicting the
-     * LRU way when the set is full.
+     * Install the line containing `addr` as the most recent in its
+     * set, evicting the LRU way, unless it is already present: a
+     * resident line keeps its place. Counts neither hit nor miss (the
+     * prefetcher's fill path).
+     * @return true if the line was installed.
      */
-    void
-    fill(sim::Addr addr)
-    {
-        const std::uint64_t line = lineOf(addr);
-        const unsigned set = setOf(line);
-        auto *base =
-            &lines_[static_cast<std::size_t>(set) * geometry_.ways];
-        // Shift everything down one way; LRU falls off the end.
-        for (unsigned j = geometry_.ways - 1; j > 0; --j)
-            base[j] = base[j - 1];
-        base[0] = line;
-    }
+    bool fill(sim::Addr addr);
 
     /**
      * Pure probe: true iff `addr` sits in the MRU way of its set — the
@@ -97,8 +90,7 @@ class Cache
     peekMru(sim::Addr addr) const
     {
         const std::uint64_t line = lineOf(addr);
-        return lines_[static_cast<std::size_t>(setOf(line)) *
-                      geometry_.ways] == line;
+        return setBase(line)[0] == line;
     }
 
     /** Commit the hit a successful peekMru() promised: identical
@@ -130,9 +122,14 @@ class Cache
         return addr >> lineShift_;
     }
 
-    unsigned setOf(std::uint64_t line) const
+    /** First (MRU) way of the set `line` maps to. */
+    std::uint64_t *setBase(std::uint64_t line)
     {
-        return static_cast<unsigned>(line & (numSets_ - 1));
+        return &lines_[(line & (numSets_ - 1)) * geometry_.ways];
+    }
+    const std::uint64_t *setBase(std::uint64_t line) const
+    {
+        return &lines_[(line & (numSets_ - 1)) * geometry_.ways];
     }
 
     std::string name_;
@@ -141,7 +138,7 @@ class Cache
     /** log2(lineBytes): line extraction is a shift, not a division. */
     unsigned lineShift_;
     /**
-     * ways_[set * ways + i] holds line numbers in LRU order (index 0
+     * lines_[set * ways + i] holds line numbers in LRU order (way 0
      * is most recent); emptyLine marks an invalid way.
      */
     std::vector<std::uint64_t> lines_;

@@ -49,15 +49,14 @@ CacheHierarchy::access(sim::CoreId core, sim::Addr addr, bool write,
     panic_if(core >= l1d_.size(), "bad core id ", core);
     sim::Tick latency = 0;
 
-    // Address translation first.
-    Tlb &tlb = *dtlb_[core];
-    if (!tlb.access(addr)) {
-        tlb.fill(addr);
+    // Address translation first. Each level's access() also installs
+    // the line on a miss, so the walk down is the fill on the way back.
+    if (!dtlb_[core]->access(addr)) {
         latency += config_.tlbMissPenalty;
         deltas[sim::EventType::DTlbMiss] += 1;
     }
 
-    // Data lookup: L1 -> L2 -> LLC -> memory; fill on the way back.
+    // Data lookup: L1 -> L2 -> LLC -> memory.
     if (l1d_[core]->access(addr)) {
         latency += config_.l1Latency;
     } else {
@@ -71,18 +70,13 @@ CacheHierarchy::access(sim::CoreId core, sim::Addr addr, bool write,
             } else {
                 deltas[sim::EventType::LLCMiss] += 1;
                 latency += config_.memLatency;
-                llc_->fill(addr);
             }
-            l2_[core]->fill(addr);
         }
-        l1d_[core]->fill(addr);
 
         if (config_.nextLinePrefetch) {
             const sim::Addr next = addr + config_.l2.lineBytes;
-            if (!l2_[core]->contains(next)) {
-                if (!llc_->contains(next))
-                    llc_->fill(next);
-                l2_[core]->fill(next);
+            if (l2_[core]->fill(next)) {
+                llc_->fill(next);
                 ++prefetches_;
             }
         }

@@ -1,5 +1,6 @@
 #include "mem/tlb.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "base/logging.hh"
@@ -15,43 +16,79 @@ Tlb::Tlb(const TlbGeometry &geometry) : geometry_(geometry)
              "TLB page size must be a power of two");
     pageShift_ = static_cast<unsigned>(std::countr_zero(
         static_cast<std::uint64_t>(geometry.pageBytes)));
-    slots_.reserve(geometry.entries);
-    where_.reserve(geometry.entries);
+    slots_.resize(geometry.entries);
+    // At most an eighth of the buckets are ever full. Every probe
+    // meets an empty bucket, and almost all end at their first one:
+    // at half load the probe loops' data-dependent exits made a TLB
+    // miss about three times as costly on random page streams.
+    const std::uint64_t buckets =
+        std::bit_ceil(8 * static_cast<std::uint64_t>(geometry.entries));
+    index_.assign(buckets, {noPage, 0});
+    indexMask_ = static_cast<unsigned>(buckets - 1);
+    indexShift_ = 64 - static_cast<unsigned>(std::countr_zero(buckets));
 }
 
 void
-Tlb::fill(sim::Addr addr)
+Tlb::install(std::uint64_t page)
 {
-    const std::uint64_t page = pageOf(addr);
-    if (where_.contains(page))
-        return;
     unsigned slot;
-    if (slots_.size() < geometry_.entries) {
-        slot = static_cast<unsigned>(slots_.size());
-        slots_.push_back({page, 0});
-    } else {
-        // Evict the least recently used slot (minimum stamp).
-        slot = 0;
-        for (unsigned i = 1; i < slots_.size(); ++i) {
-            if (slots_[i].stamp < slots_[slot].stamp)
-                slot = i;
+    if (used_ < geometry_.entries) {
+        slot = used_++;
+        if (slot == 0) {
+            head_ = tail_ = slot;
+        } else {
+            slots_[slot].next = head_;
+            slots_[head_].prev = slot;
+            head_ = slot;
         }
+    } else {
+        // Recycle the least recently used slot.
+        slot = tail_;
         if (slots_[slot].page == lastPage_)
             lastPage_ = noPage;
-        where_.erase(slots_[slot].page);
-        slots_[slot].page = page;
+        indexErase(slots_[slot].page);
+        touch(slot);
     }
-    slots_[slot].stamp = ++clock_;
-    where_[page] = slot;
+    slots_[slot].page = page;
+    indexInsert(page, slot);
+}
+
+void
+Tlb::indexInsert(std::uint64_t page, unsigned slot)
+{
+    unsigned b = home(page);
+    while (index_[b].page != noPage)
+        b = (b + 1) & indexMask_;
+    index_[b] = {page, slot};
+}
+
+void
+Tlb::indexErase(std::uint64_t page)
+{
+    unsigned hole = home(page);
+    while (index_[hole].page != page)
+        hole = (hole + 1) & indexMask_;
+    // Backward-shift deletion: walk the rest of the cluster and move
+    // each entry whose probe sequence passes the hole back into it,
+    // so no lookup ever stops early at a gap.
+    for (unsigned b = (hole + 1) & indexMask_;
+         index_[b].page != noPage; b = (b + 1) & indexMask_) {
+        const unsigned from_home = (b - home(index_[b].page)) & indexMask_;
+        const unsigned from_hole = (b - hole) & indexMask_;
+        if (from_home >= from_hole) {
+            index_[hole] = index_[b];
+            hole = b;
+        }
+    }
+    index_[hole].page = noPage;
 }
 
 void
 Tlb::flush()
 {
-    slots_.clear();
-    where_.clear();
+    used_ = 0;
+    std::fill(index_.begin(), index_.end(), Bucket{noPage, 0});
     lastPage_ = noPage;
-    clock_ = 0;
 }
 
 } // namespace limit::mem

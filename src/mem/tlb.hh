@@ -7,7 +7,6 @@
 #define LIMIT_MEM_TLB_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/types.hh"
@@ -24,40 +23,54 @@ struct TlbGeometry
 /**
  * Fully associative, true-LRU TLB.
  *
- * Recency is tracked with a monotonic stamp per slot instead of a
- * linked LRU list: a hit is one hash lookup plus a stamp store, and
- * the O(entries) least-recently-used scan is paid only on refills.
- * A one-entry most-recent-page filter short-circuits the hash lookup
- * on same-page runs (the common case for streaming accesses). Both
- * are pure representation changes: the hit/miss/eviction sequence is
- * identical to the linked-list implementation.
+ * Every array is sized at construction, so translating an address
+ * never allocates:
+ *  - `slots_` holds one page per entry, threaded into a doubly linked
+ *    recency list by slot index (head = most recent, tail = least).
+ *    A hit moves its slot to the head and a miss recycles the tail,
+ *    both in O(1).
+ *  - `index_` maps page -> slot by open addressing with linear
+ *    probing; it has at least eight buckets per entry, and deletes
+ *    shift the rest of the cluster back instead of leaving
+ *    tombstones, so probes stay short without rehashing.
+ * A one-entry most-recent-page filter (`lastPage_`) skips the index
+ * on same-page runs, the common case for streaming accesses. It is
+ * set by hits only; a miss installs its page without updating it.
  */
 class Tlb
 {
   public:
     explicit Tlb(const TlbGeometry &geometry);
 
-    /** Probe (and on hit refresh) the page containing `addr`. Inline:
-     *  runs once per guest memory op. */
+    /**
+     * Translate the page containing `addr`: on a hit make it the most
+     * recent entry, on a miss install it in place of the least recent
+     * one. Inline: runs once per full memory access.
+     * @return true on hit.
+     */
     bool
     access(sim::Addr addr)
     {
         const std::uint64_t page = pageOf(addr);
         if (page == lastPage_) {
-            slots_[lastSlot_].stamp = ++clock_;
+            touch(lastSlot_);
             ++hits_;
             return true;
         }
-        auto it = where_.find(page);
-        if (it == where_.end()) {
-            ++misses_;
-            return false;
+        for (unsigned b = home(page);; b = (b + 1) & indexMask_) {
+            if (index_[b].page == page) {
+                touch(index_[b].slot);
+                lastPage_ = page;
+                lastSlot_ = index_[b].slot;
+                ++hits_;
+                return true;
+            }
+            if (index_[b].page == noPage)
+                break;
         }
-        slots_[it->second].stamp = ++clock_;
-        lastPage_ = page;
-        lastSlot_ = it->second;
-        ++hits_;
-        return true;
+        ++misses_;
+        install(page);
+        return false;
     }
 
     /**
@@ -77,22 +90,19 @@ class Tlb
     void
     creditLastPageHit()
     {
-        slots_[lastSlot_].stamp = ++clock_;
+        touch(lastSlot_);
         ++hits_;
     }
 
     /**
      * Bulk form of creditLastPageHit() for superblock replay commits:
-     * identical final state to `n` successive credits — the recency
-     * clock advances n times and the hot slot's stamp lands on the
-     * final clock value (the intermediate stamp stores are overwrites
-     * of the same slot, so skipping them is unobservable).
+     * identical final state to `n` successive credits, since every
+     * touch after the first finds the slot already at the head.
      */
     void
     creditLastPageHits(std::uint64_t n)
     {
-        clock_ += n;
-        slots_[lastSlot_].stamp = clock_;
+        touch(lastSlot_);
         hits_ += n;
     }
 
@@ -100,9 +110,6 @@ class Tlb
     const std::uint64_t *lastPagePtr() const { return &lastPage_; }
     unsigned pageShiftBits() const { return pageShift_; }
     /** @} */
-
-    /** Install the page containing `addr`, evicting LRU if needed. */
-    void fill(sim::Addr addr);
 
     void flush();
 
@@ -116,20 +123,63 @@ class Tlb
         return addr >> pageShift_;
     }
 
+    /** Fibonacci hash of `page` onto the index's bucket range. */
+    unsigned home(std::uint64_t page) const
+    {
+        return static_cast<unsigned>(
+            (page * 0x9e3779b97f4a7c15ull) >> indexShift_);
+    }
+
+    /** Move `slot` to the head of the recency list. */
+    void
+    touch(unsigned slot)
+    {
+        if (slot == head_)
+            return;
+        Slot &s = slots_[slot];
+        slots_[s.prev].next = s.next;
+        if (slot == tail_)
+            tail_ = s.prev;
+        else
+            slots_[s.next].prev = s.prev;
+        s.next = head_;
+        slots_[head_].prev = slot;
+        head_ = slot;
+    }
+
+    /** Miss path: take a free slot or the tail's, make it the head. */
+    void install(std::uint64_t page);
+    void indexInsert(std::uint64_t page, unsigned slot);
+    void indexErase(std::uint64_t page);
+
+    /** Marks an empty bucket and an invalid lastPage_. */
     static constexpr std::uint64_t noPage = ~0ull;
 
     struct Slot
     {
         std::uint64_t page;
-        std::uint64_t stamp;
+        unsigned prev;
+        unsigned next;
+    };
+
+    struct Bucket
+    {
+        std::uint64_t page;
+        unsigned slot;
     };
 
     TlbGeometry geometry_;
-    unsigned pageShift_;
+    unsigned pageShift_ = 0;
     std::vector<Slot> slots_;
-    std::unordered_map<std::uint64_t, unsigned> where_;
-    std::uint64_t clock_ = 0;
-    /** Most-recently-touched page and its slot (noPage = invalid). */
+    /** Slots in use; slots [used_, entries) are free. */
+    unsigned used_ = 0;
+    unsigned head_ = 0;
+    unsigned tail_ = 0;
+    std::vector<Bucket> index_;
+    unsigned indexMask_ = 0;
+    /** 64 - log2(index_.size()): home() keeps the hash's top bits. */
+    unsigned indexShift_ = 0;
+    /** Most-recently-hit page and its slot (noPage = invalid). */
     std::uint64_t lastPage_ = noPage;
     unsigned lastSlot_ = 0;
     std::uint64_t hits_ = 0;

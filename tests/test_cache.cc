@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "base/rng.hh"
 #include "mem/cache.hh"
 
 namespace limit::mem {
@@ -13,8 +18,7 @@ namespace {
 TEST(Cache, ColdMissThenHit)
 {
     Cache c("t", {1024, 2, 64});
-    EXPECT_FALSE(c.access(0x40));
-    c.fill(0x40);
+    EXPECT_FALSE(c.access(0x40)); // miss installs the line
     EXPECT_TRUE(c.access(0x40));
     EXPECT_EQ(c.hits(), 1u);
     EXPECT_EQ(c.misses(), 1u);
@@ -74,8 +78,7 @@ TEST(Cache, WorkingSetLargerThanCacheAlwaysMisses)
     // (capacity), since LRU evicts before reuse.
     for (int pass = 0; pass < 2; ++pass) {
         for (int i = 0; i < 64; ++i) {
-            if (!c.access(static_cast<sim::Addr>(i) * 64))
-                c.fill(static_cast<sim::Addr>(i) * 64);
+            c.access(static_cast<sim::Addr>(i) * 64);
         }
     }
     EXPECT_EQ(c.misses(), 128u);
@@ -86,13 +89,125 @@ TEST(Cache, WorkingSetFittingAlwaysHitsAfterWarmup)
     Cache c("t", {1024, 4, 64}); // 16 lines
     for (int pass = 0; pass < 3; ++pass) {
         for (int i = 0; i < 16; ++i) {
-            if (!c.access(static_cast<sim::Addr>(i) * 64))
-                c.fill(static_cast<sim::Addr>(i) * 64);
+            c.access(static_cast<sim::Addr>(i) * 64);
         }
     }
     EXPECT_EQ(c.misses(), 16u); // only the cold pass
     EXPECT_EQ(c.hits(), 32u);
 }
+
+/** Naive true-LRU reference: per set, lines most recent first. */
+struct RefCache
+{
+    unsigned ways;
+    std::vector<std::vector<std::uint64_t>> sets;
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+
+    std::vector<std::uint64_t> &
+    setOf(std::uint64_t line)
+    {
+        return sets[line % sets.size()];
+    }
+
+    bool
+    resident(std::uint64_t line)
+    {
+        auto &set = setOf(line);
+        return std::find(set.begin(), set.end(), line) != set.end();
+    }
+
+    void
+    install(std::uint64_t line)
+    {
+        auto &set = setOf(line);
+        if (set.size() == ways)
+            set.pop_back();
+        set.insert(set.begin(), line);
+    }
+
+    bool
+    access(std::uint64_t line)
+    {
+        auto &set = setOf(line);
+        const auto it = std::find(set.begin(), set.end(), line);
+        if (it == set.end()) {
+            ++misses;
+            install(line);
+            return false;
+        }
+        set.erase(it);
+        set.insert(set.begin(), line);
+        ++hits;
+        return true;
+    }
+};
+
+class CacheDifferential : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(CacheDifferential, MatchesMoveToFrontReference)
+{
+    const unsigned ways = GetParam();
+    constexpr unsigned sets = 4;
+    Cache c("d", {64ull * ways * sets, ways, 64});
+    ASSERT_EQ(c.numSets(), sets);
+    RefCache ref{ways, std::vector<std::vector<std::uint64_t>>(sets)};
+    Rng rng(ways * 104729ull + 3);
+
+    // Hot lines overflow every set a little; periodic scans of fresh
+    // lines push every resident line out.
+    const std::uint64_t hot = sets * (2ull * ways + 1);
+    std::uint64_t fresh = 1ull << 20;
+    std::uint64_t residentRefills = 0;
+
+    for (int step = 0; step < 30'000; ++step) {
+        const std::uint64_t pick = rng.below(100);
+        std::uint64_t line = rng.below(hot);
+        if (step % 1000 == 999) {
+            for (unsigned i = 0; i <= ways * sets; ++i) {
+                const std::uint64_t l = fresh++;
+                ASSERT_EQ(c.access(l * 64), ref.access(l));
+            }
+        } else if (step % 7000 == 3500) {
+            c.flush();
+            for (auto &set : ref.sets)
+                set.clear();
+        } else if (pick < 15) {
+            // The prefetcher's fill: installs absent lines only.
+            const bool resident = ref.resident(line);
+            ASSERT_EQ(c.fill(line * 64 + 8), !resident) << "step " << step;
+            if (resident)
+                ++residentRefills;
+            else
+                ref.install(line);
+        } else {
+            ASSERT_EQ(c.access(line * 64 + rng.below(64)),
+                      ref.access(line))
+                << "step " << step << " line " << line;
+            ASSERT_TRUE(c.peekMru(line * 64));
+        }
+        ASSERT_EQ(c.hits(), ref.hits) << "step " << step;
+        ASSERT_EQ(c.misses(), ref.misses) << "step " << step;
+        // The fast-path contract: way 0 of each set holds its MRU tag.
+        for (unsigned s = 0; s < sets; ++s) {
+            const auto &set = ref.sets[s];
+            if (set.empty())
+                continue;
+            ASSERT_EQ(c.tagArrayPtr()[s * ways], set.front());
+            ASSERT_TRUE(c.peekMru(set.front() * 64 + 63));
+        }
+        ASSERT_EQ(c.contains(line * 64), ref.resident(line));
+    }
+    EXPECT_GT(residentRefills, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Ways, CacheDifferential,
+                         ::testing::Values(1u, 2u, 8u, 16u),
+                         [](const auto &info) {
+                             return "w" + std::to_string(info.param);
+                         });
 
 TEST(CacheDeathTest, BadGeometryIsFatal)
 {

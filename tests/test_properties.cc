@@ -296,7 +296,6 @@ TEST_P(CacheLruProperty, MatchesReferenceListModel)
             l.erase(it);
             l.push_front(line);
         } else {
-            cache.fill(addr);
             if (l.size() == ways)
                 l.pop_back();
             l.push_front(line);

@@ -15,10 +15,12 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "analysis/args.hh"
 #include "analysis/bundle.hh"
@@ -333,6 +335,28 @@ TEST(CampaignTest, StatusFileHeartbeatReachesFinishedState)
     EXPECT_NE(line.find("\"finished\":true"), std::string::npos);
     EXPECT_FALSE(std::ifstream(path + ".tmp").good());
     std::remove(path.c_str());
+}
+
+TEST(CampaignTest, DefaultOptionsLeaveTheWorkingDirectoryUntouched)
+{
+    // The status heartbeat is off by default. With an empty path its
+    // temp file would be a bare ".tmp" in the working directory, so
+    // run the fan-out in a fresh directory and check it stays empty.
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::path(::testing::TempDir()) / "limitpp_cwd";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const fs::path cwd = fs::current_path();
+    fs::current_path(dir);
+    const std::vector<std::size_t> out = analysis::mapGuarded(
+        analysis::CampaignOptions{}, 3,
+        [](std::size_t i) { return 2 * i; });
+    fs::current_path(cwd);
+
+    EXPECT_EQ(out, (std::vector<std::size_t>{0, 2, 4}));
+    EXPECT_FALSE(fs::exists(dir / ".tmp"));
+    EXPECT_TRUE(fs::is_empty(dir));
+    fs::remove_all(dir);
 }
 
 TEST(CampaignTest, StatusReporterCountsRetriesAndQuarantines)
