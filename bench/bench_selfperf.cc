@@ -36,7 +36,6 @@
 #include <algorithm>
 #include <ctime>
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "analysis/args.hh"
@@ -160,61 +159,6 @@ runOltp(std::uint64_t seed, const analysis::BenchArgs *trace = nullptr)
     out.ops = static_cast<double>(b.machine().batchOps());
     if (trace)
         analysis::writeTraceReport(b, trace->trace);
-    return out;
-}
-
-/**
- * Sharded-execution throughput: one 16-core machine mixing twelve
- * parallel-safe stream kernels with a serial OLTP server, run once on
- * the single-thread scheduler and once across `shards` host threads.
- * The speedup is measured on a CPU-time basis — single-thread CPU
- * seconds over the sharded run's critical-path thread (the busiest of
- * coordinator and workers, per Machine::ShardTelemetry) — so the
- * figure is oversubscription-immune like every other row here.
- * Results are bit-identical by the sharding contract; only the host
- * cost moves.
- */
-constexpr sim::Tick shardMixTicks = 20'000'000;
-
-struct ShardMixRun
-{
-    double instr = 0;
-    /** Critical-path CPU seconds (the whole thread for shards=1). */
-    double cpuSec = 0;
-    std::uint64_t leasedOps = 0;
-};
-
-ShardMixRun
-runShardMix(std::uint64_t seed, unsigned shards)
-{
-    const double t0 = threadCpuSec();
-    analysis::SimBundle b(analysis::BundleOptions::builder()
-                              .cores(16)
-                              .seed(1 + seed)
-                              .shards(shards)
-                              .build());
-    std::vector<std::unique_ptr<workloads::ComputeKernel>> kernels;
-    for (unsigned i = 0; i < 12; ++i) {
-        kernels.push_back(std::make_unique<workloads::ComputeKernel>(
-            b.kernel(), workloads::KernelKind::Stream, 16 << 20,
-            777 + seed * 64 + i));
-        kernels.back()->spawn();
-    }
-    workloads::OltpConfig cfg;
-    cfg.clients = 4;
-    workloads::OltpServer oltp(b.machine(), b.kernel(), cfg, 99 + seed);
-    oltp.spawn();
-    b.run(shardMixTicks);
-
-    ShardMixRun out;
-    out.instr = static_cast<double>(analysis::totalEvent(
-        b.kernel(), sim::EventType::Instructions));
-    if (b.machine().shardTelemetry().shards > 1) {
-        out.cpuSec = b.machine().shardTelemetry().criticalPathCpuSec();
-        out.leasedOps = b.machine().shardTelemetry().leasedOps;
-    } else {
-        out.cpuSec = threadCpuSec() - t0;
-    }
     return out;
 }
 
@@ -430,25 +374,6 @@ main(int argc, char **argv)
         guarded_cpu == 0 ? 0
                          : 100.0 * sentinel.probeSeconds() / guarded_cpu;
 
-    // Sharded single-machine execution: the same 16-core stream/oltp
-    // mix on one host thread and on four, best-of like every other
-    // row. The sharded run's cost is its critical-path thread, so the
-    // speedup is the end-to-end win of --shards 4 on this machine.
-    ShardMixRun shard1{}, shard4{};
-    for (unsigned i = 0; i < args.seeds; ++i) {
-        const ShardMixRun s1 = runShardMix(i, 1);
-        if (shard1.cpuSec == 0 ||
-            s1.instr / s1.cpuSec > shard1.instr / shard1.cpuSec)
-            shard1 = s1;
-        const ShardMixRun s4 = runShardMix(i, 4);
-        if (shard4.cpuSec == 0 ||
-            s4.instr / s4.cpuSec > shard4.instr / shard4.cpuSec)
-            shard4 = s4;
-    }
-    const double shard1_mips = shard1.instr / 1e6 / shard1.cpuSec;
-    const double shard4_mips = shard4.instr / 1e6 / shard4.cpuSec;
-    const double shard_speedup = shard1.cpuSec / shard4.cpuSec;
-
     // Sensitivity-lattice throughput, serial then fanned out: the
     // points-per-CPU-second figure plus the same jobs x efficiency
     // scaling construction the parallel-runner row uses.
@@ -520,11 +445,6 @@ main(int argc, char **argv)
     std::printf("parallel-runner scaling at %u jobs: %.2fx "
                 "(jobs x per-worker CPU efficiency)\n",
                 jobs, scaling);
-    std::printf("sharded machine (16 cores, stream/oltp mix): %.2fx "
-                "at --shards 4 (%.1f -> %.1f M guest-instr/s on the "
-                "critical-path thread, %llu leased ops)\n",
-                shard_speedup, shard1_mips, shard4_mips,
-                static_cast<unsigned long long>(shard4.leasedOps));
     std::printf("sensitivity lattice: %.1f lattice runs/CPU-s serial, "
                 "%.1f at %u jobs (scaling %.2fx)\n",
                 lat1_pps, latN_pps, jobs, lat_scaling);
@@ -570,8 +490,6 @@ main(int argc, char **argv)
             "  \"parallel_jobs\": %u,\n"
             "  \"parallel_minstr_per_sec\": %.2f,\n"
             "  \"parallel_scaling_x\": %.3f,\n"
-            "  \"shard_speedup_x\": %.3f,\n"
-            "  \"sharded_minstr_per_sec\": %.2f,\n"
             "  \"sensitivity_points_per_sec\": %.2f,\n"
             "  \"sensitivity_scaling_x\": %.3f,\n"
             "  \"timeline_overhead_pct\": %.2f,\n"
@@ -585,7 +503,7 @@ main(int argc, char **argv)
             nobatch_mips, batch_speedup, ops_per_round,
             stream_mips, nosb_mips, sb_speedup, sb_hit_rate,
             oltp_mips, oltp.cycles / 1e6 / oltp.hostSec, jobs,
-            par_mips, scaling, shard_speedup, shard4_mips,
+            par_mips, scaling,
             latN_pps, lat_scaling,
             timeline_overhead_pct, sentinel_overhead_pct,
             static_cast<unsigned long long>(read_p50),

@@ -18,7 +18,7 @@ usage(const char *prog, const BenchDefaults &defaults,
     std::FILE *out = exit_code == 0 ? stdout : stderr;
     std::fprintf(
         out,
-        "usage: %s [--seeds N] [--jobs N] [--shards N] [--trace FILE] "
+        "usage: %s [--seeds N] [--jobs N] [--trace FILE] "
         "[--trace-cap N] [--faults SPEC] [--profile] "
         "[--profile-out FILE] [--job-timeout S] [--journal FILE] "
         "[--resume] [--sentinel] [--sentinel-every N] "
@@ -44,9 +44,6 @@ usage(const char *prog, const BenchDefaults &defaults,
         "  --no-superblock  disable the decoded-op superblock replay "
         "cache (bit-identical results, slower; for equivalence "
         "checking)\n"
-        "  --shards N     host threads per simulated machine; N-1 "
-        "workers lease parallel-safe cores under the safe-horizon "
-        "coordinator (bit-identical results for any N; default 1)\n"
         "  --job-timeout S  per-job host wall-clock budget in seconds; "
         "an over-budget job is retried once in the next slower "
         "execution mode, then marked failed (default: no watchdog)\n"
@@ -175,22 +172,6 @@ tryParseBenchArgs(int argc, char **argv, BenchDefaults defaults)
         } else if ((value = flagValue("--jobs", arg, argc, argv, i))) {
             if (!parseUnsigned("--jobs", value, p.args.jobs, p.error))
                 return p;
-        } else if ((value = flagValue("--shards", arg, argc, argv, i))) {
-            if (!parseUnsigned("--shards", value, p.args.shards,
-                               p.error)) {
-                return p;
-            }
-            if (p.args.shards == 0) {
-                p.error = "--shards must be >= 1";
-                return p;
-            }
-            // An absurd thread count is a typo, not a tuning choice;
-            // per-machine clamping to the core count happens later,
-            // but catch the obviously-wrong spelling here.
-            if (p.args.shards > 1024) {
-                p.error = "--shards must be <= 1024";
-                return p;
-            }
         } else if ((value =
                         flagValue("--trace-cap", arg, argc, argv, i))) {
             if (!parseUnsigned("--trace-cap", value, p.args.traceCap,
@@ -321,8 +302,6 @@ parseBenchArgs(int argc, char **argv, BenchDefaults defaults,
         sim::setSuperblockExecutionDefault(false);
     if (p.args.jobTimeoutSec > 0)
         sim::setJobWatchdogDefault(p.args.jobTimeoutSec);
-    if (p.args.shards > 1)
-        sim::setShardExecutionDefault(p.args.shards);
     return p.args;
 }
 

@@ -25,10 +25,6 @@
  *   --no-superblock  disable the decoded-op superblock replay cache
  *                    (bit-identical, slower; equivalence checking
  *                    and CI)
- *   --shards N       host threads per simulated machine (sharded
- *                    safe-horizon execution; bit-identical, N-1
- *                    worker threads lease parallel-safe cores;
- *                    see docs/DESIGN.md)
  *   --job-timeout S  per-job host wall-clock watchdog in seconds; a
  *                    job over budget is retried once in the next
  *                    slower execution mode, then marked failed
@@ -91,15 +87,6 @@ struct BenchArgs
      * bit-identical — only how fast the hot path retires ops.
      */
     bool noSuperblock = false;
-    /**
-     * Host threads per simulated machine (--shards). Applied by
-     * parseBenchArgs via sim::setShardExecutionDefault; 1 (default)
-     * keeps the existing single-thread schedulers. Values above 1 run
-     * each machine under the sharded safe-horizon coordinator with
-     * shards-1 worker threads — published results stay bit-identical
-     * for any value (clamped per machine to its core count).
-     */
-    unsigned shards = 1;
     /** Profile artifact path (setting it via --profile-out implies
         --profile). */
     std::string profileOut = "profile.json";

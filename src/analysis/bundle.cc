@@ -65,19 +65,6 @@ BundleOptions::Builder::build() const
     // explicitly on the per-op loop would silently never replay.
     fatal_if(superblocksExplicit_ && o_.superblocks && !o_.batched,
              "BundleOptions: superblocks(true) requires batched(true)");
-    // Sharding leases cores to worker threads, so more shards than
-    // cores can never have work; the machine clamps the process-wide
-    // default silently, but an explicit per-bundle request that can't
-    // be honoured is a configuration error.
-    fatal_if(o_.shards < 1, "BundleOptions: shards must be >= 1");
-    fatal_if(o_.shards > o_.cores,
-             "BundleOptions: shards (", o_.shards,
-             ") must not exceed cores (", o_.cores, ")");
-    // Sharded execution drives the horizon-batched scheduler on every
-    // lease; pinning a bundle to the per-op reference loop while also
-    // asking for workers is contradictory.
-    fatal_if(o_.shards > 1 && !o_.batched,
-             "BundleOptions: shards > 1 requires batched(true)");
     // A tiny interval allocates one 88-byte slice per handful of ops —
     // gigabytes over a long run. parseBenchArgs enforces the same
     // bound on --timeline-interval; this catches programmatic use.
@@ -108,7 +95,6 @@ SimBundle::SimBundle(const BundleOptions &options)
     mc.seed = options.seed;
     mc.batched = options.batched;
     mc.superblocks = options.superblocks;
-    mc.shards = options.shards;
     if (options.quantum != 0)
         mc.costs.quantum = options.quantum;
     machine_ = std::make_unique<sim::Machine>(mc);

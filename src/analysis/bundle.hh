@@ -69,14 +69,6 @@ struct BundleOptions
      * sim::setSuperblockExecutionDefault). No effect unless `batched`.
      */
     bool superblocks = true;
-    /**
-     * Host threads for this machine (sim::MachineConfig::shards).
-     * 1 inherits the process default (--shards /
-     * sim::setShardExecutionDefault); values above 1 pin this bundle
-     * to the sharded safe-horizon coordinator with shards-1 workers.
-     * Bit-identical for any value; build() rejects shards > cores.
-     */
-    unsigned shards = 1;
 
     class Builder;
     /** Start a validated fluent build (canonical defaults). */
@@ -247,12 +239,6 @@ class BundleOptions::Builder
     {
         superblocksExplicit_ = true;
         o_.superblocks = on;
-        return *this;
-    }
-    /** Host threads for this machine (1 = process default). */
-    Builder &shards(unsigned n)
-    {
-        o_.shards = n;
         return *this;
     }
 

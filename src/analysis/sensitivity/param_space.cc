@@ -204,24 +204,6 @@ Axis::cores(std::vector<double> levels)
         std::move(levels));
 }
 
-Axis
-Axis::shards(std::vector<double> levels)
-{
-    // Perturbs only host parallelism — every level must reproduce the
-    // base point's numbers bit-identically, so this axis measures
-    // simulator throughput (host seconds per point), never guest
-    // metrics. build() still rejects levels above the base core count.
-    return makeAxis(
-        "shards", "threads",
-        [](const BundleOptions &o) {
-            return static_cast<double>(o.shards);
-        },
-        [](BundleOptions::Builder &b, double v) {
-            b.shards(static_cast<unsigned>(v));
-        },
-        std::move(levels));
-}
-
 std::vector<ParamSpace::Point>
 ParamSpace::points() const
 {

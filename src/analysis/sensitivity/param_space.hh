@@ -59,9 +59,6 @@ struct Axis
     static Axis pmuCounters(std::vector<double> levels);
     static Axis quantum(std::vector<double> levels);
     static Axis cores(std::vector<double> levels);
-    /** Host threads per machine — a throughput axis: every level is
-        bit-identical in guest metrics by the sharding contract. */
-    static Axis shards(std::vector<double> levels);
     /** @} */
 };
 

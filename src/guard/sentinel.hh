@@ -136,14 +136,6 @@ class ProbeScope
   private:
     std::uint64_t windowDiv_;
     Fingerprint fp_;
-    /**
-     * Probe re-executions are the determinism *oracle*, so they must
-     * not themselves depend on the machinery under test: both sides of
-     * a cross-check run single-shard regardless of --shards or
-     * LIMITPP_FORCE_SHARDS (thread-local, purely narrowing — exactly
-     * like the execution-mode clamp above).
-     */
-    sim::ScopedSingleShard singleShard_;
     ProbeScope *prev_;
 };
 

@@ -43,19 +43,17 @@ Kernel::threadOf(sim::GuestContext &ctx)
 
 sim::ThreadId
 Kernel::spawn(std::string name,
-              std::function<sim::Task<void>(sim::Guest &)> body,
-              bool parallel_safe)
+              std::function<sim::Task<void>(sim::Guest &)> body)
 {
     const sim::CoreId core = nextSpawnCore_;
     nextSpawnCore_ = (nextSpawnCore_ + 1) % machine_.numCores();
     return spawnOn(core, /*pinned=*/false, std::move(name),
-                   std::move(body), parallel_safe);
+                   std::move(body));
 }
 
 sim::ThreadId
 Kernel::spawnOn(sim::CoreId core, bool pinned, std::string name,
-                std::function<sim::Task<void>(sim::Guest &)> body,
-                bool parallel_safe)
+                std::function<sim::Task<void>(sim::Guest &)> body)
 {
     fatal_if(core >= machine_.numCores(), "spawn on nonexistent core ",
              core);
@@ -65,7 +63,6 @@ Kernel::spawnOn(sim::CoreId core, bool pinned, std::string name,
     Thread &t = *threads_.back();
     t.homeCore = core;
     t.pinned = pinned;
-    t.ctx.parallelSafe = parallel_safe;
     perf_.initThread(t); // inherit sampling preloads into saved state
     t.ctx.start(std::move(body));
     ++liveThreads_;

@@ -61,21 +61,13 @@ class Kernel : public sim::KernelIf
 
     /** @name Host-side setup & inspection @{ */
 
-    /**
-     * Create a thread; placed round-robin across cores.
-     *
-     * @param parallel_safe opt the guest into leased execution under
-     *        sharded machine runs (see GuestContext::parallelSafe for
-     *        the host-state contract the body must satisfy).
-     */
+    /** Create a thread; placed round-robin across cores. */
     sim::ThreadId spawn(std::string name,
-                        std::function<sim::Task<void>(sim::Guest &)> body,
-                        bool parallel_safe = false);
+                        std::function<sim::Task<void>(sim::Guest &)> body);
 
     /** Create a thread with explicit placement. */
     sim::ThreadId spawnOn(sim::CoreId core, bool pinned, std::string name,
-                          std::function<sim::Task<void>(sim::Guest &)> body,
-                          bool parallel_safe = false);
+                          std::function<sim::Task<void>(sim::Guest &)> body);
 
     Thread &thread(sim::ThreadId tid);
     const Thread &thread(sim::ThreadId tid) const;

@@ -15,7 +15,8 @@ namespace limit::sim {
 Cpu::Cpu(CoreId id, Machine &machine, const CostModel &costs,
          unsigned pmu_counters, const PmuFeatures &pmu_features)
     : id_(id), machine_(machine), costs_(costs),
-      pmu_(pmu_counters, pmu_features)
+      pmu_(pmu_counters, pmu_features),
+      sbStats_(machine.superblockStats())
 {
 }
 
@@ -23,14 +24,8 @@ void
 Cpu::setCurrent(GuestContext *ctx)
 {
     current_ = ctx;
-    if (ctx) {
+    if (ctx)
         ctx->lastCore = id_;
-        // Superblock stats are per core (leased cores must never
-        // write a shared block); re-bind a migrating thread's
-        // detector to this core's stats.
-        if (ctx->sbState != nullptr)
-            ctx->sbState->setStats(&sbStats_);
-    }
 }
 
 void
@@ -179,119 +174,6 @@ Cpu::runUntil(Tick bound, Tick poll_at, Tick hard_limit,
     return r;
 }
 
-Cpu::LeaseResult
-Cpu::runLeased(Tick hard_limit, unsigned max_ops)
-{
-    // The runUntil loop with both horizons at infinity: a leased core
-    // has no serial peer ordering to respect *as long as* every op
-    // commutes with the rest of the machine — which tryInlineOp
-    // enforces in lease mode by refusing (parking) anything that
-    // would touch the kernel, shared memory levels, or another core.
-    // Runs on a worker thread; the park publication's release store
-    // (Machine::runSharded) fences everything written here.
-    batchBound_ = maxTick;
-    batchPollAt_ = maxTick;
-    batchHardLimit_ = hard_limit;
-    batchOpsLeft_ = max_ops;
-    leaseMode_ = true;
-    LeaseResult r;
-    while (true) {
-        panic_if(now_ > hard_limit,
-                 "runaway simulation: core ", id_,
-                 " passed the hard limit at tick ", now_);
-        GuestContext &ctx = *current_;
-        ctx.hasOp = false;
-        ctx.opConsumedInline = false;
-        ctx.inlineCpu = this;
-        ctx.resumeHandle().resume();
-        ctx.inlineCpu = nullptr;
-
-        if (!ctx.hasOp) {
-            if (ctx.finished()) {
-                if (ctx.sbr.cur != nullptr)
-                    sbCommitReplay(ctx, /*partial=*/true);
-                if (batchOpsLeft_ > 0)
-                    --batchOpsLeft_; // the exiting resume was a round
-                // threadExited is a kernel action: park and let the
-                // coordinator retire the thread in global order.
-                parkKey_ = now_;
-                r.park = LeasePark::Exit;
-                break;
-            }
-            panic_if(!ctx.opConsumedInline,
-                     "guest thread '", ctx.name(),
-                     "' suspended without issuing an op");
-            ctx.opConsumedInline = false;
-            if (epiloguePending_) {
-                // The last op queued a PMI or crossed the quantum
-                // end. The oracle runs op + epilogue as one atomic
-                // round, so the park key is the pre-op clock that
-                // tryInlineOp captured in parkKey_.
-                epiloguePending_ = false;
-                r.park = LeasePark::Epilogue;
-                break;
-            }
-            // Op budget spent: chunk boundary, core stays leased.
-            r.park = LeasePark::Chunk;
-            break;
-        }
-        // A non-commuting op was published unexecuted (syscall,
-        // atomic, PMC read, slow memory access): the coordinator must
-        // run it as a classic round at the current clock.
-        parkKey_ = now_;
-        r.park = LeasePark::PendingOp;
-        break;
-    }
-    leaseMode_ = false;
-    r.ops = max_ops - batchOpsLeft_;
-    leasedOps_ += r.ops;
-    batchOpsLeft_ = 0;
-    return r;
-}
-
-void
-Cpu::serialCatchUp(LeasePark reason)
-{
-    // Coordinator side: the core was just reclaimed at its park key's
-    // global-order turn; complete the withheld action exactly as the
-    // reference loop would have.
-    switch (reason) {
-      case LeasePark::PendingOp: {
-        panic_if(current_ == nullptr || !current_->hasOp,
-                 "pending-op catch-up without a published op");
-        GuestContext &ctx = *current_;
-        // The coroutine is suspended *holding* this op; executing it
-        // here mirrors runUntil's classic round (the next resume will
-        // hand the result back).
-        kernelRound_ = false;
-        executeOp(ctx);
-        if (ctx.sbState != nullptr)
-            ctx.sbState->noteDiscontinuity();
-        break;
-      }
-      case LeasePark::Epilogue: {
-        // Mirror runUntil's deferred-epilogue block.
-        kernelRound_ = false;
-        drainOverflows();
-        if (current_ && now_ >= quantumEnd) {
-            kernelRound_ = true;
-            machine_.kernel()->timerTick(*this);
-            drainOverflows();
-        }
-        break;
-      }
-      case LeasePark::Exit: {
-        panic_if(current_ == nullptr,
-                 "exit catch-up on an idle core");
-        machine_.kernel()->threadExited(*this, *current_);
-        drainOverflows();
-        break;
-      }
-      case LeasePark::Chunk:
-        panic("serialCatchUp on a core that did not park");
-    }
-}
-
 bool
 Cpu::tryInlineOp(GuestContext &ctx)
 {
@@ -355,27 +237,13 @@ Cpu::tryInlineOp(GuestContext &ctx)
                 return false;
         }
     }
-    // From here the op executes at the current clock — which is the
-    // key the reference scheduler's earliest-core pick would run it
-    // (and its epilogue) at. A leased core parking on the epilogue
-    // below must publish exactly this key.
-    if (leaseMode_)
-        parkKey_ = now_;
     switch (op.kind) {
       case OpKind::Compute:
         execCompute(ctx, op);
         break;
       case OpKind::Load:
       case OpKind::Store:
-        if (leaseMode_) {
-            // Leased cores may only take the per-core fast path; a
-            // miss means shared hierarchy levels, so the op parks and
-            // the coordinator runs it as a classic round.
-            if (!execMemoryFast(ctx, op))
-                return false;
-        } else {
-            execMemory(ctx, op);
-        }
+        execMemory(ctx, op);
         break;
       case OpKind::RegionEnter:
       case OpKind::RegionExit:
@@ -522,21 +390,8 @@ Cpu::execMemoryFast(GuestContext &ctx, const PendingOp &op)
 void
 Cpu::execMemory(GuestContext &ctx, const PendingOp &op)
 {
-    if (execMemoryFast(ctx, op))
-        return;
-
-    const bool write = op.kind == OpKind::Store;
-    MemoryIf *mem = machine_.memory();
-    lastFastLat_ = 0;
-    EventDeltas d;
-    const Tick latency = mem->access(id_, op.addr, write, false, d);
-
-    d[EventType::Cycles] += latency;
-    d[EventType::Instructions] += 1;
-    d[write ? EventType::Stores : EventType::Loads] += 1;
-    applyEvents(PrivMode::User, d);
-    now_ += latency;
-    ctx.result = 0;
+    if (!execMemoryFast(ctx, op))
+        execMemorySlow(ctx, op);
 }
 
 void
@@ -931,13 +786,6 @@ Cpu::sbStallMem(GuestContext &ctx)
     // the full access below mutates the recency state they assume,
     // and the access's own deltas must apply after the span's.
     sbCommitReplay(ctx, /*partial=*/true);
-    if (leaseMode_) {
-        // The stalled op left the per-core fast path; on a leased
-        // core it must park and run as a coordinator round. The span
-        // is committed and the hint armed, so the suspend path picks
-        // up exactly where a serial run would.
-        return false;
-    }
     // The stalled op itself needs the normal path's budget/horizons.
     if (batchOpsLeft_ == 0 || now_ >= batchBound_ || now_ >= batchPollAt_)
         return false; // suspend path; hint is armed for the next op
@@ -1063,12 +911,6 @@ Cpu::sbFinishReplay(GuestContext &ctx)
     ctx.sbr.cur = ctx.sbr.opsBegin;
     ctx.sbr.itersLeft = 0;
     sbCommitReplay(ctx, /*partial=*/false);
-    // Defensive for lease mode: sizing keeps spans strictly inside
-    // the quantum and PMU headroom, so the epilogue below should be
-    // unreachable there — but if it ever fires, the post-commit clock
-    // is the only coherent park key.
-    if (leaseMode_)
-        parkKey_ = now_;
     // Mirror tryInlineOp's post-op checks: the replay was sized to
     // stay inside every horizon, but it may have consumed the whole
     // op budget or landed exactly on a boundary.

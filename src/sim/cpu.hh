@@ -95,76 +95,6 @@ class Cpu
                          unsigned max_ops);
 
     /**
-     * Why a leased core handed control back (Machine::runSharded).
-     * Every reason except Chunk parks the core: the worker publishes
-     * the park and the coordinator replays the withheld serial action
-     * (serialCatchUp) at parkKey() in exact global order.
-     */
-    enum class LeasePark : std::uint8_t
-    {
-        /** Op budget spent mid-run: core still leased, horizon moved. */
-        Chunk,
-        /** Non-core-local / slow op published in ctx.op, unexecuted. */
-        PendingOp,
-        /** An inline op queued a PMI or crossed the quantum end. */
-        Epilogue,
-        /** The guest body ran to completion (threadExited withheld). */
-        Exit,
-    };
-
-    /** Outcome of one runLeased() chunk. */
-    struct LeaseResult
-    {
-        LeasePark park = LeasePark::Chunk;
-        /** Ops executed this chunk (thrash detection + accounting). */
-        unsigned ops = 0;
-    };
-
-    /**
-     * Worker-side execution on a leased core: the runUntil loop with
-     * both horizons at maxTick — only commuting core-local ops run
-     * (compute, regions, fast-path memory; superblock replay
-     * included), and the core parks at the first op or epilogue that
-     * would need the kernel, the shared memory path, or another
-     * core's state. The guest's global-order position of the withheld
-     * action is published via parkKey(). Runs on a worker thread: the
-     * only Machine state it may touch is this core's own.
-     */
-    LeaseResult runLeased(Tick hard_limit, unsigned max_ops);
-
-    /**
-     * Global-order key of the action a park withheld: the value the
-     * per-op reference scheduler's earliest-core pick would see for
-     * it. PendingOp/Exit park at the pre-op clock; Epilogue parks at
-     * the clock *before* the op that queued it (op + epilogue are one
-     * atomic scheduler round in the oracle).
-     */
-    Tick parkKey() const { return parkKey_; }
-
-    /**
-     * Coordinator-side completion of a parked action, exactly as the
-     * reference loop would have run it: deliver the epilogue (PMI
-     * drain + possible timer tick), execute the pending op via the
-     * classic round, or retire the exited thread. Must be called at
-     * the park's global-order turn; afterwards the core is plain
-     * serial state again.
-     */
-    void serialCatchUp(LeasePark reason);
-
-    /** Ops executed under lease since the last take (worker-written). */
-    std::uint64_t
-    takeLeasedOps()
-    {
-        const std::uint64_t n = leasedOps_;
-        leasedOps_ = 0;
-        return n;
-    }
-
-    /** This core's superblock stats block (see Machine aggregate). */
-    SuperblockStats &superblockStats() { return sbStats_; }
-    const SuperblockStats &superblockStats() const { return sbStats_; }
-
-    /**
      * OpAwaiter hook (horizon-batched mode only): execute `ctx.op`
      * right at the co_await point — without suspending the guest
      * coroutine — when it is core-local and the batch budget set up by
@@ -345,14 +275,15 @@ class Cpu
     /**
      * Fast-path half of execMemory: probe tryFastAccess and, on a
      * hit, charge + count the access. False on a miss (no state
-     * changed beyond the per-core probe). The only memory path a
-     * leased core may take — the full path touches shared levels.
+     * changed beyond the per-core probe).
      */
     bool execMemoryFast(GuestContext &ctx, const PendingOp &op);
     /**
-     * execMemory for an op already known to miss the fast path (the
-     * bridge validated the exact tryFastAccess predicate through the
-     * live peek view an op ago); skips re-probing it.
+     * Full-path half of execMemory: MemoryIf::access plus the dense
+     * event apply. The stall bridge calls it directly for an op
+     * already known to miss the fast path (it validated the exact
+     * tryFastAccess predicate through the live peek view an op ago),
+     * skipping the re-probe.
      */
     void execMemorySlow(GuestContext &ctx, const PendingOp &op);
     void execAtomic(GuestContext &ctx, const PendingOp &op);
@@ -456,25 +387,8 @@ class Cpu
     bool epiloguePending_ = false;
     /** @} */
 
-    /** @name Lease state (Machine::runSharded; see DESIGN.md) @{ */
-    /**
-     * True only inside runLeased: routes memory ops to the fast path
-     * exclusively and makes every kernel-needing action park instead
-     * of executing.
-     */
-    bool leaseMode_ = false;
-    /** See parkKey(). Captured at each op's pre-op clock. */
-    Tick parkKey_ = 0;
-    /** Ops executed under lease (worker-written, summed after join). */
-    std::uint64_t leasedOps_ = 0;
-    /** @} */
-
-    /**
-     * Superblock stats are per core so leased cores never write a
-     * machine-shared counter block; Machine::superblockStats() sums
-     * them. SuperblockState instances re-bind on install.
-     */
-    SuperblockStats sbStats_;
+    /** The machine's superblock stats block (shared by all cores). */
+    SuperblockStats &sbStats_;
 
     /** @name Superblock cache state @{ */
     /** Replay/record active for this run (batched mode only). */

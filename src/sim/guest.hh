@@ -202,27 +202,6 @@ class GuestContext
     CoreId lastCore = 0;
     /** @} */
 
-    /** @name Sharded-execution classification (see DESIGN.md) @{ */
-    /**
-     * The guest body's host-side code between ops touches only state
-     * owned by this thread (its streams, counters, coroutine frame) —
-     * shared host words only ever through atomic/futex ops, which
-     * always execute on the coordinator. Only such threads may run on
-     * a leased core inside a worker thread; everything else (plain
-     * shared host state, e.g. InstrumentedMutex bookkeeping) is
-     * pinned to the coordinator. Opt-in at Kernel::spawn.
-     */
-    bool parallelSafe = false;
-    /**
-     * Lease-thrash cooldown, decremented once per coordinator lease
-     * opportunity: set after an unproductive lease (a handful of ops
-     * before parking) so syscall-dense threads run serially instead
-     * of ping-ponging. Purely a host-side placement heuristic —
-     * affects *where* ops execute, never their order or results.
-     */
-    unsigned leaseStall = 0;
-    /** @} */
-
     /** @name PMC-read race bookkeeping (see pec/) @{ */
     bool inPmcRead = false;
     bool pmcRestartRequested = false;

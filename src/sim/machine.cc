@@ -1,13 +1,10 @@
 #include "sim/machine.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <ctime>
-#include <exception>
 #include <optional>
 #include <sstream>
-#include <thread>
 
 #include "base/logging.hh"
 #include "sim/kernel_if.hh"
@@ -44,35 +41,6 @@ forcedNoSuperblock()
 }
 
 bool superblockDefault = true;
-
-/** LIMITPP_FORCE_SHARDS override; 0 = unset / unparsable. */
-unsigned
-forcedShardCount()
-{
-    static const unsigned forced = [] {
-        const char *v = std::getenv("LIMITPP_FORCE_SHARDS");
-        if (v == nullptr || v[0] == '\0')
-            return 0u;
-        char *end = nullptr;
-        const unsigned long n = std::strtoul(v, &end, 10);
-        if (end == v || *end != '\0' || n > 1024)
-            return 0u;
-        return static_cast<unsigned>(n);
-    }();
-    return forced;
-}
-
-unsigned shardsDefault = 1;
-
-/** CPU time this thread has consumed, in seconds. */
-double
-threadCpuSec()
-{
-    timespec ts{};
-    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) +
-           static_cast<double>(ts.tv_nsec) * 1e-9;
-}
 
 double watchdogDefaultSec = 0;
 
@@ -175,18 +143,6 @@ superblockExecutionDefault()
     return superblockDefault && !forcedNoSuperblock();
 }
 
-void
-setShardExecutionDefault(unsigned shards)
-{
-    shardsDefault = shards > 0 ? shards : 1;
-}
-
-unsigned
-shardExecutionDefault()
-{
-    return shardsDefault;
-}
-
 Machine::Machine(const MachineConfig &config)
     : config_(config), memory_(&flatMemory_)
 {
@@ -246,35 +202,11 @@ Machine::run()
     std::optional<ScopedWatchdog> wd;
     if (!ScopedWatchdog::armed() && jobWatchdogDefault() > 0)
         wd.emplace(jobWatchdogDefault());
-    const unsigned shards = effectiveShards();
-    if (shards > 1)
-        return runSharded(shards);
     if (config_.batched && batchedExecutionDefault() &&
         ScopedExecutionClamp::batchedAllowed()) {
         return runBatched();
     }
     return runPerOp();
-}
-
-unsigned
-Machine::effectiveShards() const
-{
-    unsigned s = config_.shards > 1 ? config_.shards
-                                    : shardExecutionDefault();
-    if (const unsigned f = forcedShardCount(); f > 0)
-        s = f;
-    // The lease loop is batched machinery; single-shard clamps force
-    // the exact loop the contract's oracle is defined against.
-    if (ScopedSingleShard::active() || faults_ != nullptr ||
-        !(config_.batched && batchedExecutionDefault() &&
-          ScopedExecutionClamp::batchedAllowed())) {
-        s = 1;
-    }
-    if (s < 1)
-        s = 1;
-    if (s > numCores())
-        s = numCores();
-    return s;
 }
 
 /**
@@ -426,339 +358,6 @@ Machine::runBatched()
         }
     }
     return maxTime();
-}
-
-/**
- * Sharded scheduler: the calling thread stays the serial coordinator —
- * it runs runBatched's exact pick/poll/bound protocol — and N-1 worker
- * threads run *leased* cores concurrently (Cpu::runLeased). A lease is
- * sound because leased cores execute only commuting ops: core-local
- * compute/region/fast-path-memory work that touches no state any other
- * core or the kernel can observe, so its interleaving with the serial
- * schedule is irrelevant. Anything else parks the core with the exact
- * global-order key of the withheld action, and the coordinator replays
- * it at that key's turn (Cpu::serialCatchUp) — producing the same
- * serial action sequence, in the same order, as runBatched and the
- * per-op reference loop. Leased horizons enter the coordinator's
- * safe-horizon bound exactly like busy cores' clocks, so no serial
- * action ever runs ahead of a leased core's possible next park. See
- * DESIGN.md "Sharded safe-horizon execution" for the full argument.
- */
-Tick
-Machine::runSharded(unsigned shards)
-{
-    const unsigned nWorkers = shards - 1;
-    shardTelemetry_ = ShardTelemetry{};
-    const bool sb = config_.superblocks && superblockExecutionDefault() &&
-                    ScopedExecutionClamp::superblocksAllowed();
-    for (auto &cpu : cpus_)
-        cpu->setSuperblocksEnabled(sb);
-
-    /**
-     * A leased core parking this few ops back goes on cooldown. The
-     * threshold is deliberately low: a streaming guest parks at every
-     * L1 line crossing (~20-30 ops apart), and those leases are still
-     * profitable — only guests that park within a handful of ops
-     * (futex spinners, syscall loops) are worth benching back to the
-     * serial loop.
-     */
-    constexpr unsigned leaseMinOps = 12;
-    constexpr unsigned leaseStallRounds = 256;
-
-    enum : std::uint8_t { Serial = 0, Active = 1, Parked = 2 };
-    struct alignas(64) LeaseSlot
-    {
-        /**
-         * Serial: the coordinator owns the core. Active: a worker
-         * runs it; `horizon` is a published lower bound on the key of
-         * its next serial action. Parked: the worker stopped at a
-         * withheld action (reason/parkKey valid; the release store of
-         * this state fences all core state written under the lease).
-         */
-        std::atomic<std::uint8_t> state{Serial};
-        std::atomic<Tick> horizon{0};
-        Cpu::LeasePark reason = Cpu::LeasePark::Chunk;
-        Tick parkKey = 0;
-        unsigned opsSinceLease = 0;
-    };
-    std::vector<LeaseSlot> slots(cpus_.size());
-    /** Bumped by workers on every park / horizon advance. */
-    std::atomic<std::uint64_t> progress{0};
-    /** Bumped by the coordinator after leasing (wakes idle workers). */
-    std::atomic<std::uint64_t> leaseSignal{0};
-    std::atomic<bool> coordWaiting{false};
-    std::atomic<bool> stop{false};
-    std::vector<double> workerCpu(nWorkers, 0.0);
-    std::vector<std::exception_ptr> workerErr(nWorkers);
-
-    auto workerMain = [&](unsigned w) {
-        try {
-            for (;;) {
-                const std::uint64_t signal =
-                    leaseSignal.load(std::memory_order_acquire);
-                if (stop.load(std::memory_order_acquire))
-                    break;
-                bool anyActive = false;
-                for (std::size_t c = w; c < slots.size();
-                     c += nWorkers) {
-                    LeaseSlot &slot = slots[c];
-                    if (slot.state.load(std::memory_order_acquire) !=
-                        Active) {
-                        continue;
-                    }
-                    anyActive = true;
-                    Cpu &cpu = *cpus_[c];
-                    const Cpu::LeaseResult res =
-                        cpu.runLeased(config_.hardLimit, batchMaxOps);
-                    slot.opsSinceLease += res.ops;
-                    if (res.park == Cpu::LeasePark::Chunk) {
-                        slot.horizon.store(cpu.now(),
-                                           std::memory_order_release);
-                    } else {
-                        slot.reason = res.park;
-                        slot.parkKey = cpu.parkKey();
-                        slot.state.store(Parked,
-                                         std::memory_order_release);
-                    }
-                    // seq_cst bump + flag read pair with the
-                    // coordinator's flag write + epoch read, so a
-                    // blocked coordinator always sees one of them.
-                    progress.fetch_add(1);
-                    if (coordWaiting.load())
-                        progress.notify_all();
-                }
-                if (!anyActive)
-                    leaseSignal.wait(signal, std::memory_order_acquire);
-            }
-        } catch (...) {
-            workerErr[w] = std::current_exception();
-            stop.store(true, std::memory_order_release);
-            progress.fetch_add(1);
-            progress.notify_all();
-        }
-        workerCpu[w] = threadCpuSec();
-    };
-
-    const double coordCpuStart = threadCpuSec();
-    std::vector<std::thread> workers;
-    workers.reserve(nWorkers);
-    for (unsigned w = 0; w < nWorkers; ++w)
-        workers.emplace_back(workerMain, w);
-
-    auto joinWorkers = [&] {
-        stop.store(true, std::memory_order_release);
-        leaseSignal.fetch_add(1, std::memory_order_release);
-        leaseSignal.notify_all();
-        for (auto &t : workers) {
-            if (t.joinable())
-                t.join();
-        }
-        for (auto &cpu : cpus_) {
-            const std::uint64_t ops = cpu->takeLeasedOps();
-            batchOps_ += ops;
-            shardTelemetry_.leasedOps += ops;
-        }
-    };
-
-    /** (key, id) candidate for the global pick. */
-    struct Cand
-    {
-        Tick key = maxTick;
-        CoreId id = 0;
-        /** -1 none, 0 serial busy, 1 parked, 2 leased horizon. */
-        int type = -1;
-        std::size_t idx = 0;
-    };
-    auto before = [](const Cand &a, const Cand &b) {
-        return a.key != b.key ? a.key < b.key : a.id < b.id;
-    };
-
-    std::uint32_t wdTicker = 0;
-    try {
-        for (;;) {
-            if (stop.load(std::memory_order_acquire))
-                break; // worker failed; its exception rethrows below
-
-            // Lease pass: hand parallel-safe busy cores to workers.
-            // Placement only — never ordering — so the heuristics
-            // (classification, cooldown) cannot affect outputs.
-            bool leasedAny = false;
-            for (std::size_t c = 0; c < slots.size(); ++c) {
-                LeaseSlot &slot = slots[c];
-                if (slot.state.load(std::memory_order_relaxed) !=
-                    Serial) {
-                    continue;
-                }
-                Cpu &cpu = *cpus_[c];
-                GuestContext *ctx = cpu.current();
-                if (ctx == nullptr || !ctx->parallelSafe)
-                    continue;
-                if (ctx->leaseStall > 0) {
-                    --ctx->leaseStall;
-                    continue;
-                }
-                slot.opsSinceLease = 0;
-                slot.horizon.store(cpu.now(),
-                                   std::memory_order_relaxed);
-                slot.state.store(Active, std::memory_order_release);
-                leasedAny = true;
-            }
-            if (leasedAny) {
-                leaseSignal.fetch_add(1, std::memory_order_release);
-                leaseSignal.notify_all();
-            }
-
-            // Epoch read BEFORE the scan: a park or horizon advance
-            // after this load re-runs the scan instead of blocking.
-            const std::uint64_t progressSeen =
-                progress.load(std::memory_order_acquire);
-
-            // Global pick over serial clocks, park keys and leased
-            // horizons — runBatched's (now, id) order with horizons
-            // standing in (conservatively) for leased cores' clocks.
-            Cand best, second;
-            auto offer = [&](Tick key, CoreId id, int type,
-                             std::size_t idx) {
-                const Cand c{key, id, type, idx};
-                if (best.type < 0 || before(c, best)) {
-                    second = best;
-                    best = c;
-                } else if (second.type < 0 || before(c, second)) {
-                    second = c;
-                }
-            };
-            auto scan = [&] {
-                best = Cand{};
-                second = Cand{};
-                for (std::size_t c = 0; c < slots.size(); ++c) {
-                    LeaseSlot &slot = slots[c];
-                    const std::uint8_t st =
-                        slot.state.load(std::memory_order_acquire);
-                    Cpu &cpu = *cpus_[c];
-                    if (st == Serial) {
-                        if (!cpu.idle())
-                            offer(cpu.now(), cpu.id(), 0, c);
-                    } else if (st == Parked) {
-                        offer(slot.parkKey, cpu.id(), 1, c);
-                    } else {
-                        offer(slot.horizon.load(
-                                  std::memory_order_acquire),
-                              cpu.id(), 2, c);
-                    }
-                }
-            };
-            scan();
-
-            // Poll protocol as in runBatched: global time is the pick
-            // key (leased cores cannot observe wakes, so a horizon
-            // standing in for one is safe), hint cleared before the
-            // call, busy set re-derived on poll() == true. The
-            // re-derived pick must run in THIS iteration: the oracle
-            // polls again only after that round, so looping back to
-            // the top (which would re-poll with the re-armed hint
-            // already due — poll(maxTick) wakes one sleeper at a
-            // time) would wake later sleepers before the woken
-            // thread's first op and change the schedule.
-            const Tick globalNow = best.type < 0 ? maxTick : best.key;
-            if (globalNow >= nextPollAt_) {
-                nextPollAt_ = 0;
-                if (kernel_->poll(globalNow))
-                    scan();
-            }
-            if (best.type < 0) {
-                if (!kernel_->allThreadsDone()) {
-                    panic("deadlock: live threads but no runnable "
-                          "core\n",
-                          kernel_->blockedReport());
-                }
-                break;
-            }
-            watchdogPoll(wdTicker, 0xFF, globalNow);
-
-            if (best.type == 2) {
-                // The minimum is a leased horizon: nothing serial may
-                // run yet. Block until a worker parks or advances.
-                coordWaiting.store(true);
-                if (progress.load() == progressSeen)
-                    progress.wait(progressSeen);
-                coordWaiting.store(false, std::memory_order_relaxed);
-                continue;
-            }
-
-            if (best.type == 1) {
-                // Reclaim the parked core (the acquire load above
-                // fenced everything the worker wrote) and run the
-                // withheld action at its exact global-order turn.
-                LeaseSlot &slot = slots[best.idx];
-                Cpu &cpu = *cpus_[best.idx];
-                const Cpu::LeasePark reason = slot.reason;
-                if (slot.opsSinceLease < leaseMinOps) {
-                    if (GuestContext *ctx = cpu.current())
-                        ctx->leaseStall = leaseStallRounds;
-                }
-                slot.state.store(Serial, std::memory_order_relaxed);
-                cpu.serialCatchUp(reason);
-                ++batchRounds_;
-                if (reason == Cpu::LeasePark::PendingOp)
-                    ++batchOps_;
-                continue;
-            }
-
-            // Serial round: runBatched's bound, additionally clamped
-            // by park keys and leased horizons. A horizon is a lower
-            // bound on the leased core's next serial key, so clamping
-            // by it is conservative and the tie-break stays valid.
-            Cpu &cpu = *cpus_[best.idx];
-            Tick bound = maxTick;
-            if (second.type >= 0) {
-                bound = second.key;
-                if (best.id < second.id && bound != maxTick)
-                    ++bound;
-            }
-            const Cpu::BatchResult res = cpu.runUntil(
-                bound, nextPollAt_, config_.hardLimit, batchMaxOps);
-            ++batchRounds_;
-            batchOps_ += res.ops;
-        }
-    } catch (...) {
-        // Watchdog timeout (or any coordinator failure): stop the
-        // fleet before unwinding so no worker touches a dying Machine.
-        joinWorkers();
-        throw;
-    }
-    joinWorkers();
-    for (unsigned w = 0; w < nWorkers; ++w) {
-        if (workerErr[w])
-            std::rethrow_exception(workerErr[w]);
-    }
-    shardTelemetry_.shards = shards;
-    shardTelemetry_.coordinatorCpuSec = threadCpuSec() - coordCpuStart;
-    shardTelemetry_.workerCpuSec = std::move(workerCpu);
-    return maxTime();
-}
-
-SuperblockStats
-Machine::superblockStats() const
-{
-    SuperblockStats s;
-    for (const auto &cpu : cpus_) {
-        const SuperblockStats &c = cpu->superblockStats();
-        s.blocksFormed += c.blocksFormed;
-        s.entries += c.entries;
-        s.fullCommits += c.fullCommits;
-        s.partialFlushes += c.partialFlushes;
-        s.entryMisses += c.entryMisses;
-        s.opsReplayed += c.opsReplayed;
-        s.opsRecorded += c.opsRecorded;
-        s.stallBridges += c.stallBridges;
-        s.refusedFaults += c.refusedFaults;
-        s.refusedPmi += c.refusedPmi;
-        s.refusedHorizon += c.refusedHorizon;
-        s.refusedBudget += c.refusedBudget;
-        s.refusedOverflow += c.refusedOverflow;
-        s.refusedMemView += c.refusedMemView;
-    }
-    return s;
 }
 
 Tick

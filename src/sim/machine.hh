@@ -60,17 +60,6 @@ struct MachineConfig
      * disable the cache everywhere regardless of this field.
      */
     bool superblocks = true;
-    /**
-     * Host threads executing this machine (1 = single-threaded).
-     * N > 1 runs the coordinator/worker sharded loop (see DESIGN.md
-     * "Sharded safe-horizon execution"): the calling thread stays the
-     * serial coordinator and N-1 workers run leased cores. Output is
-     * bit-identical for every value. A value of 1 inherits the
-     * process-wide default (--shards); the effective count is clamped
-     * to numCores and forced to 1 when a fault controller is attached
-     * or a sentinel oracle clamp is active.
-     */
-    unsigned shards = 1;
 };
 
 /**
@@ -89,15 +78,6 @@ bool batchedExecutionDefault();
  */
 void setSuperblockExecutionDefault(bool enabled);
 bool superblockExecutionDefault();
-
-/**
- * Process-wide default host-shard count, consulted by every
- * Machine::run whose config leaves shards at 1. Set by --shards
- * (analysis::parseBenchArgs); the LIMITPP_FORCE_SHARDS environment
- * variable overrides both this and per-machine configs.
- */
-void setShardExecutionDefault(unsigned shards);
-unsigned shardExecutionDefault();
 
 /**
  * RAII clamp narrowing this *thread's* execution modes below the
@@ -144,32 +124,6 @@ class ScopedExecutionClamp
 
     bool prevBatched_;
     bool prevSuperblocks_;
-};
-
-/**
- * RAII clamp forcing single-shard execution on this thread's runs
- * regardless of configs, defaults, or LIMITPP_FORCE_SHARDS. Scopes
- * nest. The divergence sentinel arms this around its probe and oracle
- * re-runs: an oracle must be the plain sequential loop the
- * fingerprint contract is defined against (see docs/ROBUSTNESS.md).
- */
-class ScopedSingleShard
-{
-  public:
-    ScopedSingleShard() { ++depth(); }
-    ~ScopedSingleShard() { --depth(); }
-    ScopedSingleShard(const ScopedSingleShard &) = delete;
-    ScopedSingleShard &operator=(const ScopedSingleShard &) = delete;
-
-    static bool active() { return depth() > 0; }
-
-  private:
-    static unsigned &
-    depth()
-    {
-        static thread_local unsigned d = 0;
-        return d;
-    }
 };
 
 /**
@@ -307,35 +261,6 @@ class Machine
     /** Guest ops executed across all rounds. */
     std::uint64_t batchOps() const { return batchOps_; }
 
-    /** Host-CPU accounting of the most recent sharded run(). */
-    struct ShardTelemetry
-    {
-        /** Host threads the run used (1 = the single-threaded loop). */
-        unsigned shards = 1;
-        /** Coordinator thread CPU seconds inside run(). */
-        double coordinatorCpuSec = 0.0;
-        /** Per-worker thread CPU seconds (size shards - 1). */
-        std::vector<double> workerCpuSec;
-        /** Guest ops executed on leased cores (worker threads). */
-        std::uint64_t leasedOps = 0;
-        /**
-         * CPU seconds of the busiest thread — the parallel critical
-         * path a speedup is measured against.
-         */
-        double
-        criticalPathCpuSec() const
-        {
-            double m = coordinatorCpuSec;
-            for (const double w : workerCpuSec)
-                m = w > m ? w : m;
-            return m;
-        }
-    };
-    const ShardTelemetry &shardTelemetry() const { return shardTelemetry_; }
-
-    /** Effective shard count the next run() will use. */
-    unsigned effectiveShards() const;
-
     /** True when run() will use the superblock cache. */
     bool
     superblocksEnabled() const
@@ -346,19 +271,19 @@ class Machine
                ScopedExecutionClamp::superblocksAllowed();
     }
     /**
-     * Machine-wide superblock cache statistics: the sum of the
-     * per-core blocks (kept per core so leased cores never write
-     * shared counters; see Cpu::superblockStats).
+     * Machine-wide superblock cache statistics; every core's
+     * SuperblockState counts into this one block.
      */
-    SuperblockStats superblockStats() const;
+    SuperblockStats &superblockStats() { return sbStats_; }
+    const SuperblockStats &superblockStats() const { return sbStats_; }
 
   private:
     Tick runPerOp();
     Tick runBatched();
-    /** Coordinator/worker sharded loop (see DESIGN.md). */
-    Tick runSharded(unsigned shards);
 
     MachineConfig config_;
+    /** Declared before cpus_: each Cpu binds a reference to it. */
+    SuperblockStats sbStats_;
     std::vector<std::unique_ptr<Cpu>> cpus_;
     FlatMemory flatMemory_;
     MemoryIf *memory_ = nullptr;
@@ -371,7 +296,6 @@ class Machine
     Tick nextPollAt_ = 0;
     std::uint64_t batchRounds_ = 0;
     std::uint64_t batchOps_ = 0;
-    ShardTelemetry shardTelemetry_;
 };
 
 } // namespace limit::sim

@@ -218,13 +218,6 @@ class SuperblockState
         lastSeen_.fill(~0ull);
     }
 
-    /**
-     * Retarget the stats sink. Stats are kept per *core* (so leased
-     * cores never write a shared counter block); a thread that
-     * migrates re-binds to its new core's block on install.
-     */
-    void setStats(SuperblockStats *stats) { stats_ = stats; }
-
     /** Longest loop body (in ops) a superblock may cover. */
     static constexpr unsigned maxPeriod = 16;
     /** Formed blocks kept per thread (round-robin eviction). */

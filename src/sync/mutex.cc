@@ -37,7 +37,7 @@ SpinLock::unlock(sim::Guest &g)
 sim::Task<std::uint64_t>
 Mutex::lock(sim::Guest &g)
 {
-    acquisitions_.fetch_add(1, std::memory_order_relaxed);
+    ++acquisitions_;
     // Fast path: free -> locked.
     std::uint64_t c = co_await g.atomicCas(&word_, addr_, 0, 1);
     if (c == 0)

@@ -12,7 +12,6 @@
 #ifndef LIMIT_SYNC_MUTEX_HH
 #define LIMIT_SYNC_MUTEX_HH
 
-#include <atomic>
 #include <cstdint>
 
 #include "sim/guest.hh"
@@ -65,23 +64,12 @@ class Mutex
     sim::Addr addr() const { return addr_; }
 
     /** Total acquisitions (host-side statistic, zero cost). */
-    std::uint64_t
-    acquisitions() const
-    {
-        return acquisitions_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t acquisitions() const { return acquisitions_; }
 
   private:
     std::uint64_t word_ = 0;
     sim::Addr addr_;
-    /**
-     * Atomic (relaxed) because lock() bumps it from guest host code,
-     * which may run on a leased core's worker thread while another
-     * thread of the same workload runs elsewhere. A plain counter is
-     * the exact shared-host-state hazard parallelSafe rules out — the
-     * relaxed atomic keeps raw-Mutex workloads eligible.
-     */
-    std::atomic<std::uint64_t> acquisitions_{0};
+    std::uint64_t acquisitions_ = 0;
 };
 
 } // namespace limit::sync

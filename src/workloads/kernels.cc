@@ -18,13 +18,9 @@ ComputeKernel::ComputeKernel(os::Kernel &kernel, KernelKind kind,
 void
 ComputeKernel::spawn()
 {
-    // Kernel bodies touch only this object's per-instance state between
-    // ops, so they satisfy the parallelSafe host-state contract and may
-    // run on leased cores under sharded execution.
     tid_ = kernel_.spawn(
         std::string(kernelName(kind_)),
-        [this](sim::Guest &g) -> sim::Task<void> { co_await body(g); },
-        /*parallel_safe=*/true);
+        [this](sim::Guest &g) -> sim::Task<void> { co_await body(g); });
 }
 
 sim::Task<void>

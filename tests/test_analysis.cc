@@ -329,6 +329,12 @@ TEST(BenchArgs, RejectsUnknownFlags)
     ASSERT_FALSE(p.ok());
     EXPECT_NE(p.error.find("unknown argument"), std::string::npos);
     EXPECT_NE(p.error.find("--frobnicate"), std::string::npos);
+    // A removed flag fails loudly instead of being silently ignored.
+    for (const auto &q :
+         {parseArgs({"--shards", "4"}), parseArgs({"--shards=2"})}) {
+        ASSERT_FALSE(q.ok());
+        EXPECT_NE(q.error.find("unknown argument"), std::string::npos);
+    }
 }
 
 TEST(BenchArgs, RejectsNonNumericValues)

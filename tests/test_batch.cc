@@ -8,7 +8,8 @@
  * timing, same context-switch count, same trace record stream, same
  * end tick. Each scenario here is shaped after one of the published
  * experiments (overflow storms, futex-heavy sync, region-attributed
- * phases, fault injection) and is run under both schedulers via
+ * phases, fault injection, sleep-driven migration, the OLTP sleeper
+ * convoy) and is run under both schedulers via
  * BundleOptions::batched; the whole observable machine state is then
  * compared field by field.
  */
@@ -27,6 +28,7 @@
 #include "sim/machine.hh"
 #include "sync/mutex.hh"
 #include "trace/trace.hh"
+#include "workloads/oltp.hh"
 
 namespace limit {
 namespace {
@@ -285,6 +287,99 @@ runFaultPlan(bool batched)
 TEST(BatchEquivalence, FaultSeamsFireIdentically)
 {
     expectIdentical(runFaultPlan(true), runFaultPlan(false));
+}
+
+// ---------------------------------------------------------------------
+// Migration shape: sleeping unpinned threads hop cores, next to a
+// compute/yield bystander
+// ---------------------------------------------------------------------
+
+Fingerprint
+runMigrationMix(bool batched)
+{
+    analysis::SimBundle b(analysis::BundleOptions::Builder()
+                              .cores(3)
+                              .quantum(8'000)
+                              .seed(41)
+                              .traceCapacity(1 << 13)
+                              .batched(batched)
+                              .build());
+
+    for (unsigned i = 0; i < 5; ++i) {
+        b.kernel().spawn(
+            "hopper" + std::to_string(i),
+            [](Guest &g) -> Task<void> {
+                for (unsigned s = 0; s < 100; ++s) {
+                    co_await g.compute(200 + g.rng().below(300));
+                    co_await g.load(0x500000 + g.rng().below(1 << 12) * 8);
+                    // Sleeping releases the core; the wake lands on
+                    // whichever core is idle, migrating the thread.
+                    co_await g.syscall(
+                        os::sysSleep,
+                        {1 + g.rng().below(2'500), 0, 0, 0});
+                }
+            });
+    }
+    // A thread that never sleeps: the scheduler must interleave it
+    // with the migrating threads exactly as the per-op loop does.
+    b.kernel().spawn("bystander", [](Guest &g) -> Task<void> {
+        for (unsigned s = 0; s < 400; ++s) {
+            co_await g.compute(90);
+            if (s % 10 == 0)
+                co_await g.syscall(os::sysYield);
+        }
+    });
+    const sim::Tick end = b.machine().run();
+    return collect(b, end);
+}
+
+TEST(BatchEquivalence, MigrationMixBitIdentical)
+{
+    expectIdentical(runMigrationMix(true), runMigrationMix(false));
+}
+
+// ---------------------------------------------------------------------
+// Sleeper convoy: simultaneous deadlines across an all-idle machine
+// ---------------------------------------------------------------------
+
+/**
+ * Regression scenario for the poll-ordering contract. When every core
+ * is idle, Kernel::poll(maxTick) wakes exactly ONE sleeper and the
+ * per-op loop runs that thread's first round before polling again —
+ * so when several wake deadlines are due together, wakes and first
+ * ops strictly alternate. A scheduler that re-polls before running
+ * the re-derived pick delivers the later wakes first and drifts off
+ * the per-op schedule. The OLTP analogue's clients block on futexes
+ * with convoyed sleep deadlines, so the machine drains to fully idle
+ * many times per run with multiple wakes pending. No tracer here —
+ * the server allocates its locks per run, and futex tracepoints
+ * record host addresses — so the fingerprint is ledgers/PMU/switches
+ * plus the commit count.
+ */
+Fingerprint
+runOltpConvoy(bool batched)
+{
+    analysis::SimBundle b(analysis::BundleOptions::Builder()
+                              .cores(4)
+                              .seed(1)
+                              .batched(batched)
+                              .build());
+    workloads::OltpConfig cfg;
+    cfg.clients = 6;
+    cfg.readRatio = 0.5;
+    workloads::OltpServer oltp(b.machine(), b.kernel(), cfg, 1234);
+    oltp.spawn();
+    const sim::Tick end = b.run(4'000'000);
+    Fingerprint fp = collect(b, end);
+    // A schedule drift that somehow kept every ledger identical would
+    // still have to keep the commit count identical.
+    fp.ledgers.push_back(oltp.committed());
+    return fp;
+}
+
+TEST(BatchEquivalence, OltpConvoyBitIdentical)
+{
+    expectIdentical(runOltpConvoy(true), runOltpConvoy(false));
 }
 
 // ---------------------------------------------------------------------
