@@ -16,8 +16,8 @@
 
 #include "analysis/args.hh"
 #include "analysis/bundle.hh"
-#include "analysis/campaign.hh"
 #include "analysis/profile_report.hh"
+#include "analysis/runner.hh"
 #include "analysis/trace_report.hh"
 #include "baseline/source_set.hh"
 #include "stats/table.hh"
@@ -99,8 +99,8 @@ main(int argc, char **argv)
         limit::baseline::standardSources();
     const unsigned numMethods = static_cast<unsigned>(methods.size());
 
-    const std::vector<Row> raw = limit::analysis::mapGuarded(
-        limit::analysis::campaignOptions(args),
+    limit::analysis::ParallelRunner pool(args.jobs);
+    const std::vector<Row> raw = pool.map(
         numMethods * args.seeds, [&](std::size_t i) {
             return runMethod(methods[i / args.seeds], i % args.seeds);
         });

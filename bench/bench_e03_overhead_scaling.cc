@@ -17,8 +17,8 @@
 
 #include "analysis/args.hh"
 #include "analysis/bundle.hh"
-#include "analysis/campaign.hh"
 #include "analysis/profile_report.hh"
+#include "analysis/runner.hh"
 #include "analysis/trace_report.hh"
 #include "base/logging.hh"
 #include "baseline/source_set.hh"
@@ -142,8 +142,9 @@ main(int argc, char **argv)
                 jobs.push_back({m, d.every, d.reads, s});
         }
     }
-    const std::vector<std::uint64_t> ops = analysis::mapGuarded(
-        analysis::campaignOptions(args), jobs.size(), [&](std::size_t i) {
+    analysis::ParallelRunner pool(args.jobs);
+    const std::vector<std::uint64_t> ops = pool.map(
+        jobs.size(), [&](std::size_t i) {
             const Job &j = jobs[i];
             return runOnce(j.spec, j.every, j.reads, j.seed);
         });

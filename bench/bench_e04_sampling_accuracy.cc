@@ -18,8 +18,8 @@
 
 #include "analysis/args.hh"
 #include "analysis/bundle.hh"
-#include "analysis/campaign.hh"
 #include "analysis/profile_report.hh"
+#include "analysis/runner.hh"
 #include "analysis/trace_report.hh"
 #include "baseline/sampler.hh"
 #include "pec/pec.hh"
@@ -152,9 +152,9 @@ main(int argc, char **argv)
         for (unsigned s = 0; s < seeds; ++s)
             jobs.push_back({L, 64'000, 11 + s});
     }
-    const std::vector<double> estimates = limit::analysis::mapGuarded(
-        limit::analysis::campaignOptions(args), jobs.size(),
-        [&](std::size_t i) {
+    limit::analysis::ParallelRunner pool(args.jobs);
+    const std::vector<double> estimates = pool.map(
+        jobs.size(), [&](std::size_t i) {
             const Job &j = jobs[i];
             return j.period == 0 ? runPec(j.L)
                                  : runSampled(j.L, j.period, j.seed);

@@ -15,7 +15,7 @@
 
 #include "analysis/args.hh"
 #include "analysis/profile_report.hh"
-#include "analysis/campaign.hh"
+#include "analysis/runner.hh"
 #include "prof/report.hh"
 #include "sync_common.hh"
 
@@ -34,13 +34,12 @@ main(int argc, char **argv)
     // One job per (app, seed); runs merge into the Report in
     // submission order, so the output is identical for any --jobs.
     const auto &apps = benchsync::appNames();
-    const std::vector<benchsync::SyncRunResult> runs =
-        analysis::mapGuarded(
-            analysis::campaignOptions(args), apps.size() * args.seeds,
-            [&](std::size_t i) {
-                return runApp(apps[i / args.seeds], ticks,
-                              i % args.seeds, nullptr, &args);
-            });
+    analysis::ParallelRunner pool(args.jobs);
+    const std::vector<benchsync::SyncRunResult> runs = pool.map(
+        apps.size() * args.seeds, [&](std::size_t i) {
+            return runApp(apps[i / args.seeds], ticks, i % args.seeds,
+                          nullptr, &args);
+        });
 
     prof::Report report;
     for (const auto &r : runs)

@@ -15,7 +15,7 @@
 
 #include "analysis/args.hh"
 #include "analysis/profile_report.hh"
-#include "analysis/campaign.hh"
+#include "analysis/runner.hh"
 #include "prof/report.hh"
 #include "sync_common.hh"
 
@@ -32,13 +32,12 @@ main(int argc, char **argv)
         "workload seeds; each seed prints its own histogram section");
 
     const auto &apps = benchsync::appNames();
-    const std::vector<benchsync::SyncRunResult> runs =
-        analysis::mapGuarded(
-            analysis::campaignOptions(args), apps.size() * args.seeds,
-            [&](std::size_t i) {
-                return runApp(apps[i / args.seeds], ticks,
-                              i % args.seeds, nullptr, &args);
-            });
+    analysis::ParallelRunner pool(args.jobs);
+    const std::vector<benchsync::SyncRunResult> runs = pool.map(
+        apps.size() * args.seeds, [&](std::size_t i) {
+            return runApp(apps[i / args.seeds], ticks, i % args.seeds,
+                          nullptr, &args);
+        });
 
     prof::Report report;
     for (std::size_t i = 0; i < runs.size(); ++i) {

@@ -20,7 +20,7 @@
 #include "analysis/args.hh"
 #include "analysis/bundle.hh"
 #include "analysis/profile_report.hh"
-#include "analysis/campaign.hh"
+#include "analysis/runner.hh"
 #include "analysis/trace_report.hh"
 #include "pec/pec.hh"
 #include "prof/kernel_profile.hh"
@@ -137,8 +137,8 @@ main(int argc, char **argv)
     // latency histograms populate; tracing is passive, so the table
     // stays bit-identical to untraced runs.
     const unsigned cap = args.captureCap();
-    const std::vector<Breakdown> runs = limit::analysis::mapGuarded(
-        limit::analysis::campaignOptions(args),
+    limit::analysis::ParallelRunner pool(args.jobs);
+    const std::vector<Breakdown> runs = pool.map(
         workloads.size() * args.seeds, [&](std::size_t i) {
             return run(workloads[i / args.seeds], ticks,
                        i % args.seeds, cap);

@@ -17,8 +17,8 @@
 
 #include "analysis/args.hh"
 #include "analysis/bundle.hh"
-#include "analysis/campaign.hh"
 #include "analysis/profile_report.hh"
+#include "analysis/runner.hh"
 #include "analysis/trace_report.hh"
 #include "pec/pec.hh"
 #include "stats/table.hh"
@@ -113,9 +113,9 @@ main(int argc, char **argv)
         for (auto policy : policies)
             for (unsigned s = 0; s < args.seeds; ++s)
                 jobs.push_back({width, policy, s});
-    const std::vector<Outcome> runs = limit::analysis::mapGuarded(
-        limit::analysis::campaignOptions(args), jobs.size(),
-        [&](std::size_t i) {
+    limit::analysis::ParallelRunner pool(args.jobs);
+    const std::vector<Outcome> runs = pool.map(
+        jobs.size(), [&](std::size_t i) {
             const Job &j = jobs[i];
             return run(j.policy, j.width, j.seed);
         });

@@ -20,8 +20,8 @@
 
 #include "analysis/args.hh"
 #include "analysis/bundle.hh"
-#include "analysis/campaign.hh"
 #include "analysis/profile_report.hh"
+#include "analysis/runner.hh"
 #include "analysis/trace_report.hh"
 #include "os/sysno.hh"
 #include "pec/pec.hh"
@@ -173,8 +173,8 @@ main(int argc, char **argv)
         [](std::uint64_t s) { return switchCost(true, true, s); },
         [](std::uint64_t s) { return switchCost(false, false, s); },
     };
-    const std::vector<double> raw = limit::analysis::mapGuarded(
-        limit::analysis::campaignOptions(args),
+    limit::analysis::ParallelRunner pool(args.jobs);
+    const std::vector<double> raw = pool.map(
         cells.size() * args.seeds, [&](std::size_t i) {
             return cells[i / args.seeds](i % args.seeds);
         });

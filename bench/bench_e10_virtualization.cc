@@ -18,8 +18,8 @@
 
 #include "analysis/args.hh"
 #include "analysis/bundle.hh"
-#include "analysis/campaign.hh"
 #include "analysis/profile_report.hh"
+#include "analysis/runner.hh"
 #include "analysis/trace_report.hh"
 #include "os/sysno.hh"
 #include "pec/pec.hh"
@@ -147,8 +147,7 @@ main(int argc, char **argv)
     const auto args = limit::analysis::parseBenchArgs(
         argc, argv, {.seeds = 1, .jobs = 1},
         "simulation seeds averaged per table row");
-    const limit::analysis::CampaignOptions copts =
-        limit::analysis::campaignOptions(args);
+    limit::analysis::ParallelRunner pool(args.jobs);
 
     const std::vector<unsigned> counter_counts = {0, 2, 4, 8};
     const std::vector<sim::Tick> intervals = {500'000, 150'000,
@@ -157,12 +156,12 @@ main(int argc, char **argv)
     // Both sub-experiments fan out in a single map: switch-cost jobs
     // first, then the multiplexing runs.
     const std::size_t n_switch = counter_counts.size() * args.seeds;
-    const std::vector<MuxResult> mux_runs = limit::analysis::mapGuarded(
-        copts, intervals.size() * args.seeds, [&](std::size_t i) {
+    const std::vector<MuxResult> mux_runs = pool.map(
+        intervals.size() * args.seeds, [&](std::size_t i) {
             return runMux(intervals[i / args.seeds], i % args.seeds);
         });
-    const std::vector<double> switch_costs = limit::analysis::mapGuarded(
-        copts, n_switch, [&](std::size_t i) {
+    const std::vector<double> switch_costs = pool.map(
+        n_switch, [&](std::size_t i) {
             return switchCostWithCounters(counter_counts[i / args.seeds],
                                           i % args.seeds);
         });

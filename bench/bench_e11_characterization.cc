@@ -17,8 +17,8 @@
 
 #include "analysis/args.hh"
 #include "analysis/bundle.hh"
-#include "analysis/campaign.hh"
 #include "analysis/profile_report.hh"
+#include "analysis/runner.hh"
 #include "analysis/trace_report.hh"
 #include "stats/table.hh"
 #include "workloads/browser.hh"
@@ -154,8 +154,8 @@ main(int argc, char **argv)
         "browser (Firefox-like)", "spec-like: stream",
         "spec-like: ptrchase", "spec-like: matmul",
         "spec-like: sortlike"};
-    const std::vector<Row> runs = limit::analysis::mapGuarded(
-        limit::analysis::campaignOptions(args),
+    limit::analysis::ParallelRunner pool(args.jobs);
+    const std::vector<Row> runs = pool.map(
         names.size() * args.seeds, [&](std::size_t i) {
             return characterize(names[i / args.seeds], i % args.seeds);
         });

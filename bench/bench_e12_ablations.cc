@@ -21,8 +21,8 @@
 
 #include "analysis/args.hh"
 #include "analysis/bundle.hh"
-#include "analysis/campaign.hh"
 #include "analysis/profile_report.hh"
+#include "analysis/runner.hh"
 #include "analysis/trace_report.hh"
 #include "baseline/sampler.hh"
 #include "baseline/source_set.hh"
@@ -212,29 +212,28 @@ main(int argc, char **argv)
     const auto args = limit::analysis::parseBenchArgs(
         argc, argv, {.seeds = 1, .jobs = 1},
         "simulation seeds averaged per table row");
-    const limit::analysis::CampaignOptions copts =
-        limit::analysis::campaignOptions(args);
+    limit::analysis::ParallelRunner pool(args.jobs);
     const unsigned seeds = args.seeds;
 
     const std::vector<sim::Tick> quanta = {25'000, 100'000, 1'000'000,
                                            12'000'000};
     const std::vector<sim::Tick> skids = {0, 150, 400, 1'000};
 
-    const std::vector<QuantumResult> q_runs = limit::analysis::mapGuarded(
-        copts, quanta.size() * seeds, [&](std::size_t i) {
+    const std::vector<QuantumResult> q_runs = pool.map(
+        quanta.size() * seeds, [&](std::size_t i) {
             return runQuantum(quanta[i / seeds], i % seeds);
         });
-    const std::vector<double> skid_errs = limit::analysis::mapGuarded(
-        copts, skids.size() * seeds, [&](std::size_t i) {
+    const std::vector<double> skid_errs = pool.map(
+        skids.size() * seeds, [&](std::size_t i) {
             return shortRegionErrorWithSkid(skids[i / seeds], i % seeds);
         });
-    const std::vector<PrefetchResult> pf_runs = limit::analysis::mapGuarded(
-        copts, 2 * seeds, [&](std::size_t i) {
+    const std::vector<PrefetchResult> pf_runs = pool.map(
+        2 * seeds, [&](std::size_t i) {
             return runPrefetch(i / seeds == 1, i % seeds);
         });
     const auto roster = limit::baseline::standardSources();
-    const std::vector<DeltaResult> delta_runs = limit::analysis::mapGuarded(
-        copts, roster.size() * seeds, [&](std::size_t i) {
+    const std::vector<DeltaResult> delta_runs = pool.map(
+        roster.size() * seeds, [&](std::size_t i) {
             return runDelta(roster[i / seeds], i % seeds);
         });
 

@@ -33,8 +33,8 @@
 
 #include "analysis/args.hh"
 #include "analysis/bundle.hh"
-#include "analysis/campaign.hh"
 #include "analysis/profile_report.hh"
+#include "analysis/runner.hh"
 #include "analysis/trace_report.hh"
 #include "fault/plan.hh"
 #include "pec/pec.hh"
@@ -231,8 +231,7 @@ main(int argc, char **argv)
         argc, argv, {.seeds = 1, .jobs = 1},
         "simulation seeds per (fault class, policy) cell; worst case "
         "reported");
-    const analysis::CampaignOptions copts =
-        analysis::campaignOptions(args);
+    analysis::ParallelRunner pool(args.jobs);
 
     // Recoverable classes: per-read exactness is the bar.
     const std::vector<FaultClass> perRead = {
@@ -279,8 +278,8 @@ main(int argc, char **argv)
             for (auto policy : kPolicies)
                 for (unsigned s = 0; s < args.seeds; ++s)
                     jobs.push_back({&fc, policy, s});
-        return analysis::mapGuarded(
-            copts, jobs.size(), [&](std::size_t i) {
+        return pool.map(
+            jobs.size(), [&](std::size_t i) {
                 const Job &j = jobs[i];
                 return run(j.policy, planOf(j.fc->spec), j.seed);
             });

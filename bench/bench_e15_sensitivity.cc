@@ -19,11 +19,7 @@
  *    scheduling quantum was shrunk to 2 000 ticks, so timer overhead
  *    throttles the loop; restoring the quantum dominates the PMU and
  *    core-count axes. Unlike the cache-bound scenarios this loop
- *    retires through the superblock replay cache, which makes it the
- *    scenario `--faults corrupt-replay` + `--sentinel` exercises:
- *    the fault corrupts replay commits, the sentinel catches the
- *    fingerprint divergence and quarantines the fast path, and the
- *    quarantined re-run restores the oracle's numbers.
+ *    retires through the superblock replay cache.
  *
  * All lattice points fan through analysis::ParallelRunner, so the
  * report (and the --profile-out JSON, schema limitpp-sensitivity-v1)
@@ -37,8 +33,8 @@
 
 #include "analysis/args.hh"
 #include "analysis/bundle.hh"
-#include "analysis/campaign.hh"
 #include "analysis/profile_report.hh"
+#include "analysis/runner.hh"
 #include "analysis/sensitivity/engine.hh"
 #include "analysis/sensitivity/param_space.hh"
 #include "fault/plan.hh"
@@ -56,8 +52,6 @@ using analysis::sensitivity::ParamSpace;
 /**
  * Fault plan spec from --faults, applied to every lattice run (one
  * fresh PlanController per bundle — workloads run concurrently).
- * Corrupt-replay plans are the sanctioned way to make the fast path
- * lie so --sentinel has something to catch.
  */
 std::string g_faults; // NOLINT: set once in main before any job runs
 
@@ -202,9 +196,9 @@ overflowWorkload(const BundleOptions &base, std::uint64_t seed)
 /**
  * Flat-memory load/compute spin under a starved 2 000-tick quantum:
  * the loop body (one fast-path load, one 2-instruction compute) forms
- * a superblock and retires through replay, so this is the scenario
- * that puts the divergence sentinel's quarry — the replay cache — on
- * the hot path. Work = loop iterations in 2M simulated cycles.
+ * a superblock and retires through replay, so this scenario puts the
+ * replay cache on the hot path. Work = loop iterations in 2M
+ * simulated cycles.
  */
 Measurement
 spinWorkload(const BundleOptions &base, std::uint64_t seed)
@@ -246,95 +240,75 @@ main(int argc, char **argv)
         "seeds averaged per lattice point");
     g_faults = args.faults;
 
-    // Both scenarios share the robustness knobs (and the journal
-    // file: records are keyed by config fingerprint, so one file
-    // safely holds both).
-    const auto robustness = [&](analysis::sensitivity::Options &o) {
-        o.jobTimeoutSec = args.jobTimeoutSec;
-        o.journalPath = args.journal;
-        o.resume = args.resume;
-        o.statusPath = args.statusFile;
-        o.sentinel.enabled = args.sentinel;
-        o.sentinel.sampleEvery = args.sentinelEvery;
-    };
-
     prof::Report report;
 
-    try {
-        // --- Scenario 1: shrunken L1 on a cache-resident stream ------
-        {
-            ParamSpace space(
-                BundleOptions::builder()
-                    .cores(1)
-                    .l1Size(2 * 1024) // the planted bottleneck
-                    .build());
-            space.add(Axis::l1Size({32 * 1024})) // restore to healthy
-                .add(Axis::l1Latency({8}))
-                .add(Axis::l2Latency({24}))
-                .add(Axis::memLatency({440}))
-                .add(Axis::tlbEntries({16}))
-                .add(Axis::counterWidth({16}))
-                .add(Axis::quantum({20'000}));
+    // --- Scenario 1: shrunken L1 on a cache-resident stream ----------
+    {
+        ParamSpace space(
+            BundleOptions::builder()
+                .cores(1)
+                .l1Size(2 * 1024) // the planted bottleneck
+                .build());
+        space.add(Axis::l1Size({32 * 1024})) // restore to healthy
+            .add(Axis::l1Latency({8}))
+            .add(Axis::l2Latency({24}))
+            .add(Axis::memLatency({440}))
+            .add(Axis::tlbEntries({16}))
+            .add(Axis::counterWidth({16}))
+            .add(Axis::quantum({20'000}));
 
-            analysis::sensitivity::Options opts;
-            opts.scenario = "stream";
-            opts.workMetric = "accesses";
-            opts.seeds = args.seeds;
-            opts.jobs = args.jobs;
-            robustness(opts);
-            analysis::sensitivity::analyzeInto(
-                report, space,
-                [](const BundleOptions &o, std::uint64_t s) {
-                    return streamWorkload(o, s);
-                },
-                opts);
-        }
+        analysis::sensitivity::Options opts;
+        opts.scenario = "stream";
+        opts.workMetric = "accesses";
+        opts.seeds = args.seeds;
+        opts.jobs = args.jobs;
+        analysis::sensitivity::analyzeInto(
+            report, space,
+            [](const BundleOptions &o, std::uint64_t s) {
+                return streamWorkload(o, s);
+            },
+            opts);
+    }
 
-        // --- Scenario 2: narrowed counter on an exact-read loop ------
-        {
-            ParamSpace space(BundleOptions::builder()
-                                 .cores(1)
-                                 .pmuWidth(12) // the planted bottleneck
-                                 .build());
-            space.add(Axis::counterWidth({24, 48})) // widen back out
-                .add(Axis::l1Latency({8}))
-                .add(Axis::l2Latency({24}))
-                .add(Axis::memLatency({440}))
-                .add(Axis::quantum({20'000}));
+    // --- Scenario 2: narrowed counter on an exact-read loop ----------
+    {
+        ParamSpace space(BundleOptions::builder()
+                             .cores(1)
+                             .pmuWidth(12) // the planted bottleneck
+                             .build());
+        space.add(Axis::counterWidth({24, 48})) // widen back out
+            .add(Axis::l1Latency({8}))
+            .add(Axis::l2Latency({24}))
+            .add(Axis::memLatency({440}))
+            .add(Axis::quantum({20'000}));
 
-            analysis::sensitivity::Options opts;
-            opts.scenario = "overflow";
-            opts.workMetric = "reads";
-            opts.seeds = args.seeds;
-            opts.jobs = args.jobs;
-            robustness(opts);
-            analysis::sensitivity::analyzeInto(report, space,
-                                               overflowWorkload, opts);
-        }
+        analysis::sensitivity::Options opts;
+        opts.scenario = "overflow";
+        opts.workMetric = "reads";
+        opts.seeds = args.seeds;
+        opts.jobs = args.jobs;
+        analysis::sensitivity::analyzeInto(report, space,
+                                           overflowWorkload, opts);
+    }
 
-        // --- Scenario 3: starved quantum on a replayable spin loop ---
-        {
-            ParamSpace space(BundleOptions::builder()
-                                 .cores(1)
-                                 .flatMemory()
-                                 .quantum(2'000) // the planted bottleneck
-                                 .build());
-            space.add(Axis::quantum({20'000})) // restore to healthy
-                .add(Axis::counterWidth({48}))
-                .add(Axis::cores({2}));
+    // --- Scenario 3: starved quantum on a replayable spin loop -------
+    {
+        ParamSpace space(BundleOptions::builder()
+                             .cores(1)
+                             .flatMemory()
+                             .quantum(2'000) // the planted bottleneck
+                             .build());
+        space.add(Axis::quantum({20'000})) // restore to healthy
+            .add(Axis::counterWidth({48}))
+            .add(Axis::cores({2}));
 
-            analysis::sensitivity::Options opts;
-            opts.scenario = "spin";
-            opts.workMetric = "iterations";
-            opts.seeds = args.seeds;
-            opts.jobs = args.jobs;
-            robustness(opts);
-            analysis::sensitivity::analyzeInto(report, space,
-                                               spinWorkload, opts);
-        }
-    } catch (const analysis::CampaignInterrupted &e) {
-        std::fprintf(stderr, "\n%s\n", e.what());
-        return 130; // 128 + SIGINT, the conventional ^C exit status
+        analysis::sensitivity::Options opts;
+        opts.scenario = "spin";
+        opts.workMetric = "iterations";
+        opts.seeds = args.seeds;
+        opts.jobs = args.jobs;
+        analysis::sensitivity::analyzeInto(report, space,
+                                           spinWorkload, opts);
     }
 
     std::fputs(report

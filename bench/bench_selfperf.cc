@@ -33,14 +33,12 @@
  * the README).
  */
 
-#include <algorithm>
 #include <ctime>
 #include <cstdio>
 #include <vector>
 
 #include "analysis/args.hh"
 #include "analysis/bundle.hh"
-#include "analysis/campaign.hh"
 #include "analysis/profile_report.hh"
 #include "analysis/runner.hh"
 #include "analysis/sensitivity/engine.hh"
@@ -344,36 +342,6 @@ main(int argc, char **argv)
         par_cpu += t.hostSec;
     }
 
-    // Divergence-sentinel overhead: the stream scenario run through
-    // the same guarded-job machinery the campaigns use, with the
-    // sentinel cross-checking every job at the default probe window
-    // (1/256 of the run, fast path + per-op reference). The figure is
-    // probe CPU time as a percentage of accepted-job CPU time — the
-    // price of leaving --sentinel on for a whole campaign — and the
-    // perf gate holds it under 5% (scripts/check_selfperf.py).
-    guard::SentinelOptions sopt;
-    sopt.enabled = true;
-    sopt.sampleEvery = 1;
-    sopt.reportPath.clear();
-    guard::Sentinel sentinel(sopt);
-    const analysis::CampaignOptions guard_opts;
-    double guarded_cpu = 0;
-    const unsigned sentinel_reps = std::max(2u, args.seeds);
-    for (unsigned i = 0; i < sentinel_reps; ++i) {
-        Throughput accepted{};
-        analysis::detail::runGuardedJob(
-            guard_opts, &sentinel, i, [&](guard::ExecMode) {
-                Throughput t =
-                    runStream(200 + static_cast<std::uint64_t>(i));
-                if (guard::ProbeScope::active() == nullptr)
-                    accepted = t;
-            });
-        guarded_cpu += accepted.hostSec;
-    }
-    const double sentinel_overhead_pct =
-        guarded_cpu == 0 ? 0
-                         : 100.0 * sentinel.probeSeconds() / guarded_cpu;
-
     // Sensitivity-lattice throughput, serial then fanned out: the
     // points-per-CPU-second figure plus the same jobs x efficiency
     // scaling construction the parallel-runner row uses.
@@ -451,11 +419,6 @@ main(int argc, char **argv)
     std::printf("timeline recorder: %.2f%% overhead on stream at the "
                 "default 65536-tick interval (%.1f M guest-instr/s)\n",
                 timeline_overhead_pct, tl_mips);
-    std::printf("divergence sentinel: %.2f%% probe overhead on stream "
-                "(%llu checks, every job, 1/%llu window)\n",
-                sentinel_overhead_pct,
-                static_cast<unsigned long long>(sentinel.checksRun()),
-                static_cast<unsigned long long>(sopt.windowDiv));
 
     const stats::HdrHistogram read_lat = pecReadLatency();
     const std::uint64_t read_p50 = read_lat.quantile(0.5);
@@ -493,7 +456,6 @@ main(int argc, char **argv)
             "  \"sensitivity_points_per_sec\": %.2f,\n"
             "  \"sensitivity_scaling_x\": %.3f,\n"
             "  \"timeline_overhead_pct\": %.2f,\n"
-            "  \"sentinel_overhead_pct\": %.2f,\n"
             "  \"pec_read_p50_cycles\": %llu,\n"
             "  \"pec_read_p99_cycles\": %llu,\n"
             "  \"pec_read_p999_cycles\": %llu\n"
@@ -505,7 +467,7 @@ main(int argc, char **argv)
             oltp_mips, oltp.cycles / 1e6 / oltp.hostSec, jobs,
             par_mips, scaling,
             latN_pps, lat_scaling,
-            timeline_overhead_pct, sentinel_overhead_pct,
+            timeline_overhead_pct,
             static_cast<unsigned long long>(read_p50),
             static_cast<unsigned long long>(read_p99),
             static_cast<unsigned long long>(read_p999));

@@ -25,7 +25,7 @@ any increase is a real regression (or deliberate cost-model change)
 in the PEC read fast path and must be acknowledged by refreshing the
 baseline. --ceiling KEY=VALUE (repeatable) is the mirror of --floor:
 an absolute maximum on a fresh-run key — CI uses it to cap overhead
-metrics such as sentinel_overhead_pct. Keys ending in _pct are
+metrics such as timeline_overhead_pct. Keys ending in _pct are
 informational overhead percentages, not throughputs: they are printed
 but never gated except through an explicit --ceiling. Non-throughput,
 non-latency keys (run_ticks, repetitions, parallel_jobs) must match

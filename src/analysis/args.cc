@@ -20,10 +20,8 @@ usage(const char *prog, const BenchDefaults &defaults,
         out,
         "usage: %s [--seeds N] [--jobs N] [--trace FILE] "
         "[--trace-cap N] [--faults SPEC] [--profile] "
-        "[--profile-out FILE] [--job-timeout S] [--journal FILE] "
-        "[--resume] [--sentinel] [--sentinel-every N] "
-        "[--timeline FILE] [--timeline-interval N] "
-        "[--status-file FILE]\n"
+        "[--profile-out FILE] [--no-batch] [--no-superblock] "
+        "[--timeline FILE] [--timeline-interval N]\n"
         "  --seeds N      %s (default %u)\n"
         "  --jobs N       host threads for parallel experiment "
         "fan-out; 0 = all hardware threads (default %u)\n"
@@ -44,26 +42,11 @@ usage(const char *prog, const BenchDefaults &defaults,
         "  --no-superblock  disable the decoded-op superblock replay "
         "cache (bit-identical results, slower; for equivalence "
         "checking)\n"
-        "  --job-timeout S  per-job host wall-clock budget in seconds; "
-        "an over-budget job is retried once in the next slower "
-        "execution mode, then marked failed (default: no watchdog)\n"
-        "  --journal FILE crash-safe append-only campaign journal; "
-        "completed jobs are fsync'd as they finish (see "
-        "docs/ROBUSTNESS.md)\n"
-        "  --resume       skip jobs already completed in --journal "
-        "and reproduce merged tables bit-identically\n"
-        "  --sentinel     cross-check sampled jobs against the per-op "
-        "oracle and quarantine the fast path on divergence\n"
-        "  --sentinel-every N  cross-check every Nth job "
-        "(default 1)\n"
         "  --timeline FILE  write a limitpp-timeline-v1 JSON of one "
         "representative run: exact per-core PMU event deltas per "
         "guest-cycle interval (see docs/TIMELINE.md)\n"
         "  --timeline-interval N  timeline slice width in guest "
-        "cycles (default %u, minimum 256)\n"
-        "  --status-file FILE  atomically-rewritten campaign "
-        "heartbeat JSON (jobs done/in-flight/retried/quarantined, "
-        "ETA)\n",
+        "cycles (default %u, minimum 256)\n",
         prog,
         what_seeds ? what_seeds
                    : "repetitions averaged per table point",
@@ -112,26 +95,6 @@ parseUnsigned(const char *flag, const char *text, unsigned &out,
  * form), or nullptr when `arg` is not this flag. A missing value is
  * reported via parse failure downstream (returns "").
  */
-/** Parse a positive finite decimal seconds value into `out`. */
-bool
-parseSeconds(const char *flag, const char *text, double &out,
-             std::string &error)
-{
-    if (text == nullptr || *text == '\0') {
-        error = std::string(flag) + " needs a value";
-        return false;
-    }
-    char *end = nullptr;
-    const double v = std::strtod(text, &end);
-    if (*end != '\0' || !(v > 0) || !(v <= 1e9)) {
-        error = std::string("bad value for ") + flag + ": '" + text +
-                "' (need seconds in (0, 1e9])";
-        return false;
-    }
-    out = v;
-    return true;
-}
-
 const char *
 flagValue(const char *flag, const char *arg, int argc, char **argv,
           int &i)
@@ -201,32 +164,6 @@ tryParseBenchArgs(int argc, char **argv, BenchDefaults defaults)
                 return p;
             }
             p.args.faults = value;
-        } else if ((value = flagValue("--job-timeout", arg, argc, argv,
-                                      i))) {
-            if (!parseSeconds("--job-timeout", value,
-                              p.args.jobTimeoutSec, p.error)) {
-                return p;
-            }
-        } else if ((value = flagValue("--journal", arg, argc, argv, i))) {
-            if (*value == '\0') {
-                p.error = "--journal needs a file name";
-                return p;
-            }
-            p.args.journal = value;
-        } else if (std::strcmp(arg, "--resume") == 0) {
-            p.args.resume = true;
-        } else if (std::strcmp(arg, "--sentinel") == 0) {
-            p.args.sentinel = true;
-        } else if ((value = flagValue("--sentinel-every", arg, argc,
-                                      argv, i))) {
-            if (!parseUnsigned("--sentinel-every", value,
-                               p.args.sentinelEvery, p.error)) {
-                return p;
-            }
-            if (p.args.sentinelEvery == 0) {
-                p.error = "--sentinel-every must be >= 1";
-                return p;
-            }
         } else if ((value = flagValue("--timeline-interval", arg, argc,
                                       argv, i))) {
             if (!parseUnsigned("--timeline-interval", value,
@@ -248,13 +185,6 @@ tryParseBenchArgs(int argc, char **argv, BenchDefaults defaults)
                 return p;
             }
             p.args.timeline = value;
-        } else if ((value =
-                        flagValue("--status-file", arg, argc, argv, i))) {
-            if (*value == '\0') {
-                p.error = "--status-file needs a file name";
-                return p;
-            }
-            p.args.statusFile = value;
         } else if (std::strcmp(arg, "--no-batch") == 0) {
             p.args.noBatch = true;
         } else if (std::strcmp(arg, "--no-superblock") == 0) {
@@ -273,10 +203,6 @@ tryParseBenchArgs(int argc, char **argv, BenchDefaults defaults)
             p.error = std::string("unknown argument '") + arg + "'";
             return p;
         }
-    }
-    if (p.args.resume && p.args.journal.empty()) {
-        p.error = "--resume needs --journal (nothing to resume from)";
-        return p;
     }
     return p;
 }
@@ -300,8 +226,6 @@ parseBenchArgs(int argc, char **argv, BenchDefaults defaults,
         sim::setBatchedExecutionDefault(false);
     if (p.args.noSuperblock)
         sim::setSuperblockExecutionDefault(false);
-    if (p.args.jobTimeoutSec > 0)
-        sim::setJobWatchdogDefault(p.args.jobTimeoutSec);
     return p.args;
 }
 

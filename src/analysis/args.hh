@@ -25,26 +25,12 @@
  *   --no-superblock  disable the decoded-op superblock replay cache
  *                    (bit-identical, slower; equivalence checking
  *                    and CI)
- *   --job-timeout S  per-job host wall-clock watchdog in seconds; a
- *                    job over budget is retried once in the next
- *                    slower execution mode, then marked failed
- *   --journal FILE   append-only crash-safe campaign journal (fsync'd
- *                    per completed job; see docs/ROBUSTNESS.md)
- *   --resume         skip jobs already completed in --journal and
- *                    reproduce the merged tables bit-identically
- *   --sentinel       online divergence sentinel: cross-check sampled
- *                    jobs against the per-op oracle and quarantine
- *                    the fast path on mismatch
- *   --sentinel-every N  cross-check every Nth job (default 1)
  *   --timeline FILE  write a limitpp-timeline-v1 JSON of one
  *                    representative run: exact per-core PMU event
  *                    deltas per guest-cycle interval with phase
  *                    segmentation (see docs/TIMELINE.md)
  *   --timeline-interval N  slice width in guest cycles (default
  *                    65536, minimum 256)
- *   --status-file F  campaign heartbeat: atomically-rewritten JSON
- *                    with done/in-flight/retried/quarantined counts
- *                    and an ETA, for watching long campaigns
  * so `bench_e04 --seeds 16 --jobs 8 --trace e04.json` deepens,
  * parallelizes, and instruments a reproduction run without editing
  * source. Flags also accept the --flag=value spelling. Parsing is
@@ -90,28 +76,10 @@ struct BenchArgs
     /** Profile artifact path (setting it via --profile-out implies
         --profile). */
     std::string profileOut = "profile.json";
-    /**
-     * Per-job host wall-clock budget in seconds (--job-timeout); 0 =
-     * no watchdog. Applied by parseBenchArgs via
-     * sim::setJobWatchdogDefault, so every Machine::run the bench
-     * performs throws sim::WatchdogTimeout once the budget lapses; the
-     * campaign layer retries the job once one mode-ladder rung slower.
-     */
-    double jobTimeoutSec = 0;
-    /** Crash-safe campaign journal path (--journal); empty = off. */
-    std::string journal;
-    /** Skip jobs already completed in the journal (--resume). */
-    bool resume = false;
-    /** Enable the online divergence sentinel (--sentinel). */
-    bool sentinel = false;
-    /** Cross-check every Nth sentinel-routed job (--sentinel-every). */
-    unsigned sentinelEvery = 1;
     /** Timeline artifact path (--timeline); empty = off. */
     std::string timeline;
     /** Timeline slice width in guest cycles (--timeline-interval). */
     unsigned timelineInterval = 65536;
-    /** Campaign heartbeat path (--status-file); empty = off. */
-    std::string statusFile;
 
     bool tracing() const { return !trace.empty(); }
     bool timelineOn() const { return !timeline.empty(); }
@@ -179,8 +147,8 @@ BenchParse tryParseBenchArgs(int argc, char **argv,
                              BenchDefaults defaults);
 
 /**
- * Parse --seeds/--jobs/--trace/--trace-cap/--faults from argv,
- * starting from the given defaults. Prints usage and exits(0) on
+ * Parse the flags listed at the top of this file from argv, starting
+ * from the given defaults. Prints usage and exits(0) on
  * --help/-h; prints an error and exits(2) on unknown flags or
  * malformed values. `what_seeds` is the one-line meaning of --seeds
  * shown in --help (nullptr for the generic wording).

@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "base/logging.hh"
-#include "guard/sentinel.hh"
 
 namespace limit::analysis {
 
@@ -125,12 +124,6 @@ SimBundle::SimBundle(const BundleOptions &options)
 sim::Tick
 SimBundle::run(sim::Tick stop_at)
 {
-    if (guard::ProbeScope *probe = guard::ProbeScope::active()) {
-        machine_->requestStopAt(probe->window(stop_at));
-        const sim::Tick end = machine_->run();
-        probe->fold(*kernel_, *machine_, end);
-        return end;
-    }
     machine_->requestStopAt(stop_at);
     return machine_->run();
 }

@@ -289,13 +289,7 @@ class SimBundle
     /** Per-bundle metrics, harvested into bench JSON output. */
     trace::MetricsRegistry &metrics() { return metrics_; }
 
-    /**
-     * Run with a stop request at `stop_at` ticks. Under an active
-     * guard::ProbeScope (a sentinel cross-check on this thread), the
-     * horizon is truncated to the probe's sampled window and the
-     * finished run is folded into the probe's fingerprint — the job's
-     * own results are discarded by the caller in that case.
-     */
+    /** Run with a stop request at `stop_at` ticks. */
     sim::Tick run(sim::Tick stop_at);
 
   private:

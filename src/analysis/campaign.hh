@@ -1,311 +1,36 @@
 /**
  * @file
- * Durable, self-healing experiment campaigns.
+ * Compatibility shim for the end-to-end benchmark (limitbench/).
  *
- * A campaign is a ParallelRunner fan-out hardened for long unattended
- * runs. Around every job it layers, in order:
- *
- *   - a per-job host wall-clock watchdog (--job-timeout): a job over
- *     budget aborts with sim::WatchdogTimeout instead of wedging a
- *     worker forever;
- *   - bounded retry-with-degradation: a job that times out or throws
- *     is retried exactly once, one rung down the execution-mode
- *     ladder (superblock → batched → per-op), then marked failed
- *     without stopping the fan-out;
- *   - the divergence sentinel (--sentinel): sampled jobs are
- *     cross-checked against the per-op oracle; a divergent fast path
- *     is quarantined and the job deterministically re-run slower (see
- *     guard/sentinel.hh);
- *   - an append-only crash-safe journal (--journal): each completed
- *     job is fsync'd as one self-describing JSONL record keyed by job
- *     index and config fingerprint, so a SIGKILL'd campaign restarted
- *     with --resume skips finished work and reproduces the merged
- *     tables bit-identically (hexfloat value codec, no rounding);
- *   - graceful SIGINT drain: first ^C stops claiming new jobs but
- *     lets in-flight ones finish and journal; a second ^C kills.
- *
- * Two entry points: Campaign::run for string-valued, journalable jobs
- * (the sensitivity engine), and mapGuarded() for benches that want
- * watchdog + retry + sentinel on arbitrary value types without a
- * journal codec. Formats and semantics: docs/ROBUSTNESS.md.
+ * This header exists only because limitbench/driver/measure.cc calls
+ * mapGuarded(CampaignOptions{}, n, fn), and only a benchmark change
+ * may edit limitbench/. ROADMAP item 6 removes the shim once
+ * measure.cc calls ParallelRunner directly. New code uses
+ * analysis::ParallelRunner (analysis/runner.hh).
  */
 
 #ifndef LIMIT_ANALYSIS_CAMPAIGN_HH
 #define LIMIT_ANALYSIS_CAMPAIGN_HH
 
-#include <array>
-#include <chrono>
 #include <cstddef>
-#include <cstdint>
-#include <functional>
-#include <mutex>
-#include <optional>
-#include <stdexcept>
-#include <string>
-#include <string_view>
 #include <utility>
-#include <vector>
 
-#include "analysis/args.hh"
 #include "analysis/runner.hh"
-#include "base/logging.hh"
-#include "guard/sentinel.hh"
 
 namespace limit::analysis {
 
-/** A campaign stopped early on SIGINT (after draining in-flight
-    jobs); completed work is in the journal for --resume. */
-class CampaignInterrupted : public std::runtime_error
-{
-  public:
-    using std::runtime_error::runtime_error;
-};
-
-/** Durability/robustness knobs for one campaign. */
+/** Fan-out width for mapGuarded; see ParallelRunner. */
 struct CampaignOptions
 {
-    /** ParallelRunner worker count (0 = hardware threads). */
     unsigned jobs = 1;
-    /** Per-job host wall-clock budget in seconds; 0 = no watchdog. */
-    double jobTimeoutSec = 0;
-    /** Journal path; empty = no journal. */
-    std::string journalPath;
-    /** Skip jobs already completed in the journal. */
-    bool resume = false;
-    /** Heartbeat status-file path (--status-file); empty = off. */
-    std::string statusPath;
-    /**
-     * Hex fingerprint of the campaign's full configuration. Journal
-     * records carry it, and resume only trusts records whose
-     * fingerprint matches — a journal from a different scenario or
-     * parameter sweep is ignored rather than corrupting results.
-     */
-    std::string configFingerprint;
-    /** Divergence-sentinel policy (enabled = --sentinel). */
-    guard::SentinelOptions sentinel{};
-    /** First SIGINT drains instead of killing (second one kills). */
-    bool drainOnSigint = true;
 };
 
-/** Build CampaignOptions from parsed bench flags. */
-CampaignOptions campaignOptions(const BenchArgs &args,
-                                std::string configFingerprint = "");
-
-/** FNV-1a 64 of a canonical config string, as 16 hex digits. */
-std::string configHash(std::string_view canonical);
-
-/** Encode a double as a hexfloat literal (bit-exact round trip). */
-std::string encodeDouble(double v);
-
-/** Decode encodeDouble()'s output; false on malformed text. */
-bool decodeDouble(std::string_view text, double &out);
-
-/**
- * Live campaign telemetry: an atomically-rewritten (write-to-temp +
- * rename, so a reader never sees a torn file) JSON heartbeat, schema
- * limitpp-status-v1, carrying job progress (done / in-flight /
- * resumed / skipped / failed), robustness activity (retried = needed
- * more than one attempt, quarantined = sentinel divergence), the
- * execution-mode ladder position of every accepted run, and a
- * wall-clock ETA. Writes are throttled plus one final flush from the
- * destructor, so `watch cat status.json` follows a day-long campaign
- * with negligible overhead. All methods are thread-safe; a
- * default-constructed or empty-path reporter is a no-op.
- */
-class StatusReporter
-{
-  public:
-    StatusReporter() = default;
-    /** Report jobs out of `total_jobs` into `path` (empty = off). */
-    StatusReporter(std::string path, std::size_t total_jobs);
-    /** Final flush (marks the heartbeat finished when all jobs are
-        accounted for). */
-    ~StatusReporter();
-
-    StatusReporter(const StatusReporter &) = delete;
-    StatusReporter &operator=(const StatusReporter &) = delete;
-
-    bool enabled() const { return !path_.empty(); }
-
-    /** A job began executing on a worker. */
-    void started();
-
-    /** A fresh job finished (accepted, or failed after its retry). */
-    void finished(guard::ExecMode mode, unsigned attempts, bool failed,
-                  bool diverged);
-
-    /** A job was satisfied from the journal (--resume). */
-    void resumed();
-
-    /** A job was never started (SIGINT drain). */
-    void skipped();
-
-    /** Write the heartbeat now, bypassing the throttle. */
-    void flush();
-
-  private:
-    void maybeWrite(bool force);
-
-    std::string path_;
-    std::size_t total_ = 0;
-    std::chrono::steady_clock::time_point start_{};
-    mutable std::mutex mutex_;
-    std::chrono::steady_clock::time_point lastWrite_{};
-    std::size_t inFlight_ = 0;
-    std::size_t done_ = 0;
-    std::size_t resumed_ = 0;
-    std::size_t skipped_ = 0;
-    std::size_t failed_ = 0;
-    std::size_t retried_ = 0;
-    std::size_t quarantined_ = 0;
-    /** Accepted runs per guard::ExecMode ladder rung. */
-    std::array<std::size_t, 3> modes_{};
-};
-
-/** What happened to one campaign job. */
-struct JobOutcome
-{
-    /** The job's encoded value (empty when failed/skipped). */
-    std::string value;
-    /** Mode the accepted run executed in. */
-    guard::ExecMode mode = guard::ExecMode::Superblock;
-    /** Full executions performed (retries and re-runs included). */
-    unsigned attempts = 0;
-    /** Value came from the journal (--resume), not a fresh run. */
-    bool fromJournal = false;
-    /** Job failed after its degradation retry. */
-    bool failed = false;
-    /** Job never started (SIGINT drain). */
-    bool skipped = false;
-    /** Failure/skip reason. */
-    std::string error;
-};
-
-/** Aggregate result of Campaign::run. */
-struct CampaignResult
-{
-    std::vector<JobOutcome> jobs;
-    unsigned failedJobs = 0;
-    unsigned resumedJobs = 0;
-    unsigned skippedJobs = 0;
-    /** A SIGINT arrived; unstarted jobs were skipped. */
-    bool interrupted = false;
-    std::uint64_t sentinelChecks = 0;
-    std::vector<guard::DivergenceReport> divergences;
-
-    bool ok() const { return failedJobs == 0 && !interrupted; }
-};
-
-namespace detail {
-
-/** Outcome of one watchdog/retry/sentinel-guarded job execution. */
-struct GuardedOutcome
-{
-    guard::ExecMode mode = guard::ExecMode::Superblock;
-    unsigned attempts = 0;
-    bool failed = false;
-    bool diverged = false;
-    std::string error;
-};
-
-/**
- * Run `attempt` under the campaign's watchdog and mode clamps, with
- * one retry-with-degradation on timeout/throw, then (optionally)
- * sentinel cross-checking with quarantine re-runs. `attempt` must be
- * deterministic and re-runnable; while a guard::ProbeScope is active
- * it runs a truncated probe window, so callers must only capture
- * results when ProbeScope::active() is null.
- */
-GuardedOutcome
-runGuardedJob(const CampaignOptions &options, guard::Sentinel *sentinel,
-              std::size_t index,
-              const std::function<void(guard::ExecMode)> &attempt);
-
-/** True once a drained SIGINT has been observed (test hook). */
-bool sigintDrainRequested();
-
-/** Reset the SIGINT drain flag (test hook). */
-void resetSigintDrain();
-
-} // namespace detail
-
-/**
- * String-valued, journalable campaign. Jobs return their result
- * through a caller-chosen string codec (hexfloat for doubles keeps
- * resume bit-identical); only successful jobs are journaled.
- */
-class Campaign
-{
-  public:
-    /** Compute job `index` and return its encoded value. */
-    using JobFn = std::function<std::string(std::size_t index)>;
-
-    explicit Campaign(CampaignOptions options)
-        : options_(std::move(options))
-    {
-    }
-
-    const CampaignOptions &options() const { return options_; }
-
-    /**
-     * Run jobs 0..count-1 and collect per-job outcomes. Never throws
-     * for job failures — inspect CampaignResult. Journal records are
-     * written (fsync'd) as jobs finish; with options().resume,
-     * matching journal records short-circuit their jobs.
-     */
-    CampaignResult run(std::size_t count, const JobFn &fn);
-
-  private:
-    CampaignOptions options_;
-};
-
-/**
- * Guarded fan-out for arbitrary value types: watchdog, bounded
- * retry-with-degradation, and sentinel quarantine around each job,
- * with failures aggregated by ParallelRunner. No journal codec, so
- * `options.journalPath` must be empty (benches that cannot resume
- * reject --journal here with a clear error instead of silently
- * ignoring it).
- */
+/** ParallelRunner(options.jobs).map(count, fn). */
 template <typename Fn>
 auto
 mapGuarded(const CampaignOptions &options, std::size_t count, Fn fn)
-    -> std::vector<std::invoke_result_t<Fn &, std::size_t>>
 {
-    using R = std::invoke_result_t<Fn &, std::size_t>;
-    fatal_if(!options.journalPath.empty(),
-             "this bench does not support --journal/--resume (no "
-             "journal value codec); only bench_e15_sensitivity "
-             "journals campaigns");
-
-    guard::Sentinel sentinel(options.sentinel);
-    guard::Sentinel *guardPtr =
-        options.sentinel.enabled ? &sentinel : nullptr;
-    StatusReporter status(options.statusPath, count);
-    ParallelRunner pool(options.jobs);
-    std::vector<R> out;
-    try {
-        out = pool.map(count, [&](std::size_t i) -> R {
-            std::optional<R> result;
-            status.started();
-            auto attempt = [&](guard::ExecMode) {
-                R r = fn(i);
-                if (guard::ProbeScope::active() == nullptr)
-                    result.emplace(std::move(r));
-            };
-            const detail::GuardedOutcome g =
-                detail::runGuardedJob(options, guardPtr, i, attempt);
-            status.finished(g.mode, g.attempts, g.failed, g.diverged);
-            if (g.failed)
-                throw std::runtime_error(g.error);
-            return std::move(*result);
-        });
-    } catch (...) {
-        sentinel.writeReport();
-        throw;
-    }
-    sentinel.writeReport();
-    return out;
+    return ParallelRunner(options.jobs).map(count, std::move(fn));
 }
 
 } // namespace limit::analysis

@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "analysis/trace_report.hh"
-#include "guard/sentinel.hh"
 #include "prof/kernel_profile.hh"
 #include "prof/timeline.hh"
 
@@ -102,10 +101,6 @@ bool
 writeRunArtifacts(SimBundle &bundle, const BenchArgs &args,
                   prof::Report &report, const std::string &bench)
 {
-    // Sentinel probes re-run jobs over a truncated window; their
-    // bundles must never clobber the artifacts of the accepted run.
-    if (guard::ProbeScope::active() != nullptr)
-        return true;
     bool ok = true;
     // Finalize before the trace export so its counter tracks see
     // flushed slices (finalize is idempotent; writeTimeline's own

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "analysis/runner.hh"
 #include "base/logging.hh"
@@ -11,83 +10,6 @@
 namespace limit::analysis::sensitivity {
 
 namespace {
-
-/**
- * Encode a Measurement for the campaign journal: one `w=<hexfloat>`
- * line, then one `<key>=<hexfloat>` line per metric (std::map keeps
- * key order deterministic). Hexfloats round-trip doubles bit-exactly,
- * which is what makes a resumed report byte-identical to an
- * uninterrupted one.
- */
-std::string
-encodeMeasurement(const Measurement &m)
-{
-    std::ostringstream os;
-    os << "w=" << encodeDouble(m.work);
-    for (const auto &[k, v] : m.metrics)
-        os << "\n" << k << "=" << encodeDouble(v);
-    return os.str();
-}
-
-bool
-decodeMeasurement(const std::string &text, Measurement &out)
-{
-    out = Measurement{};
-    std::istringstream in(text);
-    std::string line;
-    bool first = true;
-    while (std::getline(in, line)) {
-        const std::size_t eq = line.find('=');
-        if (eq == std::string::npos || eq == 0)
-            return false;
-        double v = 0;
-        if (!decodeDouble(std::string_view(line).substr(eq + 1), v))
-            return false;
-        const std::string key = line.substr(0, eq);
-        if (first) {
-            if (key != "w")
-                return false;
-            out.work = v;
-            first = false;
-        } else {
-            out.metrics[key] = v;
-        }
-    }
-    return !first;
-}
-
-/**
- * Canonical description of everything that determines a job's result:
- * scenario, metric, seed depth, the full lattice, and the base
- * machine. Its hash keys journal records — deliberately excluding
- * --jobs (resume must work across worker counts) and the robustness
- * knobs themselves.
- */
-std::string
-canonicalConfig(const ParamSpace &space, const Options &options,
-                unsigned seeds)
-{
-    std::ostringstream os;
-    os << "scenario=" << options.scenario
-       << ";metric=" << options.workMetric << ";seeds=" << seeds;
-    const BundleOptions &base = space.base();
-    os << ";cores=" << base.cores << ";pmu=" << base.pmuCounters
-       << ";width=" << base.pmuFeatures.counterWidth
-       << ";quantum=" << base.quantum;
-    if (base.useCaches) {
-        for (const auto &[field, value] : mem::configFields(base.hierarchy))
-            os << ";" << field << "=" << value;
-    } else {
-        os << ";memory=flat";
-    }
-    for (const Axis &a : space.axes()) {
-        os << ";axis=" << a.name << ":" << a.unit << ":"
-           << encodeDouble(a.read(base));
-        for (double level : a.levels)
-            os << "," << encodeDouble(level);
-    }
-    return os.str();
-}
 
 /** Seed-average a contiguous block of per-run measurements. */
 Measurement
@@ -111,7 +33,7 @@ average(const std::vector<Measurement> &runs, std::size_t first,
 
 prof::Report::SensitivitySection
 analyze(const ParamSpace &space, const WorkloadFn &workload,
-        const Options &options, CampaignResult *campaignOut)
+        const Options &options)
 {
     fatal_if(!workload, "sensitivity::analyze: null workload");
     fatal_if(space.axes().empty(),
@@ -120,74 +42,20 @@ analyze(const ParamSpace &space, const WorkloadFn &workload,
     const std::vector<ParamSpace::Point> points = space.points();
 
     // One flat job fan: (baseline then every lattice point) × seeds,
-    // in a fixed submission order. The campaign returns outcomes in
-    // that same order regardless of worker count, which is the entire
+    // in a fixed submission order. The runner returns results in that
+    // same order regardless of worker count, which is the entire
     // determinism story — everything below is pure arithmetic on the
     // ordered result vector.
     const std::size_t jobs = (1 + points.size()) * seeds;
-
-    CampaignOptions copts;
-    copts.jobs = options.jobs;
-    copts.jobTimeoutSec = options.jobTimeoutSec;
-    copts.journalPath = options.journalPath;
-    copts.resume = options.resume;
-    copts.statusPath = options.statusPath;
-    copts.sentinel = options.sentinel;
-    copts.configFingerprint =
-        configHash(canonicalConfig(space, options, seeds));
-
-    Campaign campaign(copts);
-    CampaignResult cres =
-        campaign.run(jobs, [&](std::size_t i) -> std::string {
+    const std::vector<Measurement> runs =
+        ParallelRunner(options.jobs).map(jobs, [&](std::size_t i) {
             const std::size_t point = i / seeds;
             const std::uint64_t seed = 1 + (i % seeds);
             const BundleOptions &o = point == 0
                 ? space.base()
                 : points[point - 1].options;
-            return encodeMeasurement(workload(o, seed));
+            return workload(o, seed);
         });
-
-    if (cres.interrupted) {
-        std::ostringstream os;
-        os << "sensitivity campaign '" << options.scenario
-           << "' interrupted: "
-           << jobs - cres.skippedJobs - cres.resumedJobs
-           << " jobs finished this run, " << cres.skippedJobs
-           << " skipped";
-        if (!copts.journalPath.empty())
-            os << "; re-run with --resume to continue from the journal";
-        if (campaignOut != nullptr)
-            *campaignOut = std::move(cres);
-        throw CampaignInterrupted(os.str());
-    }
-    if (cres.failedJobs > 0) {
-        std::ostringstream os;
-        os << "sensitivity campaign '" << options.scenario << "': "
-           << cres.failedJobs << " of " << jobs << " jobs failed:";
-        unsigned shown = 0;
-        for (std::size_t i = 0; i < cres.jobs.size() && shown < 8; ++i) {
-            if (!cres.jobs[i].failed)
-                continue;
-            os << (shown == 0 ? " " : "; ") << "job " << i << ": "
-               << cres.jobs[i].error;
-            ++shown;
-        }
-        if (cres.failedJobs > shown)
-            os << "; (+" << cres.failedJobs - shown << " more)";
-        if (campaignOut != nullptr)
-            *campaignOut = std::move(cres);
-        throw std::runtime_error(os.str());
-    }
-
-    std::vector<Measurement> runs(jobs);
-    for (std::size_t i = 0; i < jobs; ++i) {
-        fatal_if(!decodeMeasurement(cres.jobs[i].value, runs[i]),
-                 "sensitivity campaign '", options.scenario,
-                 "': corrupt journaled value for job ", i,
-                 " (delete the journal and re-run without --resume)");
-    }
-    if (campaignOut != nullptr)
-        *campaignOut = std::move(cres);
 
     prof::Report::SensitivitySection section;
     section.name = options.scenario;
@@ -242,13 +110,11 @@ analyze(const ParamSpace &space, const WorkloadFn &workload,
 
 void
 analyzeInto(prof::Report &report, const ParamSpace &space,
-            const WorkloadFn &workload, const Options &options,
-            CampaignResult *campaignOut)
+            const WorkloadFn &workload, const Options &options)
 {
     report.schema("limitpp-sensitivity-v1");
-    CampaignResult cres;
     const prof::Report::SensitivitySection section =
-        analyze(space, workload, options, &cres);
+        analyze(space, workload, options);
 
     const std::string prefix = options.scenario + ".";
     report.meta(prefix + "seeds",
@@ -276,16 +142,8 @@ analyzeInto(prof::Report &report, const ParamSpace &space,
     } else {
         report.meta(prefix + "base.memory", "flat");
     }
-    // Only stamped when nonzero: a clean, a resumed, and an
-    // uninterrupted run must all serialize byte-identically.
-    if (!cres.divergences.empty()) {
-        report.meta(prefix + "divergences",
-                    static_cast<std::uint64_t>(cres.divergences.size()));
-    }
 
     report.addSensitivity(section);
-    if (campaignOut != nullptr)
-        *campaignOut = std::move(cres);
 }
 
 } // namespace limit::analysis::sensitivity

@@ -20,9 +20,7 @@
 #include <map>
 #include <string>
 
-#include "analysis/campaign.hh"
 #include "analysis/sensitivity/param_space.hh"
-#include "guard/sentinel.hh"
 #include "prof/report.hh"
 
 namespace limit::analysis::sensitivity {
@@ -60,20 +58,6 @@ struct Options
     unsigned seeds = 1;
     /** Runner fan-out; 0 = one per hardware thread, 1 = inline. */
     unsigned jobs = 1;
-    /** Per-job host wall-clock budget (0 = no watchdog). */
-    double jobTimeoutSec = 0;
-    /** Crash-safe journal path; empty = no journal. Records are keyed
-        by a fingerprint of (scenario, metric, seeds, lattice, base
-        machine), so one file can serve several scenarios and a stale
-        journal can never poison a different sweep. */
-    std::string journalPath;
-    /** Skip journaled-complete jobs; merged tables stay bit-identical
-        to an uninterrupted run (hexfloat value codec). */
-    bool resume = false;
-    /** Heartbeat status-file path (--status-file); empty = off. */
-    std::string statusPath;
-    /** Divergence-sentinel policy for the fan-out. */
-    guard::SentinelOptions sentinel{};
 };
 
 /**
@@ -85,16 +69,12 @@ struct Options
  * Score (ranking key) = max |workRelPct| over the axis's levels;
  * ties keep ParamSpace insertion order (stable sort).
  *
- * Every (point, seed) job runs through a Campaign (watchdog, bounded
- * retry-with-degradation, optional sentinel/journal per `options`).
- * Throws CampaignInterrupted on SIGINT drain (completed jobs are in
- * the journal for --resume) and std::runtime_error when jobs failed
- * outright. `campaignOut`, when non-null, receives the campaign
- * outcome (divergence reports, resumed/failed counts).
+ * A job that throws fails the whole analysis the way
+ * ParallelRunner::map reports failures.
  */
 prof::Report::SensitivitySection
 analyze(const ParamSpace &space, const WorkloadFn &workload,
-        const Options &options, CampaignResult *campaignOut = nullptr);
+        const Options &options);
 
 /**
  * analyze() plus report packaging: stamps the
@@ -103,8 +83,7 @@ analyze(const ParamSpace &space, const WorkloadFn &workload,
  * ranked section. Multiple scenarios may be layered into one report.
  */
 void analyzeInto(prof::Report &report, const ParamSpace &space,
-                 const WorkloadFn &workload, const Options &options,
-                 CampaignResult *campaignOut = nullptr);
+                 const WorkloadFn &workload, const Options &options);
 
 } // namespace limit::analysis::sensitivity
 

@@ -169,33 +169,6 @@ class FaultController
         (void)word;
         return 0;
     }
-
-    /**
-     * May the superblock replay cache run while this controller is
-     * attached? Defaults to false: replay skips every per-op seam
-     * above, so a plan keyed on them would silently never fire. A
-     * controller that *targets* the replay path itself (corrupt-replay
-     * plans, used to exercise the divergence sentinel) opts in.
-     */
-    virtual bool allowSuperblockReplay() const { return false; }
-
-    /**
-     * A superblock replay span of `opsReplayed` guest ops is being
-     * committed on `cpu` for thread `tid` (only reachable when
-     * allowSuperblockReplay() returned true). The returned count is
-     * folded into the committed instruction total as *phantom*
-     * instructions — a deliberate fast-path corruption, invisible to
-     * the per-op oracle, that the divergence sentinel must catch.
-     */
-    virtual std::uint64_t
-    onSuperblockCommit(sim::Cpu &cpu, sim::ThreadId tid,
-                       std::uint64_t opsReplayed)
-    {
-        (void)cpu;
-        (void)tid;
-        (void)opsReplayed;
-        return 0;
-    }
 };
 
 } // namespace limit::fault

@@ -24,7 +24,6 @@ siteName(Site s)
       case Site::CorruptRestore: return "corrupt-restore";
       case Site::SpuriousWake: return "spurious-wake";
       case Site::StallSyscall: return "stall-syscall";
-      case Site::CorruptReplay: return "corrupt-replay";
       default: return "?";
     }
 }
@@ -364,40 +363,6 @@ PlanController::onSyscallEnter(sim::Cpu &cpu, sim::ThreadId tid,
         return s.ticks;
     }
     return 0;
-}
-
-bool
-PlanController::allowSuperblockReplay() const
-{
-    // Replay skips the per-op seams, so it stays off whenever any spec
-    // needs them; a plan aimed purely at the replay commit path is the
-    // one case where keeping the cache on is the whole point.
-    if (armed_.empty())
-        return false;
-    for (const Armed &a : armed_) {
-        if (a.spec.site != Site::CorruptReplay)
-            return false;
-    }
-    return true;
-}
-
-std::uint64_t
-PlanController::onSuperblockCommit(sim::Cpu &cpu, sim::ThreadId tid,
-                                   std::uint64_t opsReplayed)
-{
-    (void)opsReplayed;
-    std::uint64_t phantom = 0;
-    for (Armed &a : armed_) {
-        const FaultSpec &s = a.spec;
-        if (s.site != Site::CorruptReplay)
-            continue;
-        if (!due(a))
-            continue;
-        const std::uint64_t v = s.value != 0 ? s.value : 1;
-        note(cpu.id(), cpu.now(), tid, s.site, v);
-        phantom += v;
-    }
-    return phantom;
 }
 
 sim::Tick

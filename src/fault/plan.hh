@@ -58,15 +58,6 @@ enum class Site : std::uint8_t {
     SpuriousWake,
     /** Stall the matching syscall's slow path by `ticks` of kernel work. */
     StallSyscall,
-    /**
-     * Fold `value` phantom instructions into a superblock replay
-     * commit (default 1). Unlike every other site this one *enables*
-     * replay while armed (a plan made only of corrupt-replay specs
-     * answers allowSuperblockReplay() = true): it deliberately breaks
-     * the fast path's bit-identity contract so the divergence sentinel
-     * can be exercised end to end (see docs/ROBUSTNESS.md).
-     */
-    CorruptReplay,
     NumSites, // must be last
 };
 
@@ -186,9 +177,6 @@ class PlanController : public FaultController
                              std::uint32_t nr) override;
     sim::Tick onFutexBlock(sim::Cpu &cpu, sim::ThreadId tid,
                            const std::uint64_t *word) override;
-    bool allowSuperblockReplay() const override;
-    std::uint64_t onSuperblockCommit(sim::Cpu &cpu, sim::ThreadId tid,
-                                     std::uint64_t opsReplayed) override;
     /** @} */
 
   protected:

@@ -1,6 +1,6 @@
 /**
  * @file
- * Run fingerprints for the divergence sentinel.
+ * Run fingerprints: one hash over a finished simulation.
  *
  * A Fingerprint condenses everything the bit-identity contract covers
  * about a finished simulation — end tick, context switches, every
@@ -8,8 +8,8 @@
  * values — into one FNV-1a hash plus a few headline fields kept
  * un-hashed for diagnostics. Two runs of the same job through
  * different execution modes (superblock / batched / per-op) must
- * produce equal fingerprints; the sentinel treats any mismatch as a
- * fast-path bug (see sentinel.hh and docs/ROBUSTNESS.md).
+ * produce equal fingerprints; tests/test_guard.cc checks that, and
+ * limitbench digests its jobs with foldRun.
  */
 
 #ifndef LIMIT_GUARD_FINGERPRINT_HH
@@ -39,7 +39,7 @@ struct Fingerprint
     std::uint64_t instructions = 0;
     /** Total context switches folded (diagnostics). */
     std::uint64_t contextSwitches = 0;
-    /** Machine runs folded in (a probe may span several). */
+    /** Machine runs folded in. */
     std::uint64_t runs = 0;
 
     /** Mix one value into the hash (FNV-1a over its 8 bytes). */

@@ -682,11 +682,9 @@ Cpu::sbTryEnter(GuestContext &ctx, Superblock &block, std::uint32_t start)
 {
     SuperblockStats &stats = sbStats_;
     // A fault plan can trigger on any op's seams; replay would skip
-    // its probe points. Refuse outright — fault runs are diagnostics,
-    // not throughput runs — unless the controller targets the replay
-    // path itself (corrupt-replay plans) and opts in.
-    if (fault::FaultController *f = machine_.faults();
-        f != nullptr && !f->allowSuperblockReplay()) {
+    // its probe points. Refuse outright while any controller is
+    // attached — fault runs are diagnostics, not throughput runs.
+    if (machine_.faults() != nullptr) {
         ++stats.refusedFaults;
         return false;
     }
@@ -853,8 +851,8 @@ Cpu::sbCommitReplay(GuestContext &ctx, bool partial)
     const MicroOp *startOp = r.opsBegin + r.startOffset;
     const Tick base = fullIters * b.iterBase + curOp->prefixBase -
                       startOp->prefixBase;
-    std::uint64_t instrs = fullIters * b.iterInstrs +
-                           curOp->prefixInstrs - startOp->prefixInstrs;
+    const std::uint64_t instrs = fullIters * b.iterInstrs +
+                                 curOp->prefixInstrs - startOp->prefixInstrs;
     const std::uint64_t loads = fullIters * b.iterLoads +
                                 curOp->prefixLoads - startOp->prefixLoads;
     const std::uint64_t stores = fullIters * b.iterStores +
@@ -865,11 +863,6 @@ Cpu::sbCommitReplay(GuestContext &ctx, bool partial)
     // the whole span lands here (mid-replay readers reconstruct the
     // exact time via GuestContext::sbPendingTicks).
     now_ += cycles;
-    // Only reachable with a controller that allowed replay: phantom
-    // instructions injected here corrupt the commit on purpose, for
-    // the divergence sentinel to catch (Site::CorruptReplay).
-    if (fault::FaultController *f = machine_.faults())
-        instrs += f->onSuperblockCommit(*this, ctx.tid(), ops);
     const SparseDelta d[6] = {{EventType::Cycles, cycles},
                               {EventType::Instructions, instrs},
                               {EventType::Loads, loads},

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <ctime>
-#include <optional>
-#include <sstream>
 
 #include "base/logging.hh"
 #include "sim/kernel_if.hh"
@@ -16,108 +13,19 @@ namespace {
 /** Cap on ops per batch; any positive value is bit-identical. */
 constexpr unsigned batchMaxOps = 4096;
 
+/** True when environment variable `name` is set to anything but
+    "" or "0"; read once per variable by its caller. */
 bool
-forcedNoBatch()
+envFlagSet(const char *name)
 {
-    static const bool forced = [] {
-        const char *v = std::getenv("LIMITPP_FORCE_NO_BATCH");
-        return v != nullptr && v[0] != '\0' &&
-               !(v[0] == '0' && v[1] == '\0');
-    }();
-    return forced;
+    const char *v = std::getenv(name);
+    return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
 }
 
 bool batchedDefault = true;
-
-bool
-forcedNoSuperblock()
-{
-    static const bool forced = [] {
-        const char *v = std::getenv("LIMITPP_FORCE_NO_SUPERBLOCK");
-        return v != nullptr && v[0] != '\0' &&
-               !(v[0] == '0' && v[1] == '\0');
-    }();
-    return forced;
-}
-
 bool superblockDefault = true;
 
-double watchdogDefaultSec = 0;
-
-/** Absolute CLOCK_MONOTONIC deadline in ns; 0 = no watchdog armed. */
-thread_local std::uint64_t watchdogDeadlineNs = 0;
-/** The budget behind the armed deadline (for the timeout message). */
-thread_local double watchdogBudgetSec = 0;
-
-std::uint64_t
-monotonicNs()
-{
-    timespec ts{};
-    clock_gettime(CLOCK_MONOTONIC, &ts);
-    return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
-           static_cast<std::uint64_t>(ts.tv_nsec);
-}
-
-[[noreturn]] void
-throwWatchdogTimeout(Tick now)
-{
-    std::ostringstream os;
-    os << "job watchdog: simulation exceeded its " << watchdogBudgetSec
-       << "s host-time budget (simulated tick " << now << ")";
-    throw WatchdogTimeout(os.str());
-}
-
-/**
- * Cheap periodic deadline check for the run loops: `ticker` advances
- * once per scheduler round and the clock is only read every `mask + 1`
- * rounds, keeping the no-watchdog and not-yet-due cases at a couple of
- * predictable branches.
- */
-inline void
-watchdogPoll(std::uint32_t &ticker, std::uint32_t mask, Tick now)
-{
-    if ((++ticker & mask) != 0)
-        return;
-    if (watchdogDeadlineNs != 0 && monotonicNs() > watchdogDeadlineNs)
-        throwWatchdogTimeout(now);
-}
-
 } // namespace
-
-void
-setJobWatchdogDefault(double seconds)
-{
-    watchdogDefaultSec = seconds > 0 ? seconds : 0;
-}
-
-double
-jobWatchdogDefault()
-{
-    return watchdogDefaultSec;
-}
-
-ScopedWatchdog::ScopedWatchdog(double seconds)
-    : prevDeadline_(watchdogDeadlineNs), prevBudget_(watchdogBudgetSec)
-{
-    if (seconds > 0) {
-        watchdogDeadlineNs =
-            monotonicNs() +
-            static_cast<std::uint64_t>(seconds * 1e9);
-        watchdogBudgetSec = seconds;
-    }
-}
-
-ScopedWatchdog::~ScopedWatchdog()
-{
-    watchdogDeadlineNs = prevDeadline_;
-    watchdogBudgetSec = prevBudget_;
-}
-
-bool
-ScopedWatchdog::armed()
-{
-    return watchdogDeadlineNs != 0;
-}
 
 void
 setBatchedExecutionDefault(bool batched)
@@ -128,7 +36,8 @@ setBatchedExecutionDefault(bool batched)
 bool
 batchedExecutionDefault()
 {
-    return batchedDefault && !forcedNoBatch();
+    static const bool forcedOff = envFlagSet("LIMITPP_FORCE_NO_BATCH");
+    return batchedDefault && !forcedOff;
 }
 
 void
@@ -140,7 +49,9 @@ setSuperblockExecutionDefault(bool enabled)
 bool
 superblockExecutionDefault()
 {
-    return superblockDefault && !forcedNoSuperblock();
+    static const bool forcedOff =
+        envFlagSet("LIMITPP_FORCE_NO_SUPERBLOCK");
+    return superblockDefault && !forcedOff;
 }
 
 Machine::Machine(const MachineConfig &config)
@@ -196,16 +107,8 @@ Tick
 Machine::run()
 {
     panic_if(!kernel_, "Machine::run without a kernel");
-    // Benches with no campaign still honour --job-timeout: each run is
-    // one job unless an outer ScopedWatchdog (a campaign's per-job
-    // deadline, which may span several runs) is already armed.
-    std::optional<ScopedWatchdog> wd;
-    if (!ScopedWatchdog::armed() && jobWatchdogDefault() > 0)
-        wd.emplace(jobWatchdogDefault());
-    if (config_.batched && batchedExecutionDefault() &&
-        ScopedExecutionClamp::batchedAllowed()) {
+    if (config_.batched && batchedExecutionDefault())
         return runBatched();
-    }
     return runPerOp();
 }
 
@@ -231,7 +134,6 @@ Machine::runPerOp()
         return best;
     };
 
-    std::uint32_t wdTicker = 0;
     for (;;) {
         Cpu *best = earliest_busy();
         // Let timed sleepers whose deadline has passed (relative to
@@ -259,7 +161,6 @@ Machine::runPerOp()
         best->step();
         ++batchRounds_;
         ++batchOps_;
-        watchdogPoll(wdTicker, 0xFFF, best->now());
     }
     return maxTime();
 }
@@ -278,8 +179,7 @@ Machine::runPerOp()
 Tick
 Machine::runBatched()
 {
-    const bool sb = config_.superblocks && superblockExecutionDefault() &&
-                    ScopedExecutionClamp::superblocksAllowed();
+    const bool sb = config_.superblocks && superblockExecutionDefault();
     for (auto &cpu : cpus_)
         cpu->setSuperblocksEnabled(sb);
     // (now, id)-lexicographic order; strict-weak, heap comparator is
@@ -300,7 +200,6 @@ Machine::runBatched()
     };
     rebuild();
 
-    std::uint32_t wdTicker = 0;
     for (;;) {
         Cpu *best = heap.empty() ? nullptr : heap.front();
         // Poll timing matches runPerOp: global time is the earliest
@@ -345,7 +244,6 @@ Machine::runBatched()
             bound, nextPollAt_, config_.hardLimit, batchMaxOps);
         ++batchRounds_;
         batchOps_ += res.ops;
-        watchdogPoll(wdTicker, 0xFF, best->now());
 
         if (res.interacted || best->idle()) {
             // Kernel touched the schedule (wakes, switches, exits,

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <vector>
 
 #include "sim/cost_model.hh"
@@ -78,98 +77,6 @@ bool batchedExecutionDefault();
  */
 void setSuperblockExecutionDefault(bool enabled);
 bool superblockExecutionDefault();
-
-/**
- * RAII clamp narrowing this *thread's* execution modes below the
- * process-wide defaults: (true, false) forbids superblock replay,
- * (false, false) forces the per-op reference loop. Scopes nest (a
- * nested scope can only narrow further) and restore on destruction.
- * This is how the divergence sentinel re-runs a job through a slower
- * mode — and how a quarantined campaign degrades a job — without
- * touching the job's own BundleOptions (see docs/ROBUSTNESS.md).
- */
-class ScopedExecutionClamp
-{
-  public:
-    ScopedExecutionClamp(bool allowBatched, bool allowSuperblocks)
-        : prevBatched_(batchedTls()), prevSuperblocks_(superblocksTls())
-    {
-        batchedTls() = prevBatched_ && allowBatched;
-        superblocksTls() = prevSuperblocks_ && allowSuperblocks;
-    }
-    ~ScopedExecutionClamp()
-    {
-        batchedTls() = prevBatched_;
-        superblocksTls() = prevSuperblocks_;
-    }
-    ScopedExecutionClamp(const ScopedExecutionClamp &) = delete;
-    ScopedExecutionClamp &operator=(const ScopedExecutionClamp &) = delete;
-
-    static bool batchedAllowed() { return batchedTls(); }
-    static bool superblocksAllowed() { return superblocksTls(); }
-
-  private:
-    static bool &
-    batchedTls()
-    {
-        static thread_local bool allowed = true;
-        return allowed;
-    }
-    static bool &
-    superblocksTls()
-    {
-        static thread_local bool allowed = true;
-        return allowed;
-    }
-
-    bool prevBatched_;
-    bool prevSuperblocks_;
-};
-
-/**
- * Thrown by Machine::run when the calling thread's armed watchdog
- * deadline passes: the *host* wall clock ran out, not the simulated
- * one. A campaign catches this to retry the job in a slower execution
- * mode or mark it failed (see analysis::Campaign, --job-timeout).
- */
-class WatchdogTimeout : public std::runtime_error
-{
-  public:
-    using std::runtime_error::runtime_error;
-};
-
-/**
- * Process-wide default per-run watchdog budget in host seconds
- * (0 = off). Set by --job-timeout via analysis::parseBenchArgs; every
- * Machine::run with no explicit ScopedWatchdog already armed on its
- * thread arms itself with this budget, so each bench's simulated runs
- * are individually bounded even outside a campaign.
- */
-void setJobWatchdogDefault(double seconds);
-double jobWatchdogDefault();
-
-/**
- * RAII thread-local watchdog: while in scope, Machine::run on this
- * thread throws WatchdogTimeout once `seconds` of host time elapse
- * (checked every few thousand scheduler rounds — granularity, not a
- * hard realtime bound). seconds <= 0 arms nothing. Nested scopes
- * override the outer deadline and restore it on destruction.
- */
-class ScopedWatchdog
-{
-  public:
-    explicit ScopedWatchdog(double seconds);
-    ~ScopedWatchdog();
-    ScopedWatchdog(const ScopedWatchdog &) = delete;
-    ScopedWatchdog &operator=(const ScopedWatchdog &) = delete;
-
-    /** True when some scope on this thread armed a deadline. */
-    static bool armed();
-
-  private:
-    std::uint64_t prevDeadline_;
-    double prevBudget_;
-};
 
 /**
  * Deterministic multi-core machine.
@@ -261,15 +168,6 @@ class Machine
     /** Guest ops executed across all rounds. */
     std::uint64_t batchOps() const { return batchOps_; }
 
-    /** True when run() will use the superblock cache. */
-    bool
-    superblocksEnabled() const
-    {
-        return config_.batched && batchedExecutionDefault() &&
-               ScopedExecutionClamp::batchedAllowed() &&
-               config_.superblocks && superblockExecutionDefault() &&
-               ScopedExecutionClamp::superblocksAllowed();
-    }
     /**
      * Machine-wide superblock cache statistics; every core's
      * SuperblockState counts into this one block.

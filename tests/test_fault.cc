@@ -9,9 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <optional>
 #include <string>
-#include <tuple>
 
 #include "analysis/bundle.hh"
 #include "fault/explorer.hh"
@@ -113,42 +111,6 @@ TEST(FaultPlan, RejectsBadInput)
     EXPECT_FALSE(Plan::parse("overflow-read:margin=0", p, err));
     EXPECT_FALSE(Plan::parse("preempt-read;;overflow-read", p, err));
     EXPECT_FALSE(Plan::parse("preempt-read:step", p, err));
-}
-
-TEST(FaultPlan, CorruptReplayGrammarRoundTrips)
-{
-    Plan p;
-    std::string err;
-    ASSERT_TRUE(Plan::parse("corrupt-replay:value=7:nth=0", p, err))
-        << err;
-    ASSERT_EQ(p.specs().size(), 1u);
-    EXPECT_EQ(p.specs()[0].site, Site::CorruptReplay);
-    EXPECT_EQ(p.specs()[0].value, 7u);
-    EXPECT_EQ(p.specs()[0].nth, 0u);
-    Plan again;
-    ASSERT_TRUE(Plan::parse(p.str(), again, err)) << err;
-    EXPECT_EQ(again.str(), p.str());
-}
-
-TEST(FaultPlan, OnlyPureCorruptReplayPlansAllowSuperblockReplay)
-{
-    analysis::SimBundle b(
-        analysis::BundleOptions::Builder().cores(1).seed(1).build());
-    std::string err;
-    const auto allows = [&](const char *text) {
-        Plan p;
-        EXPECT_TRUE(Plan::parse(text, p, err)) << err;
-        return PlanController(b.machine(), std::move(p))
-            .allowSuperblockReplay();
-    };
-    // A plan aimed purely at the replay commit path keeps the cache
-    // on (corrupting it is the whole point)...
-    EXPECT_TRUE(allows("corrupt-replay:nth=0"));
-    // ...but any spec that needs the per-op seams forces replay off,
-    // even when mixed with corrupt-replay.
-    EXPECT_FALSE(allows("preempt-read"));
-    EXPECT_FALSE(allows("corrupt-replay;preempt-read"));
-    EXPECT_FALSE(allows("stall-syscall:nr=0:ticks=100"));
 }
 
 TEST(FaultPlan, SiteNamesRoundTrip)
@@ -405,63 +367,6 @@ TEST(FaultSites, SkipRestoreLeaksTheOtherThreadsEvents)
             EventType::Instructions, PrivMode::User);
     }
     EXPECT_NE(rig.session.processTotal(0), truth);
-}
-
-TEST(FaultSites, CorruptReplayInflatesOnlyTheReplayPath)
-{
-    // Flat-memory spin loop: every load takes the memory fast path,
-    // so the loop body forms a superblock and retires through replay.
-    const auto run = [](bool faulted, bool superblocks) {
-        analysis::SimBundle b(analysis::BundleOptions::Builder()
-                                  .cores(1)
-                                  .flatMemory()
-                                  .seed(3)
-                                  .build());
-        Plan plan;
-        std::string err;
-        EXPECT_TRUE(Plan::parse("corrupt-replay:nth=0", plan, err))
-            << err;
-        PlanController ctl(b.machine(), std::move(plan));
-        if (faulted)
-            b.machine().setFaults(&ctl);
-        std::uint64_t iters = 0;
-        b.kernel().spawn("spin", [&](Guest &g) -> Task<void> {
-            while (!g.shouldStop()) {
-                co_await g.load(0x8000 + (iters % 256) * 64);
-                co_await g.compute(2);
-                ++iters;
-            }
-            co_return;
-        });
-        std::optional<sim::ScopedExecutionClamp> clamp;
-        if (!superblocks)
-            clamp.emplace(true, false);
-        b.machine().requestStopAt(400'000);
-        b.machine().run();
-        const std::uint64_t instr =
-            b.kernel().thread(0).ctx.ledger().total(
-                EventType::Instructions);
-        b.machine().setFaults(nullptr);
-        return std::make_tuple(iters, instr, ctl.injected());
-    };
-
-    const auto [clean_iters, clean_instr, clean_inj] =
-        run(false, true);
-    const auto [bad_iters, bad_instr, bad_inj] = run(true, true);
-    // The corruption fired on replay commits, inflating only the
-    // Instructions ledger — guest progress is untouched, which is
-    // exactly why a table-level check can't catch it.
-    EXPECT_GT(bad_inj, 0u);
-    EXPECT_EQ(clean_inj, 0u);
-    EXPECT_EQ(bad_iters, clean_iters);
-    EXPECT_GT(bad_instr, clean_instr);
-
-    // With the replay cache clamped off, the same armed plan has no
-    // commit to corrupt: the run is bit-identical to clean.
-    const auto [slow_iters, slow_instr, slow_inj] = run(true, false);
-    EXPECT_EQ(slow_inj, 0u);
-    EXPECT_EQ(slow_iters, clean_iters);
-    EXPECT_EQ(slow_instr, clean_instr);
 }
 
 TEST(FaultSites, StallSyscallChargesExtraKernelCycles)

@@ -1,105 +1,64 @@
 /**
  * @file
- * Divergence-sentinel tests: fingerprints agree across the execution
- * ladder on clean runs, ModeScope clamps narrow and never widen, an
- * injected replay corruption (corrupt-replay) is caught by the
- * sentinel's windowed cross-check, the fast path is quarantined, and
- * a guarded fan-out's accepted results match the per-op oracle
- * bit-for-bit after quarantine.
+ * Run-fingerprint tests: guard::foldRun digests a finished machine,
+ * the digest agrees across the three execution modes on the same job,
+ * and it separates runs of different lengths. limitbench's `correct`
+ * check digests every job through foldRun.
  */
 
 #include <gtest/gtest.h>
 
-#include <optional>
-#include <string>
-
 #include "analysis/bundle.hh"
-#include "analysis/campaign.hh"
-#include "fault/plan.hh"
 #include "guard/fingerprint.hh"
-#include "guard/sentinel.hh"
-#include "sim/machine.hh"
 
 namespace limit {
 namespace {
 
 using analysis::BundleOptions;
 using analysis::SimBundle;
-using guard::ExecMode;
 using guard::Fingerprint;
 using sim::Guest;
 using sim::Task;
 
-constexpr sim::Tick horizon = 400'000;
-
-struct SpinResult
-{
-    std::uint64_t iters = 0;
-    std::uint64_t instr = 0;
-
-    bool
-    operator==(const SpinResult &o) const
-    {
-        return iters == o.iters && instr == o.instr;
-    }
-};
-
 /**
- * One flat-memory spin job: every load takes the memory fast path, so
- * the loop body forms a superblock and retires through replay — the
- * exact surface corrupt-replay attacks. Returns both the guest loop
- * count and the Instructions ledger total; the latter is what replay
- * corruption perturbs.
+ * One flat-memory spin job run to `horizon`, folded into a
+ * fingerprint. Every load takes the memory fast path, so with
+ * superblocks on the loop body forms a superblock and retires through
+ * replay. The mode comes from the bundle options alone; --no-batch,
+ * --no-superblock and the LIMITPP_FORCE_NO_* variables can only
+ * narrow it further.
  */
-SpinResult
-runSpin(std::uint64_t seed, const std::string &faults = "")
+Fingerprint
+spinFingerprint(bool batched, bool superblocks, sim::Tick horizon)
 {
     SimBundle b(BundleOptions::builder()
                     .cores(1)
                     .flatMemory()
                     .quantum(50'000)
-                    .seed(seed)
+                    .seed(1)
+                    .batched(batched)
+                    .superblocks(superblocks)
                     .build());
-    std::optional<fault::PlanController> ctl;
-    if (!faults.empty()) {
-        fault::Plan plan;
-        std::string err;
-        EXPECT_TRUE(fault::Plan::parse(faults, plan, err)) << err;
-        ctl.emplace(b.machine(), std::move(plan));
-        b.machine().setFaults(&*ctl);
-    }
-    SpinResult out;
+    std::uint64_t iters = 0;
     b.kernel().spawn("spin", [&](Guest &g) -> Task<void> {
         while (!g.shouldStop()) {
-            co_await g.load(0x8000 + (out.iters % 256) * 64);
+            co_await g.load(0x8000 + (iters % 256) * 64);
             co_await g.compute(2);
-            ++out.iters;
+            ++iters;
         }
         co_return;
     });
-    b.run(horizon);
-    out.instr = analysis::totalEvent(b.kernel(),
-                                     sim::EventType::Instructions);
-    b.machine().setFaults(nullptr);
-    return out;
-}
-
-/** Windowed probe of the spin job: mode-forced, fingerprinted. */
-Fingerprint
-probeSpin(ExecMode mode, std::uint64_t windowDiv,
-          const std::string &faults = "")
-{
-    guard::ModeScope ms(mode);
-    guard::ProbeScope ps(windowDiv);
-    runSpin(1, faults);
-    return ps.fingerprint();
+    const sim::Tick end = b.run(horizon);
+    Fingerprint fp;
+    guard::foldRun(fp, b.kernel(), b.machine(), end);
+    return fp;
 }
 
 TEST(FingerprintTest, AllThreeModesAgreeOnACleanRun)
 {
-    const Fingerprint sb = probeSpin(ExecMode::Superblock, 4);
-    const Fingerprint ba = probeSpin(ExecMode::Batched, 4);
-    const Fingerprint po = probeSpin(ExecMode::PerOp, 4);
+    const Fingerprint sb = spinFingerprint(true, true, 100'000);
+    const Fingerprint ba = spinFingerprint(true, false, 100'000);
+    const Fingerprint po = spinFingerprint(false, false, 100'000);
     EXPECT_TRUE(sb == ba);
     EXPECT_TRUE(sb == po);
     EXPECT_EQ(sb.runs, 1u);
@@ -109,184 +68,10 @@ TEST(FingerprintTest, AllThreeModesAgreeOnACleanRun)
 
 TEST(FingerprintTest, DifferentWindowsProduceDifferentFingerprints)
 {
-    const Fingerprint wide = probeSpin(ExecMode::PerOp, 4);
-    const Fingerprint narrow = probeSpin(ExecMode::PerOp, 64);
+    const Fingerprint wide = spinFingerprint(true, true, 100'000);
+    const Fingerprint narrow = spinFingerprint(true, true, 6'250);
     EXPECT_FALSE(wide == narrow);
-}
-
-TEST(ModeScopeTest, ClampsNarrowAndNeverWiden)
-{
-    ASSERT_TRUE(sim::ScopedExecutionClamp::batchedAllowed());
-    ASSERT_TRUE(sim::ScopedExecutionClamp::superblocksAllowed());
-    {
-        guard::ModeScope outer(ExecMode::Batched);
-        EXPECT_TRUE(sim::ScopedExecutionClamp::batchedAllowed());
-        EXPECT_FALSE(sim::ScopedExecutionClamp::superblocksAllowed());
-        {
-            // An inner request for a faster mode cannot re-widen.
-            guard::ModeScope inner(ExecMode::Superblock);
-            EXPECT_FALSE(sim::ScopedExecutionClamp::superblocksAllowed());
-        }
-        {
-            guard::ModeScope inner(ExecMode::PerOp);
-            EXPECT_FALSE(sim::ScopedExecutionClamp::batchedAllowed());
-        }
-        EXPECT_TRUE(sim::ScopedExecutionClamp::batchedAllowed());
-    }
-    EXPECT_TRUE(sim::ScopedExecutionClamp::superblocksAllowed());
-    EXPECT_EQ(guard::effectiveMode(ExecMode::Superblock),
-              ExecMode::Superblock);
-    {
-        guard::ModeScope clamp(ExecMode::Batched);
-        EXPECT_EQ(guard::effectiveMode(ExecMode::Superblock),
-                  ExecMode::Batched);
-    }
-}
-
-TEST(ModeScopeTest, ModeNamesRoundTrip)
-{
-    for (const ExecMode m : {ExecMode::Superblock, ExecMode::Batched,
-                             ExecMode::PerOp}) {
-        ExecMode parsed = ExecMode::Superblock;
-        ASSERT_TRUE(guard::parseMode(guard::modeName(m), parsed));
-        EXPECT_EQ(parsed, m);
-    }
-    ExecMode parsed = ExecMode::Superblock;
-    EXPECT_FALSE(guard::parseMode("warp", parsed));
-    EXPECT_EQ(guard::nextSlower(ExecMode::Superblock), ExecMode::Batched);
-    EXPECT_EQ(guard::nextSlower(ExecMode::Batched), ExecMode::PerOp);
-    EXPECT_EQ(guard::nextSlower(ExecMode::PerOp), ExecMode::PerOp);
-}
-
-TEST(SentinelTest, SamplingAndSelfDisable)
-{
-    guard::SentinelOptions so;
-    so.enabled = true;
-    so.sampleEvery = 3;
-    const guard::Sentinel s(so);
-    EXPECT_TRUE(s.shouldCheck(0, ExecMode::Superblock));
-    EXPECT_FALSE(s.shouldCheck(1, ExecMode::Superblock));
-    EXPECT_TRUE(s.shouldCheck(3, ExecMode::Superblock));
-    // Per-op IS the oracle: nothing to cross-check.
-    EXPECT_FALSE(s.shouldCheck(0, ExecMode::PerOp));
-    {
-        // Clamped to per-op, a faster request is unreachable, so the
-        // check self-disables instead of comparing per-op to itself.
-        guard::ModeScope clamp(ExecMode::PerOp);
-        EXPECT_FALSE(s.shouldCheck(0, ExecMode::Superblock));
-    }
-    const guard::Sentinel off{guard::SentinelOptions{}};
-    EXPECT_FALSE(off.shouldCheck(0, ExecMode::Superblock));
-}
-
-TEST(SentinelTest, CleanRunPassesTheCrossCheck)
-{
-    guard::SentinelOptions so;
-    so.enabled = true;
-    so.windowDiv = 4;
-    so.reportPath.clear();
-    guard::Sentinel s(so);
-    const auto probe = [](ExecMode m, std::uint64_t div) {
-        return probeSpin(m, div);
-    };
-    EXPECT_FALSE(s.check(0, ExecMode::Superblock, probe));
-    EXPECT_EQ(s.checksRun(), 1u);
-    EXPECT_EQ(s.divergences(), 0u);
-    EXPECT_GT(s.probeSeconds(), 0.0);
-    EXPECT_EQ(s.modeFor(ExecMode::Superblock), ExecMode::Superblock);
-    // The JSON blob is valid (and empty of divergences) even when
-    // clean; writeReport refuses to write it.
-    EXPECT_NE(s.reportJson().find("limitpp-divergence-v1"),
-              std::string::npos);
-    EXPECT_FALSE(s.writeReport());
-}
-
-TEST(SentinelTest, CorruptReplayIsDetectedAndQuarantined)
-{
-    guard::SentinelOptions so;
-    so.enabled = true;
-    so.windowDiv = 4;
-    so.reportPath.clear();
-    guard::Sentinel s(so);
-    const auto probe = [](ExecMode m, std::uint64_t div) {
-        // corrupt-replay:nth=0 injects a phantom instruction into
-        // every superblock replay commit; the per-op oracle (which
-        // never replays) is untouched by the same plan.
-        return probeSpin(m, div, "corrupt-replay:nth=0");
-    };
-    EXPECT_TRUE(s.check(0, ExecMode::Superblock, probe));
-    EXPECT_EQ(s.divergences(), 1u);
-    // The fast path is quarantined for every later job...
-    EXPECT_EQ(s.modeFor(ExecMode::Superblock), ExecMode::Batched);
-
-    const auto reports = s.reports();
-    ASSERT_EQ(reports.size(), 1u);
-    EXPECT_EQ(reports[0].job, 0u);
-    EXPECT_EQ(reports[0].fast, ExecMode::Superblock);
-    EXPECT_EQ(reports[0].quarantined, ExecMode::Batched);
-    EXPECT_EQ(reports[0].windowDiv, 4u);
-    EXPECT_FALSE(reports[0].fastFp == reports[0].referenceFp);
-    EXPECT_FALSE(reports[0].trail.empty());
-    EXPECT_NE(s.reportJson().find("\"schema\": \"limitpp-divergence-v1\""),
-              std::string::npos);
-
-    // ...and the quarantined (batched) mode agrees with the oracle:
-    // the degradation genuinely routed around the corruption.
-    EXPECT_FALSE(s.check(2, s.modeFor(ExecMode::Superblock), probe));
-}
-
-TEST(GuardedJobTest, QuarantinedFanOutMatchesThePerOpOracle)
-{
-    // Control: with the replay corruption armed and no sentinel, the
-    // superblock fast path really does produce a wrong instruction
-    // count — otherwise this test proves nothing.
-    const SpinResult corrupted = runSpin(1, "corrupt-replay:nth=0");
-    SpinResult oracle;
-    {
-        guard::ModeScope po(ExecMode::PerOp);
-        oracle = runSpin(1, "corrupt-replay:nth=0");
-    }
-    ASSERT_EQ(corrupted.iters, oracle.iters);
-    ASSERT_NE(corrupted.instr, oracle.instr);
-
-    // Guarded fan-out: the sentinel catches the divergence on the
-    // first checked job, quarantines, and re-runs — so every accepted
-    // result is bit-identical to the oracle.
-    analysis::CampaignOptions copts;
-    copts.sentinel.enabled = true;
-    copts.sentinel.windowDiv = 4;
-    copts.sentinel.reportPath.clear();
-    const std::vector<SpinResult> guarded = analysis::mapGuarded(
-        copts, 3, [](std::size_t i) {
-            return runSpin(1 + i, "corrupt-replay:nth=0");
-        });
-    ASSERT_EQ(guarded.size(), 3u);
-    for (std::size_t i = 0; i < guarded.size(); ++i) {
-        guard::ModeScope po(ExecMode::PerOp);
-        const SpinResult want =
-            runSpin(1 + i, "corrupt-replay:nth=0");
-        EXPECT_TRUE(guarded[i] == want) << "job " << i;
-    }
-}
-
-TEST(GuardedJobTest, RetryDegradesOneRungThenFails)
-{
-    // A job that always throws is retried exactly once, one rung
-    // slower, then reported failed with both attempts' modes.
-    analysis::CampaignOptions copts;
-    unsigned calls = 0;
-    const auto g = analysis::detail::runGuardedJob(
-        copts, nullptr, 0, [&](ExecMode) {
-            ++calls;
-            throw std::runtime_error("kaboom");
-        });
-    EXPECT_TRUE(g.failed);
-    EXPECT_EQ(g.attempts, 2u);
-    EXPECT_EQ(calls, 2u);
-    EXPECT_NE(g.error.find("attempt 1 (superblock): kaboom"),
-              std::string::npos);
-    EXPECT_NE(g.error.find("attempt 2 (batched): kaboom"),
-              std::string::npos);
+    EXPECT_GT(wide.instructions, narrow.instructions);
 }
 
 } // namespace
