@@ -18,8 +18,9 @@
  *  - "spin": a flat-memory load/compute loop on a machine whose
  *    scheduling quantum was shrunk to 2 000 ticks, so timer overhead
  *    throttles the loop; restoring the quantum dominates the PMU and
- *    core-count axes. Unlike the cache-bound scenarios this loop
- *    retires through the superblock replay cache.
+ *    core-count axes. Unlike the cache-bound scenarios this loop is
+ *    declared (Guest::declareLoop) and retires through superblock
+ *    replay.
  *
  * All lattice points fan through analysis::ParallelRunner, so the
  * report (and the --profile-out JSON, schema limitpp-sensitivity-v1)
@@ -195,10 +196,10 @@ overflowWorkload(const BundleOptions &base, std::uint64_t seed)
 
 /**
  * Flat-memory load/compute spin under a starved 2 000-tick quantum:
- * the loop body (one fast-path load, one 2-instruction compute) forms
- * a superblock and retires through replay, so this scenario puts the
- * replay cache on the hot path. Work = loop iterations in 2M
- * simulated cycles.
+ * the declared loop body (one fast-path load, one 2-instruction
+ * compute) retires through superblock replay, so this scenario puts
+ * replay on the hot path. Work = loop iterations in 2M simulated
+ * cycles.
  */
 Measurement
 spinWorkload(const BundleOptions &base, std::uint64_t seed)
@@ -209,6 +210,7 @@ spinWorkload(const BundleOptions &base, std::uint64_t seed)
 
     std::uint64_t iters = 0;
     b.kernel().spawn("spin", [&](sim::Guest &g) -> sim::Task<void> {
+        g.declareLoop({{sim::OpKind::Load}, {sim::OpKind::Compute, 2}});
         while (!g.shouldStop()) {
             co_await g.load(0x8000 + (iters % 256) * 64);
             co_await g.compute(2);

@@ -21,13 +21,11 @@ annotateReport(prof::Report &report, SimBundle &bundle,
                 bundle.kernel().totalContextSwitches());
     const sim::SuperblockStats &sb =
         bundle.machine().superblockStats();
-    report.meta("superblock.blocks_formed", sb.blocksFormed);
     report.meta("superblock.entries", sb.entries);
     report.meta("superblock.full_commits", sb.fullCommits);
     report.meta("superblock.partial_flushes", sb.partialFlushes);
     report.meta("superblock.stall_bridges", sb.stallBridges);
     report.meta("superblock.ops_replayed", sb.opsReplayed);
-    report.meta("superblock.ops_recorded", sb.opsRecorded);
     const trace::Tracer *tracer = bundle.tracer();
     if (tracer) {
         report.meta("trace.records", tracer->totalRecorded());

@@ -23,28 +23,24 @@ harvestStandardMetrics(SimBundle &bundle)
     m.add("ledger.cycles",
           totalEvent(bundle.kernel(), sim::EventType::Cycles));
 
-    // Superblock replay cache effectiveness (zeros when the cache is
-    // off — the keys stay present so dashboards can diff runs).
+    // Superblock replay effectiveness (zeros when replay is off — the
+    // keys stay present so dashboards can diff runs).
     const sim::SuperblockStats &sb =
         bundle.machine().superblockStats();
-    m.add("superblock.blocks_formed", sb.blocksFormed);
     m.add("superblock.entries", sb.entries);
     m.add("superblock.full_commits", sb.fullCommits);
     m.add("superblock.partial_flushes", sb.partialFlushes);
-    m.add("superblock.entry_misses", sb.entryMisses);
     m.add("superblock.stall_bridges", sb.stallBridges);
     m.add("superblock.ops_replayed", sb.opsReplayed);
-    m.add("superblock.ops_recorded", sb.opsRecorded);
     m.add("superblock.refused_faults", sb.refusedFaults);
     m.add("superblock.refused_pmi", sb.refusedPmi);
     m.add("superblock.refused_horizon", sb.refusedHorizon);
     m.add("superblock.refused_budget", sb.refusedBudget);
     m.add("superblock.refused_overflow", sb.refusedOverflow);
     m.add("superblock.refused_mem_view", sb.refusedMemView);
-    // Hit rate over every op the replay machinery saw: replayed,
-    // recorded by the detector, or bridged through a mid-replay stall.
-    const std::uint64_t sb_total =
-        sb.opsReplayed + sb.opsRecorded + sb.stallBridges;
+    // Hit rate over every op a replay covered: retired through it, or
+    // bridged through a mid-replay stall on the full memory path.
+    const std::uint64_t sb_total = sb.opsReplayed + sb.stallBridges;
     m.set("superblock.hit_rate",
           sb_total == 0 ? 0.0
                         : static_cast<double>(sb.opsReplayed) /

@@ -150,11 +150,6 @@ Cpu::runUntil(Tick bound, Tick poll_at, Tick hard_limit,
         const bool local = opIsCoreLocal(ctx.op.kind);
         kernelRound_ = false;
         executeOp(ctx);
-        if (ctx.sbState != nullptr) {
-            // Anything that needed a scheduler round (syscall, atomic,
-            // PMC read, refused-inline op) breaks straight-line code.
-            ctx.sbState->noteDiscontinuity();
-        }
         if (kernelRound_) {
             // Timer tick, PMI, or syscall re-entered the kernel: the
             // schedule (busy set, other cores' clocks, poll hint) may
@@ -180,9 +175,8 @@ Cpu::tryInlineOp(GuestContext &ctx)
     bool flushed = false;
     if (ctx.sbr.cur != nullptr) [[unlikely]] {
         // sbStep rejected this op: commit the iterations that did
-        // replay, then run the op on the normal path below. The flush
-        // arms the mid-block resume hint, which belongs to the *next*
-        // op — so no re-entry is attempted for this one.
+        // replay, then run the op on the normal path below. No
+        // re-entry is attempted for this op: it just failed to match.
         sbCommitReplay(ctx, /*partial=*/true);
         flushed = true;
     }
@@ -196,46 +190,25 @@ Cpu::tryInlineOp(GuestContext &ctx)
              " passed the hard limit at tick ", now_);
 
     const PendingOp &op = ctx.op;
-    // One nap gate for the whole superblock machinery: while the
-    // detector sleeps (see SuperblockState::shouldRecord) this op pays
-    // a single decrement instead of hint/candidate probing plus
-    // recording — the win that keeps non-loopy workloads at cache-off
-    // speed.
-    bool sb_awake = false;
-    if (sbEnabled_) {
-        SuperblockState *st = ctx.sbState.get();
-        if (st == nullptr) [[unlikely]] {
-            ctx.sbState = std::make_unique<SuperblockState>(
-                &sbStats_, costs_.mispredictPenalty);
-            st = ctx.sbState.get();
-        }
-        sb_awake = st->shouldRecord();
-    }
-    if (sb_awake && !flushed) {
-        SuperblockState *st = ctx.sbState.get();
-        std::uint32_t start = 0;
-        Superblock *b = st->takeHint(start);
-        if (b == nullptr) {
-            start = 0; // takeHint leaves pos unspecified when unarmed
-            b = st->candidateFor(op.kind);
-        } else if (b->ops[start].kind != op.kind) {
-            b = nullptr; // stale resume hint; fall back to recording
-        }
-        if (b != nullptr && sbTryEnter(ctx, *b, start)) {
-            if (ctx.sbStep())
-                return true;
-            if (ctx.opConsumedInline)
-                return false; // single-op replay ended the batch
-            // Entry op mismatched after all (a mem stall has already
-            // flushed via sbStallMem); commit and fall through.
-            if (ctx.sbr.cur != nullptr)
-                sbCommitReplay(ctx, /*partial=*/true);
-            // A stall flush advances the clock and spends budget, so
-            // the entry pre-checks may no longer hold for this op.
-            if (batchOpsLeft_ == 0 || now_ >= batchBound_ ||
-                now_ >= batchPollAt_)
-                return false;
-        }
+    // A declared loop is entered at its first op whenever this op's
+    // kind matches it; sbStep validates the rest. A thread that
+    // declared nothing pays this one null test.
+    const Superblock *loop = ctx.loop.get();
+    if (loop != nullptr && sbEnabled_ && !flushed &&
+        loop->ops[0].kind == op.kind && sbTryEnter(ctx, *loop)) {
+        if (ctx.sbStep())
+            return true;
+        if (ctx.opConsumedInline)
+            return false; // single-op replay ended the batch
+        // Entry op mismatched after all (a mem stall has already
+        // flushed via sbStallMem); commit and fall through.
+        if (ctx.sbr.cur != nullptr)
+            sbCommitReplay(ctx, /*partial=*/true);
+        // A stall flush advances the clock and spends budget, so
+        // the entry pre-checks may no longer hold for this op.
+        if (batchOpsLeft_ == 0 || now_ >= batchBound_ ||
+            now_ >= batchPollAt_)
+            return false;
     }
     switch (op.kind) {
       case OpKind::Compute:
@@ -253,10 +226,6 @@ Cpu::tryInlineOp(GuestContext &ctx)
         return false; // cross-core-visible: scheduler round
     }
     --batchOpsLeft_;
-    if (sb_awake) {
-        ctx.sbState->record(op.kind, op.instrs, op.profile,
-                            lastFastLat_);
-    }
 
     if (!pendingPmis_.empty() || now_ >= quantumEnd) {
         // The drain/timer epilogue can switch threads, which is only
@@ -376,7 +345,6 @@ Cpu::execMemoryFast(GuestContext &ctx, const PendingOp &op)
                                                        write);
     if (fast == 0)
         return false;
-    lastFastLat_ = fast;
     const SparseDelta d[3] = {
         {EventType::Cycles, fast},
         {EventType::Instructions, 1},
@@ -398,7 +366,6 @@ void
 Cpu::execMemorySlow(GuestContext &ctx, const PendingOp &op)
 {
     const bool write = op.kind == OpKind::Store;
-    lastFastLat_ = 0;
     EventDeltas d;
     const Tick latency =
         machine_.memory()->access(id_, op.addr, write, false, d);
@@ -627,14 +594,16 @@ Cpu::sbSizeIters(const Superblock &block, std::uint64_t &out)
         // lim keeps spanEnd <= lim - 1 < boundary (maxIterCycles
         // upper-bounds each iteration, so `avail` below holds for the
         // whole span). The cached boundary can be stale — the clock
-        // advanced past it after the last apply — so roll first; that
-        // also keeps `lim - now_` from wrapping below.
+        // advanced past it after the last apply — so roll first.
         if (now_ >= tlNextBoundary_)
             tlRoll();
         if (tlNextBoundary_ < lim)
             lim = tlNextBoundary_;
     }
-    if (lim - now_ <= 1) {
+    // Compared without subtracting: the quantum end can already lie
+    // behind the clock (a woken thread is charged its switch-in cost
+    // after the kernel set quantumEnd), and `lim - now_` would wrap.
+    if (lim <= now_ + 1) {
         ++stats.refusedHorizon;
         return false;
     }
@@ -678,7 +647,7 @@ Cpu::sbSizeIters(const Superblock &block, std::uint64_t &out)
 }
 
 bool
-Cpu::sbTryEnter(GuestContext &ctx, Superblock &block, std::uint32_t start)
+Cpu::sbTryEnter(GuestContext &ctx, const Superblock &block)
 {
     SuperblockStats &stats = sbStats_;
     // A fault plan can trigger on any op's seams; replay would skip
@@ -695,9 +664,9 @@ Cpu::sbTryEnter(GuestContext &ctx, Superblock &block, std::uint32_t start)
     }
     SbReplay &r = ctx.sbr;
     if (block.numMemOps > 0) {
-        // Model swapped or reconfigured since recording (the view is
-        // refreshed each round; memLat is nonzero by formation), or a
-        // geometry the shift-based set indexing can't express.
+        // Model swapped or reconfigured since the declaration (memLat
+        // is nonzero by declaration), or a geometry the shift-based
+        // set indexing can't express.
         if (sbPeek_.latency != block.memLat ||
             (!sbPeek_.alwaysHit &&
              (sbPeek_.ways & (sbPeek_.ways - 1)) != 0)) {
@@ -722,8 +691,8 @@ Cpu::sbTryEnter(GuestContext &ctx, Superblock &block, std::uint32_t start)
         return false;
     r.opsBegin = block.ops.data();
     r.opsEnd = r.opsBegin + block.ops.size();
-    r.cur = r.opsBegin + start;
-    r.startOffset = start;
+    r.cur = r.opsBegin;
+    r.startOffset = 0;
     r.itersTotal = iters;
     r.itersLeft = iters;
     r.mispredictPenalty = costs_.mispredictPenalty;
@@ -737,7 +706,8 @@ Cpu::sbTryEnter(GuestContext &ctx, Superblock &block, std::uint32_t start)
 }
 
 bool
-Cpu::sbResume(GuestContext &ctx, Superblock &block, std::uint32_t start)
+Cpu::sbResume(GuestContext &ctx, const Superblock &block,
+              std::uint32_t start)
 {
     // Same round, same block: the peek view, fault state (attachable
     // only between runs), and ops pointers are all still valid, and
@@ -770,12 +740,11 @@ bool
 Cpu::sbStallMem(GuestContext &ctx)
 {
     SbReplay &r = ctx.sbr;
-    Superblock &b = *r.block;
+    const Superblock &b = *r.block;
     const std::uint64_t curOff =
         static_cast<std::uint64_t>(r.cur - r.opsBegin);
-    // No progress yet: a plain entry miss. Take the ordinary flush so
-    // blocks whose assumptions never hold still accrue failStreak and
-    // go dormant instead of looping through the bridge forever.
+    // No progress yet: a plain entry miss. Take the ordinary flush
+    // and let the caller run the op on the normal path.
     if (r.itersLeft == r.itersTotal && curOff == r.startOffset) {
         sbCommitReplay(ctx, /*partial=*/true);
         return false;
@@ -786,7 +755,7 @@ Cpu::sbStallMem(GuestContext &ctx)
     sbCommitReplay(ctx, /*partial=*/true);
     // The stalled op itself needs the normal path's budget/horizons.
     if (batchOpsLeft_ == 0 || now_ >= batchBound_ || now_ >= batchPollAt_)
-        return false; // suspend path; hint is armed for the next op
+        return false; // suspend path
     panic_if(now_ > batchHardLimit_,
              "runaway simulation: core ", id_,
              " passed the hard limit at tick ", now_);
@@ -804,8 +773,8 @@ Cpu::sbStallMem(GuestContext &ctx)
         return false;
     }
     // Continue the same block right after the stalled op. On refusal
-    // the guest still continues inline — just without a replay (the
-    // armed hint lets the next op re-enter through the full path).
+    // the guest still continues inline — just without a replay, until
+    // the declared loop's first op comes round again.
     std::uint32_t next = static_cast<std::uint32_t>(curOff) + 1;
     if (next == b.ops.size())
         next = 0;
@@ -823,7 +792,7 @@ void
 Cpu::sbCommitReplay(GuestContext &ctx, bool partial)
 {
     SbReplay &r = ctx.sbr;
-    Superblock &b = *r.block;
+    const Superblock &b = *r.block;
     SuperblockStats &stats = sbStats_;
     const std::uint64_t size = b.ops.size();
     const std::uint64_t fullIters = r.itersTotal - r.itersLeft;
@@ -833,16 +802,8 @@ Cpu::sbCommitReplay(GuestContext &ctx, bool partial)
         fullIters * size + curOff - r.startOffset;
     r.cur = nullptr;
     r.block = nullptr;
-    if (ops == 0) {
-        // Armed, but the very first op already mismatched: the loop
-        // left its straight line. Back off blocks that keep missing.
-        ++stats.entryMisses;
-        if (++b.failStreak >= 16) {
-            b.failStreak = 0;
-            b.dormantUntil = ctx.sbState->recorded() + 4096;
-        }
-        return;
-    }
+    if (ops == 0)
+        return; // armed, but the very first op already mismatched
 
     // O(1) commit: everything except the residue-driven branch terms
     // is a prefix-sum difference (`ops` spans fullIters whole
@@ -876,24 +837,11 @@ Cpu::sbCommitReplay(GuestContext &ctx, bool partial)
         machine_.memory()->creditFastAccesses(id_, loads + stores);
     batchOpsLeft_ -= static_cast<unsigned>(ops);
 
-    // A productive span is the one signal that keeps the detector out
-    // of its nap (entry misses deliberately don't — a block that keeps
-    // missing should not pin the detector awake).
-    if (ctx.sbState != nullptr)
-        ctx.sbState->noteReplayed();
     stats.opsReplayed += ops;
     if (partial)
         ++stats.partialFlushes;
     else
         ++stats.fullCommits;
-    ++b.replays;
-    b.failStreak = 0;
-    if (partial && ctx.sbState != nullptr) {
-        // The op that ended the replay runs on the normal path; the
-        // one after it is expected right after the mismatch point.
-        ctx.sbState->armHint(
-            &b, static_cast<std::uint32_t>((curOff + 1) % size));
-    }
 }
 
 bool

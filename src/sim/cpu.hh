@@ -119,20 +119,19 @@ class Cpu
     bool sbFinishReplay(GuestContext &ctx);
 
     /**
-     * Mid-replay stall on a memory op that left the recorded fast
+     * Mid-replay stall on a memory op that left the declared fast
      * path (called from GuestContext::sbStep via superblockStallMem):
      * commit the replayed span, execute the op on the full path right
-     * here, and resume the same block at the next offset — skipping
-     * the detector, hint, and candidate machinery entirely. Falls
-     * back to the plain flush (entry-miss bookkeeping included) when
-     * the replay had made no progress, and to the suspend path when
-     * the op budget or a horizon refuses the op. Returns true when
-     * the op was consumed and the guest may keep running inline.
+     * here, and resume the same block at the next offset. Falls back
+     * to the plain flush when the replay had made no progress, and to
+     * the suspend path when the op budget or a horizon refuses the
+     * op. Returns true when the op was consumed and the guest may keep
+     * running inline.
      */
     bool sbStallMem(GuestContext &ctx);
 
     /**
-     * Enable/disable the superblock cache on this core's hot path
+     * Enable/disable superblock replay on this core's hot path
      * (set by Machine::runBatched / runPerOp per run). Enabling
      * snapshots the memory model's fast-peek view once for the whole
      * run — its pointers are stable for the life of the machine ↔
@@ -242,14 +241,14 @@ class Cpu
      */
     void tlRoll();
     /**
-     * Try to arm a superblock replay for the op about to execute:
-     * checks fault plans, pending PMIs, the batch horizon/poll/quantum
-     * limits, the op budget, PMU headroom (no counter may wrap inside
-     * the replay), and the memory fast-path view, then sizes the
-     * replay to the largest iteration count safe under all of them.
+     * Try to arm a replay of the thread's declared loop at its first
+     * op, for the op about to execute: checks fault plans, pending
+     * PMIs, the batch horizon/poll/quantum limits, the op budget, PMU
+     * headroom (no counter may wrap inside the replay), and the memory
+     * fast-path view, then sizes the replay to the largest iteration
+     * count safe under all of them.
      */
-    bool sbTryEnter(GuestContext &ctx, Superblock &block,
-                    std::uint32_t start);
+    bool sbTryEnter(GuestContext &ctx, const Superblock &block);
     /**
      * Shared sizing core of sbTryEnter/sbResume: the largest iteration
      * count safe under the batch horizon, poll deadline, quantum end,
@@ -261,7 +260,7 @@ class Cpu
      * Re-arm the just-committed replay after a bridged stall: same
      * block, same peek view, fresh sizing, starting at op `start`.
      */
-    bool sbResume(GuestContext &ctx, Superblock &block,
+    bool sbResume(GuestContext &ctx, const Superblock &block,
                   std::uint32_t start);
     /**
      * Commit a replay's deferred effects (one applyFewEvents call plus
@@ -390,15 +389,9 @@ class Cpu
     /** The machine's superblock stats block (shared by all cores). */
     SuperblockStats &sbStats_;
 
-    /** @name Superblock cache state @{ */
-    /** Replay/record active for this run (batched mode only). */
+    /** @name Superblock replay state @{ */
+    /** Replay active for this run (batched mode only). */
     bool sbEnabled_ = false;
-    /**
-     * Fast-path latency of the most recent Load/Store executed by
-     * execMemory (0 = took the full access() path). Lets the recorder
-     * classify memory ops without re-probing the hierarchy.
-     */
-    Tick lastFastLat_ = 0;
     /**
      * Memory model's fast-path probe view, refreshed once per batch
      * round (the model can be swapped between runs, never inside a

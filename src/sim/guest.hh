@@ -16,6 +16,7 @@
 #include <coroutine>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -169,11 +170,21 @@ class GuestContext
     /**
      * Superblock replay cursor: non-null `sbr.cur` means the Cpu
      * armed a replay and the awaiter fast path is validating ops
-     * against the cached block (see sbStep below).
+     * against the declared block (see sbStep below).
      */
     SbReplay sbr;
-    /** Per-thread superblock detector (lazily created by the Cpu). */
-    std::unique_ptr<SuperblockState> sbState;
+    /**
+     * The loop body this thread declared last (Guest::declareLoop),
+     * or null. The Cpu tries a replay of it whenever an inline op's
+     * kind matches its first op.
+     */
+    std::unique_ptr<const Superblock> loop;
+    /**
+     * The declaration `loop` replaced while a replay cursor still
+     * pointed into it: kept alive so the cursor, and any stall-bridge
+     * resume of it, stay valid.
+     */
+    std::unique_ptr<const Superblock> retiredLoop;
     /**
      * One step of superblock replay: validate the pending op against
      * the current micro-op and, on a match, retire it with a single
@@ -240,7 +251,7 @@ class GuestContext
 bool superblockFinishReplay(GuestContext &ctx) noexcept;
 
 /**
- * Out-of-line hook for a mid-replay memory op that left the recorded
+ * Out-of-line hook for a mid-replay memory op that left the declared
  * fast path (defined in cpu.cc; forwards to Cpu::sbStallMem): commits
  * the span replayed so far, executes the op on the full path, and
  * resumes the same block at the next offset when the budgets allow.
@@ -291,7 +302,7 @@ GuestContext::sbStep() noexcept
             }
         }
     } else {
-        // Load/Store: the recorded fast-path assumptions must still
+        // Load/Store: the declared fast-path assumptions must still
         // hold for this address (same TLB page, L1 MRU way). A miss
         // here is almost always a line/page crossing of an otherwise
         // stable loop: bridge it — commit the span, run this one op on
@@ -561,6 +572,18 @@ class Guest
         ctx_->op.kind = OpKind::RegionExit;
         return OpAwaiter{*ctx_};
     }
+
+    /**
+     * Declare the straight-line loop this thread is about to run:
+     * `body` lists one iteration's ops in issue order, as Compute
+     * {instrs, profile}, Load or Store templates. Host-side: issues no
+     * op and takes no simulated time. While superblock replay is on,
+     * the core then retires matching ops through replay, validating
+     * each one; a wrong declaration costs replay, never bytes. Replaces
+     * any earlier declaration. Fatal on an empty body or one holding
+     * any other op kind.
+     */
+    void declareLoop(std::initializer_list<LoopOp> body);
 
     /** @name Host-side (zero-cost) helpers @{ */
     ThreadId tid() const { return ctx_->tid(); }

@@ -120,7 +120,7 @@ Machine::run()
 Tick
 Machine::runPerOp()
 {
-    // The reference loop never records or replays superblocks.
+    // The reference loop never replays superblocks.
     for (auto &cpu : cpus_)
         cpu->setSuperblocksEnabled(false);
     auto earliest_busy = [this]() -> Cpu * {

@@ -51,12 +51,12 @@ struct MachineConfig
      */
     bool batched = true;
     /**
-     * Superblock trace cache on the batched hot path (bit-identical
-     * replay of cached loop bodies; see sim/superblock.hh and
+     * Superblock replay on the batched hot path (bit-identical
+     * replay of guest-declared loop bodies; see sim/superblock.hh and
      * DESIGN.md "Superblock replay"). Effective only in batched mode
      * and while the process-wide default is also on: --no-superblock
      * and the LIMITPP_FORCE_NO_SUPERBLOCK environment variable
-     * disable the cache everywhere regardless of this field.
+     * disable replay everywhere regardless of this field.
      */
     bool superblocks = true;
 };
@@ -70,7 +70,7 @@ void setBatchedExecutionDefault(bool batched);
 bool batchedExecutionDefault();
 
 /**
- * Process-wide master switch for the superblock cache, consulted by
+ * Process-wide master switch for superblock replay, consulted by
  * every Machine::run. Cleared by --no-superblock
  * (analysis::parseBenchArgs) and by setting LIMITPP_FORCE_NO_SUPERBLOCK
  * in the environment.
@@ -169,8 +169,8 @@ class Machine
     std::uint64_t batchOps() const { return batchOps_; }
 
     /**
-     * Machine-wide superblock cache statistics; every core's
-     * SuperblockState counts into this one block.
+     * Machine-wide superblock replay statistics; every core counts
+     * into this one block.
      */
     SuperblockStats &superblockStats() { return sbStats_; }
     const SuperblockStats &superblockStats() const { return sbStats_; }

@@ -1,218 +1,58 @@
 #include "sim/superblock.hh"
 
-#include <bit>
 #include <cmath>
 
 #include "sim/guest.hh"
 
 namespace limit::sim {
 
-namespace {
-
-std::uint64_t
-doubleBits(double d)
+Superblock::Superblock(std::span<const LoopOp> body, Tick mem_lat,
+                       Tick mispredict_penalty)
+    : ops(body.size()), memLat(mem_lat)
 {
-    return std::bit_cast<std::uint64_t>(d);
-}
-
-/** Exact identity compare, matching the replay validation rules. */
-bool
-sameOp(const MicroOp &a, const MicroOp &b)
-{
-    if (a.kind != b.kind || a.baseCost != b.baseCost)
-        return false;
-    if (a.kind != OpKind::Compute)
-        return true;
-    return a.instrs == b.instrs &&
-           doubleBits(a.profile.branchFrac) ==
-               doubleBits(b.profile.branchFrac) &&
-           doubleBits(a.profile.mispredictRate) ==
-               doubleBits(b.profile.mispredictRate) &&
-           doubleBits(a.profile.cpi) == doubleBits(b.profile.cpi);
-}
-
-std::uint64_t
-fingerprint(const MicroOp &m)
-{
-    std::uint64_t h = static_cast<std::uint64_t>(m.kind) + 1;
-    h = (h ^ m.instrs) * 0x9E3779B97F4A7C15ull;
-    h = (h ^ m.baseCost) * 0xC2B2AE3D27D4EB4Full;
-    if (m.kind == OpKind::Compute) {
-        h = (h ^ doubleBits(m.profile.branchFrac)) * 0x165667B19E3779F9ull;
-        h = (h ^ doubleBits(m.profile.mispredictRate)) *
-            0x27D4EB2F165667C5ull;
-        h = (h ^ doubleBits(m.profile.cpi)) * 0x9E3779B97F4A7C15ull;
-    }
-    return h ^ (h >> 29);
-}
-
-/** Mirror of Cpu::execCompute's base-cost computation. */
-Tick
-computeBaseCost(std::uint64_t instrs, const ComputeProfile &p)
-{
-    return p.cpi == 1.0
-        ? instrs
-        : static_cast<Tick>(
-              std::ceil(static_cast<double>(instrs) * p.cpi));
-}
-
-/** True when two blocks contain the same loop body, up to rotation. */
-bool
-sameBlockRotated(const std::vector<MicroOp> &a,
-                 const std::vector<MicroOp> &b)
-{
-    const std::size_t n = a.size();
-    if (n != b.size())
-        return false;
-    for (std::size_t rot = 0; rot < n; ++rot) {
-        bool match = true;
-        for (std::size_t i = 0; i < n && match; ++i)
-            match = sameOp(a[i], b[(i + rot) % n]);
-        if (match)
-            return true;
-    }
-    return false;
-}
-
-} // namespace
-
-void
-SuperblockState::record(OpKind kind, std::uint64_t instrs,
-                        const ComputeProfile &profile, Tick fast_lat)
-{
-    consumeHintFreshness();
-    ++stats_->opsRecorded;
-
-    const bool mem = kind == OpKind::Load || kind == OpKind::Store;
-    if (!(kind == OpKind::Compute || (mem && fast_lat != 0))) {
-        // Region markers and slow memory accesses are executed
-        // inline but are not replayable; a block can never span one.
-        candPeriod_ = 0;
-        streak_ = 0;
-        seq_ = 0;
-        noteIdle();
-        return;
-    }
-
-    MicroOp m;
-    m.kind = kind;
-    if (kind == OpKind::Compute) {
-        m.instrs = instrs;
-        m.profile = profile;
-        m.branchStep = static_cast<double>(instrs) * profile.branchFrac;
-        m.baseCost = computeBaseCost(instrs, profile);
-    } else {
-        m.baseCost = fast_lat;
-    }
-    const std::uint64_t fp = fingerprint(m);
-    const std::uint64_t mask = histSize - 1;
-
-    if (candPeriod_ != 0 && seq_ >= candPeriod_ &&
-        sameOp(hist_[(n_ - candPeriod_) & mask].op, m)) {
-        ++streak_;
-    } else {
-        // (Re)seed the candidate period from the last position this
-        // op's fingerprint was seen at. The `lag <= seq_` guard keeps
-        // stale table entries (from before a discontinuity, or hash
-        // collisions long past) from producing a period that would
-        // reach across non-contiguous history.
-        const std::uint64_t lag = n_ - lastSeen_[fp & 63];
-        candPeriod_ =
-            (lag >= 1 && lag <= maxPeriod && lag <= seq_)
-                ? static_cast<unsigned>(lag)
-                : 0;
-        streak_ = 0;
-    }
-    hist_[n_ & mask] = {m, fp};
-    lastSeen_[fp & 63] = n_;
-    ++n_;
-    ++seq_;
-
-    if (candPeriod_ != 0) {
-        idle_ = 0;
-        if (streak_ >= 2 * candPeriod_)
-            tryForm();
-    } else {
-        noteIdle();
-    }
-}
-
-void
-SuperblockState::tryForm()
-{
-    const unsigned p = candPeriod_;
-    const std::uint64_t mask = histSize - 1;
-    // Whatever happens below, demand fresh periodicity evidence
-    // before trying to form again.
-    candPeriod_ = 0;
-    streak_ = 0;
-
-    // The streak guarantees the last 2p recorded ops are contiguous
-    // and lag-p periodic; the block is the most recent period, so the
-    // next recorded op is expected to be ops[0] again.
-    std::vector<MicroOp> ops(p);
-    for (unsigned i = 0; i < p; ++i)
-        ops[i] = hist_[(n_ - p + i) & mask].op;
-
-    // Re-forming the same loop (or a rotation of it) is common right
-    // after a replay flush; keep the existing block and its stats.
-    for (unsigned i = 0; i < blockCount_; ++i) {
-        if (sameBlockRotated(blocks_[i].ops, ops))
-            return;
-    }
-
-    Superblock b;
-    b.ops = std::move(ops);
-    Tick memLat = 0;
     std::uint64_t branchesUb = 0;
-    for (MicroOp &m : b.ops) {
-        m.prefixBase = b.iterBase;
-        m.prefixInstrs = b.iterInstrs;
-        m.prefixLoads = b.iterLoads;
-        m.prefixStores = b.iterStores;
-        b.iterBase += m.baseCost;
-        if (m.kind == OpKind::Compute) {
-            b.iterInstrs += m.instrs;
-            if (m.profile.branchFrac != 0.0) {
+    for (std::size_t i = 0; i < body.size(); ++i) {
+        const LoopOp &op = body[i];
+        MicroOp &m = ops[i];
+        m.kind = op.kind;
+        m.prefixBase = iterBase;
+        m.prefixInstrs = iterInstrs;
+        m.prefixLoads = iterLoads;
+        m.prefixStores = iterStores;
+        if (op.kind == OpKind::Compute) {
+            m.instrs = op.instrs;
+            m.profile = op.profile;
+            m.branchStep =
+                static_cast<double>(op.instrs) * op.profile.branchFrac;
+            // Mirror of Cpu::execCompute's base-cost computation.
+            m.baseCost = op.profile.cpi == 1.0
+                ? op.instrs
+                : static_cast<Tick>(std::ceil(
+                      static_cast<double>(op.instrs) * op.profile.cpi));
+            iterInstrs += op.instrs;
+            if (op.profile.branchFrac != 0.0) {
                 // branches = floor(branchStep + residue), residue < 1.
-                branchesUb +=
-                    static_cast<std::uint64_t>(m.branchStep) + 1;
+                branchesUb += static_cast<std::uint64_t>(m.branchStep) + 1;
             }
         } else {
-            b.iterInstrs += 1;
-            ++b.numMemOps;
-            if (m.kind == OpKind::Load)
-                b.iterLoads += 1;
+            m.baseCost = mem_lat;
+            iterInstrs += 1;
+            ++numMemOps;
+            if (op.kind == OpKind::Load)
+                iterLoads += 1;
             else
-                b.iterStores += 1;
-            if (memLat != 0 && memLat != m.baseCost)
-                return; // mixed fast-path latencies; not replayable
-            memLat = m.baseCost;
+                iterStores += 1;
         }
+        iterBase += m.baseCost;
     }
-    b.memLat = memLat;
-    b.maxIterCycles = b.iterBase + branchesUb * mispredictPenalty_;
-    if (b.maxIterCycles == 0)
-        return; // a zero-cost loop would replay unboundedly
+    maxIterCycles = iterBase + branchesUb * mispredict_penalty;
     using E = EventType;
-    b.iterUb[static_cast<unsigned>(E::Cycles)] = b.maxIterCycles;
-    b.iterUb[static_cast<unsigned>(E::Instructions)] = b.iterInstrs;
-    b.iterUb[static_cast<unsigned>(E::Loads)] = b.iterLoads;
-    b.iterUb[static_cast<unsigned>(E::Stores)] = b.iterStores;
-    b.iterUb[static_cast<unsigned>(E::Branches)] = branchesUb;
-    b.iterUb[static_cast<unsigned>(E::BranchMisses)] = branchesUb;
-
-    unsigned slot;
-    if (blockCount_ < maxBlocks) {
-        slot = blockCount_++;
-    } else {
-        slot = nextEvict_;
-        nextEvict_ = (nextEvict_ + 1) % maxBlocks;
-        if (hintBlock_ == &blocks_[slot])
-            hintBlock_ = nullptr;
-    }
-    blocks_[slot] = std::move(b);
-    ++stats_->blocksFormed;
+    iterUb[static_cast<unsigned>(E::Cycles)] = maxIterCycles;
+    iterUb[static_cast<unsigned>(E::Instructions)] = iterInstrs;
+    iterUb[static_cast<unsigned>(E::Loads)] = iterLoads;
+    iterUb[static_cast<unsigned>(E::Stores)] = iterStores;
+    iterUb[static_cast<unsigned>(E::Branches)] = branchesUb;
+    iterUb[static_cast<unsigned>(E::BranchMisses)] = branchesUb;
 }
 
 } // namespace limit::sim

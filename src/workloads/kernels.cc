@@ -34,6 +34,9 @@ ComputeKernel::body(sim::Guest &g)
         mem::StrideStream in(data_, 8);
         mem::StrideStream out(data_, 8);
         out.next(); // offset the two streams
+        g.declareLoop({{sim::OpKind::Load},
+                       {sim::OpKind::Store},
+                       {sim::OpKind::Compute, 6, p}});
         while (!g.shouldStop()) {
             for (int i = 0; i < 64; ++i) {
                 const sim::Addr a = in.next();

@@ -165,7 +165,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChaosSweep,
 // ---------------------------------------------------------------------
 
 /**
- * Flat-memory spin (forms superblocks) with an optional fault plan.
+ * Flat-memory spin (a declared loop) with an optional fault plan.
  * Returns the replay count so refusal is directly observable.
  */
 struct SpinRun
@@ -192,6 +192,7 @@ runFaultedSpin(const std::string &faults)
     }
     SpinRun out;
     b.kernel().spawn("spin", [&](Guest &g) -> Task<void> {
+        g.declareLoop({{sim::OpKind::Load}, {sim::OpKind::Compute, 2}});
         while (!g.shouldStop()) {
             co_await g.load(0x8000 + (out.iters % 256) * 64);
             co_await g.compute(2);

@@ -23,8 +23,8 @@ using sim::Task;
 /**
  * One flat-memory spin job run to `horizon`, folded into a
  * fingerprint. Every load takes the memory fast path, so with
- * superblocks on the loop body forms a superblock and retires through
- * replay. The mode comes from the bundle options alone; --no-batch,
+ * superblocks on the declared loop body retires through replay. The
+ * mode comes from the bundle options alone; --no-batch,
  * --no-superblock and the LIMITPP_FORCE_NO_* variables can only
  * narrow it further.
  */
@@ -41,6 +41,7 @@ spinFingerprint(bool batched, bool superblocks, sim::Tick horizon)
                     .build());
     std::uint64_t iters = 0;
     b.kernel().spawn("spin", [&](Guest &g) -> Task<void> {
+        g.declareLoop({{sim::OpKind::Load}, {sim::OpKind::Compute, 2}});
         while (!g.shouldStop()) {
             co_await g.load(0x8000 + (iters % 256) * 64);
             co_await g.compute(2);

@@ -1,23 +1,26 @@
 /**
  * @file
- * Superblock replay cache equivalence tests.
+ * Superblock replay equivalence tests.
  *
- * The decoded-op superblock cache (sim/superblock.hh, DESIGN.md
- * "Superblock replay") retires whole loop bodies with precomputed
- * event-delta prefix sums instead of per-op bookkeeping. Its contract
- * is bit-identity: every scenario here runs three ways — superblocks
- * on, superblocks off (--no-superblock's effect, via
- * BundleOptions::superblocks), and the per-op reference scheduler —
- * and compares the whole observable machine state field by field,
- * exactly like tests/test_batch.cc does for horizon batching. The
- * shapes deliberately stress the replay seams: PMI storms splitting
- * replays, counter overflow landing at block boundaries, futex sleeps
- * and wakeups in the middle of a hot loop, and fault plans that must
- * fire at the same op regardless of execution strategy.
+ * Superblock replay (sim/superblock.hh, DESIGN.md "Superblock
+ * replay") retires whole declared loop bodies (Guest::declareLoop)
+ * with precomputed event-delta prefix sums instead of per-op
+ * bookkeeping. Its contract is bit-identity: every scenario here runs
+ * three ways — superblocks on, superblocks off (--no-superblock's
+ * effect, via BundleOptions::superblocks), and the per-op reference
+ * scheduler — and compares the whole observable machine state field
+ * by field, exactly like tests/test_batch.cc does for horizon
+ * batching. The shapes deliberately stress the replay seams: PMI
+ * storms splitting replays, counter overflow landing at block
+ * boundaries, futex sleeps and wakeups in the middle of a hot loop,
+ * wakes that start past the quantum end, fault plans that must fire at
+ * the same op regardless of execution strategy, and declarations that
+ * do not match the loop they name.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -41,14 +44,15 @@ using fault::PlanController;
 using fault::Site;
 using sim::EventType;
 using sim::Guest;
+using sim::OpKind;
 using sim::PrivMode;
 using sim::Task;
 
 /** The three execution strategies every scenario must agree across. */
 enum class Mode
 {
-    Superblock, ///< batched + superblock replay cache
-    NoSuperblock, ///< batched, cache disabled (--no-superblock)
+    Superblock, ///< batched + superblock replay
+    NoSuperblock, ///< batched, replay disabled (--no-superblock)
     PerOp, ///< per-op reference scheduler (--no-batch)
 };
 
@@ -148,10 +152,9 @@ threeWay(RunFn run, bool expect_replays = true)
     expectIdentical(sb, nosb, "superblock vs no-superblock");
     expectIdentical(sb, perop, "superblock vs per-op");
     // The superblock run must actually have replayed something —
-    // otherwise the equivalence above proved nothing about the cache.
+    // otherwise the equivalence above proved nothing about replay.
     if (expect_replays && superblocksActive()) {
         EXPECT_GT(sb.sb.opsReplayed, 0u) << "scenario never replayed";
-        EXPECT_GT(sb.sb.blocksFormed, 0u);
     }
     EXPECT_EQ(nosb.sb.opsReplayed, 0u);
     EXPECT_EQ(perop.sb.opsReplayed, 0u);
@@ -177,6 +180,9 @@ runHotLoop(Mode mode)
                 const sim::Addr base = 0x100000 + g.tid() * 0x40000;
                 sim::ComputeProfile p{
                     .branchFrac = 0.06, .mispredictRate = 0.01};
+                g.declareLoop({{OpKind::Load},
+                               {OpKind::Store},
+                               {OpKind::Compute, 6, p}});
                 std::uint64_t sum = 0;
                 for (unsigned s = 0; s < 3'000; ++s) {
                     co_await g.load(base + (s % 512) * 8);
@@ -222,6 +228,9 @@ runPmiStorm(Mode mode)
             "storm" + std::to_string(i),
             [&session](Guest &g) -> Task<void> {
                 const sim::Addr base = 0x200000 + g.tid() * 0x40000;
+                g.declareLoop({{OpKind::Compute, 40},
+                               {OpKind::Load},
+                               {OpKind::Store}});
                 std::uint64_t sum = 0;
                 for (unsigned s = 0; s < 2'000; ++s) {
                     co_await g.compute(40);
@@ -263,8 +272,11 @@ runFutexWakeups(Mode mode)
             "futex" + std::to_string(i),
             [&mu, &shared](Guest &g) -> Task<void> {
                 const sim::Addr base = 0x300000 + g.tid() * 0x40000;
+                g.declareLoop({{OpKind::Load},
+                               {OpKind::Compute, 5},
+                               {OpKind::Store}});
                 for (unsigned s = 0; s < 400; ++s) {
-                    // Hot inner loop long enough to form and replay.
+                    // Hot inner loop long enough to replay.
                     for (unsigned k = 0; k < 24; ++k) {
                         co_await g.load(base + (k % 64) * 8);
                         co_await g.compute(5);
@@ -309,6 +321,7 @@ runFaultPlan(Mode mode)
     session.addEvent(0, EventType::Instructions, true, false);
 
     b.kernel().spawn("victim", [&session](Guest &g) -> Task<void> {
+        g.declareLoop({{OpKind::Compute, 20}, {OpKind::Load}});
         std::uint64_t sum = 0;
         for (unsigned s = 0; s < 60; ++s) {
             for (unsigned k = 0; k < 50; ++k) {
@@ -372,6 +385,9 @@ TEST(SuperblockReplay, CommittedDeltaSumsMatchClosedForm)
     b.kernel().spawn("pin", [](Guest &g) -> Task<void> {
         const sim::ComputeProfile p{
             .branchFrac = 0.0, .mispredictRate = 0.0, .cpi = 1.0};
+        g.declareLoop({{OpKind::Load},
+                       {OpKind::Store},
+                       {OpKind::Compute, computeInstrs, p}});
         for (unsigned s = 0; s < iters; ++s) {
             co_await g.load(0x600000 + (s % 256) * 8);
             co_await g.store(0x600000 + (s % 256) * 8 + 8);
@@ -396,15 +412,14 @@ TEST(SuperblockReplay, CommittedDeltaSumsMatchClosedForm)
     EXPECT_EQ(user(EventType::Cycles),
               iters * (computeInstrs + 2 * memLat));
 
-    // Replay accounting closes: every guest op either went through the
-    // detector (recorded) or retired via replay, and most did the
-    // latter. Flat memory cannot stall, so no bridges.
+    // The loop is declared from its first op and flat memory cannot
+    // stall (no bridges), so all but the few ops at horizon and
+    // budget edges retire through replay.
     const sim::SuperblockStats &sb = b.machine().superblockStats();
-    EXPECT_GT(sb.opsReplayed, 0u);
-    EXPECT_EQ(sb.opsReplayed + sb.opsRecorded,
-              static_cast<std::uint64_t>(iters) * 3);
+    EXPECT_GE(sb.opsReplayed,
+              static_cast<std::uint64_t>(iters) * 3 * 99 / 100);
     EXPECT_EQ(sb.stallBridges, 0u);
-    EXPECT_GT(sb.opsReplayed, sb.opsRecorded);
+    EXPECT_EQ(sb.opsRecorded, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -423,6 +438,7 @@ TEST(SuperblockReplay, StreamingLoopBridgesStalls)
     b.kernel().spawn("stream", [](Guest &g) -> Task<void> {
         // Sequential walk: one line crossing (fast-path miss) every 8
         // accesses, exactly the shape sbStallMem exists for.
+        g.declareLoop({{OpKind::Load}, {OpKind::Compute, 4}});
         for (unsigned s = 0; s < 60'000; ++s) {
             co_await g.load(0x700000 + s * 8);
             co_await g.compute(4);
@@ -432,9 +448,282 @@ TEST(SuperblockReplay, StreamingLoopBridgesStalls)
     const sim::SuperblockStats &sb = b.machine().superblockStats();
     EXPECT_GT(sb.opsReplayed, 0u);
     EXPECT_GT(sb.stallBridges, 0u);
-    // Bridges must vastly outnumber full teardowns: the entry-miss
-    // path would imply the hint/re-entry machinery is broken.
-    EXPECT_GT(sb.stallBridges, sb.entryMisses * 10);
+    // A bridge keeps the replay going across each line crossing, so
+    // the 15 ops between crossings replay: were the bridges tearing
+    // replays down instead, far fewer would.
+    EXPECT_GT(sb.opsReplayed, sb.stallBridges * 10);
+}
+
+// ---------------------------------------------------------------------
+// Quantum-end shape: a woken thread is charged its switch-in cost
+// after the kernel set its quantum end, so under a quantum shorter
+// than that cost its first op already starts past the quantum end —
+// and here that op starts the declared body
+// ---------------------------------------------------------------------
+
+Fingerprint
+runWakePastQuantumEnd(Mode mode)
+{
+    analysis::SimBundle b(builderFor(mode)
+                              .cores(1)
+                              .flatMemory()
+                              .quantum(2'000)
+                              .seed(13)
+                              .build());
+    b.kernel().spawn("sleeper", [](Guest &g) -> Task<void> {
+        g.declareLoop({{OpKind::Compute, 2}, {OpKind::Load}});
+        for (unsigned s = 0; s < 50; ++s) {
+            co_await g.compute(2);
+            for (unsigned k = 0; k < 32; ++k) {
+                co_await g.load(0x800000 + k * 64);
+                co_await g.compute(2);
+            }
+            co_await g.syscall(os::sysSleep, {100, 0, 0, 0});
+        }
+    });
+    const sim::Tick end = b.machine().run();
+    return collect(b, end);
+}
+
+TEST(SuperblockEquivalence, WakePastQuantumEndBitIdentical)
+{
+    threeWay(runWakePastQuantumEnd);
+}
+
+// ---------------------------------------------------------------------
+// Declaration contract: a declaration is a promise the replay checks
+// op by op, so a wrong one costs replay and never bytes, and a loop
+// nobody declared is never replayed
+// ---------------------------------------------------------------------
+
+/** Ways a declaration of {compute(6, p), load, store} can be wrong. */
+enum class Misdeclared
+{
+    Instrs,      ///< compute(7) declared for compute(6)
+    ProfileBits, ///< branchFrac off by one ulp
+    Order,       ///< {compute, store, load}: not a rotation of the loop
+};
+
+Fingerprint
+runMisdeclared(Mode mode, Misdeclared wrong)
+{
+    analysis::SimBundle b(builderFor(mode)
+                              .cores(1)
+                              .flatMemory()
+                              .seed(17)
+                              .build());
+    b.kernel().spawn("misdeclared", [wrong](Guest &g) -> Task<void> {
+        const sim::ComputeProfile p{
+            .branchFrac = 0.06, .mispredictRate = 0.01};
+        sim::ComputeProfile q = p;
+        q.branchFrac = std::nextafter(p.branchFrac, 1.0);
+        switch (wrong) {
+          case Misdeclared::Instrs:
+            g.declareLoop({{OpKind::Compute, 7, p},
+                           {OpKind::Load},
+                           {OpKind::Store}});
+            break;
+          case Misdeclared::ProfileBits:
+            g.declareLoop({{OpKind::Compute, 6, q},
+                           {OpKind::Load},
+                           {OpKind::Store}});
+            break;
+          case Misdeclared::Order:
+            g.declareLoop({{OpKind::Compute, 6, p},
+                           {OpKind::Store},
+                           {OpKind::Load}});
+            break;
+        }
+        for (unsigned s = 0; s < 4'000; ++s) {
+            co_await g.compute(6, p);
+            co_await g.load(0x900000 + (s % 256) * 8);
+            co_await g.store(0x900000 + (s % 256) * 8 + 8);
+        }
+    });
+    const sim::Tick end = b.machine().run();
+    return collect(b, end);
+}
+
+TEST(SuperblockDeclaration, WrongOperandsReplayNothing)
+{
+    for (Misdeclared wrong :
+         {Misdeclared::Instrs, Misdeclared::ProfileBits}) {
+        threeWay([wrong](Mode m) { return runMisdeclared(m, wrong); },
+                 /*expect_replays=*/false);
+        const Fingerprint fp = runMisdeclared(Mode::Superblock, wrong);
+        EXPECT_EQ(fp.sb.opsReplayed, 0u);
+        if (superblocksActive()) {
+            // Entry was armed at every compute and ended by its
+            // operand check, not skipped.
+            EXPECT_GT(fp.sb.entries, 0u);
+        }
+    }
+}
+
+TEST(SuperblockDeclaration, WrongOrderNeverCompletesAnIteration)
+{
+    threeWay([](Mode m) { return runMisdeclared(m, Misdeclared::Order); },
+             /*expect_replays=*/false);
+    // A permutation that is not a rotation matches the op it entered
+    // on (the compute) and then mismatches at once, on the load where
+    // it expects the store: each entry retires that one op, and no
+    // span ever covers a whole iteration.
+    const Fingerprint fp =
+        runMisdeclared(Mode::Superblock, Misdeclared::Order);
+    EXPECT_EQ(fp.sb.fullCommits, 0u);
+    EXPECT_EQ(fp.sb.opsReplayed, fp.sb.partialFlushes);
+    EXPECT_EQ(fp.sb.opsReplayed, fp.sb.entries);
+}
+
+Fingerprint
+runUndeclared(Mode mode)
+{
+    analysis::SimBundle b(builderFor(mode)
+                              .cores(1)
+                              .flatMemory()
+                              .seed(19)
+                              .build());
+    b.kernel().spawn("undeclared", [](Guest &g) -> Task<void> {
+        for (unsigned s = 0; s < 20'000; ++s) {
+            co_await g.load(0xa00000 + (s % 256) * 64);
+            co_await g.compute(2);
+        }
+    });
+    const sim::Tick end = b.machine().run();
+    return collect(b, end);
+}
+
+TEST(SuperblockDeclaration, UndeclaredHotLoopReplaysNothing)
+{
+    threeWay(runUndeclared, /*expect_replays=*/false);
+    const Fingerprint fp = runUndeclared(Mode::Superblock);
+    EXPECT_EQ(fp.sb.entries, 0u);
+    EXPECT_EQ(fp.sb.opsReplayed, 0u);
+    EXPECT_EQ(fp.sb.opsRecorded, 0u);
+}
+
+/** A memory model with no fast path: every access takes access(). */
+class NoFastPathMemory : public sim::MemoryIf
+{
+  public:
+    using sim::MemoryIf::access;
+
+    sim::Tick
+    access(sim::CoreId, sim::Addr, bool, bool, sim::EventDeltas &) override
+    {
+        return 7;
+    }
+};
+
+Fingerprint
+runWithoutFastPath(Mode mode)
+{
+    NoFastPathMemory memory;
+    analysis::SimBundle b(builderFor(mode)
+                              .cores(1)
+                              .flatMemory()
+                              .seed(23)
+                              .build());
+    b.machine().setMemory(&memory);
+    b.kernel().spawn("nofast", [](Guest &g) -> Task<void> {
+        g.declareLoop({{OpKind::Load}, {OpKind::Compute, 2}});
+        for (unsigned s = 0; s < 5'000; ++s) {
+            co_await g.load(0xc00000 + (s % 256) * 64);
+            co_await g.compute(2);
+        }
+    });
+    const sim::Tick end = b.machine().run();
+    return collect(b, end);
+}
+
+TEST(SuperblockDeclaration, MemoryWithoutFastPathReplaysNothing)
+{
+    // A declared load has no fast-path latency to replay at, so the
+    // declaration is dropped rather than entered.
+    threeWay(runWithoutFastPath, /*expect_replays=*/false);
+    const Fingerprint fp = runWithoutFastPath(Mode::Superblock);
+    EXPECT_EQ(fp.sb.entries, 0u);
+    EXPECT_EQ(fp.sb.opsReplayed, 0u);
+}
+
+/**
+ * A loop that changes shape half way ({load, compute(2)}, then
+ * {load, compute(5)}) and re-declares itself every 1 000 iterations,
+ * twice in a row (a wrong body, then the right one). `mid_replay`
+ * counts re-declarations made while a replay cursor pointed into the
+ * block being replaced, which must stay valid until the replay ends.
+ */
+Fingerprint
+runRedeclared(Mode mode, unsigned *mid_replay = nullptr)
+{
+    analysis::SimBundle b(builderFor(mode)
+                              .cores(1)
+                              .flatMemory()
+                              .seed(29)
+                              .build());
+    b.kernel().spawn("redeclared", [mid_replay](Guest &g) -> Task<void> {
+        g.declareLoop({{OpKind::Load}, {OpKind::Compute, 2}});
+        for (unsigned s = 0; s < 6'000; ++s) {
+            const std::uint64_t instrs = s < 3'000 ? 2 : 5;
+            co_await g.load(0xb00000 + (s % 256) * 64);
+            co_await g.compute(instrs);
+            if (s % 1'000 == 500) {
+                if (mid_replay != nullptr && g.context().sbr.cur != nullptr)
+                    ++*mid_replay;
+                g.declareLoop({{OpKind::Load}, {OpKind::Compute, 9}});
+                g.declareLoop({{OpKind::Load}, {OpKind::Compute, instrs}});
+            }
+        }
+    });
+    const sim::Tick end = b.machine().run();
+    return collect(b, end);
+}
+
+TEST(SuperblockDeclaration, RedeclaringMidReplayIsBitIdentical)
+{
+    threeWay([](Mode m) { return runRedeclared(m); });
+    if (superblocksActive()) {
+        unsigned mid_replay = 0;
+        runRedeclared(Mode::Superblock, &mid_replay);
+        EXPECT_GT(mid_replay, 0u);
+    }
+}
+
+/** Run one thread that calls `declare` and then issues one op. */
+template <typename DeclareFn>
+void
+runDeclaring(DeclareFn declare)
+{
+    analysis::SimBundle b(analysis::BundleOptions::Builder()
+                              .cores(1)
+                              .flatMemory()
+                              .build());
+    b.kernel().spawn("declarer", [declare](Guest &g) -> Task<void> {
+        declare(g);
+        co_await g.compute(1);
+    });
+    b.machine().run();
+}
+
+TEST(SuperblockDeclarationDeathTest, RejectsAnEmptyBody)
+{
+    EXPECT_DEATH(runDeclaring([](Guest &g) { g.declareLoop({}); }),
+                 "empty loop body");
+}
+
+TEST(SuperblockDeclarationDeathTest, RejectsOpsThatCannotReplay)
+{
+    for (OpKind bad :
+         {OpKind::AtomicCas, OpKind::AtomicFetchAdd, OpKind::AtomicExchange,
+          OpKind::AtomicLoad, OpKind::AtomicStore, OpKind::Syscall,
+          OpKind::PmcRead, OpKind::PmcReadClear, OpKind::RegionEnter,
+          OpKind::RegionExit}) {
+        EXPECT_DEATH(runDeclaring([bad](Guest &g) {
+                         g.declareLoop({{OpKind::Load}, {bad}});
+                     }),
+                     "cannot replay")
+            << "op kind " << static_cast<unsigned>(bad);
+    }
 }
 
 } // namespace

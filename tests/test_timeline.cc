@@ -33,7 +33,7 @@ using sim::TimelineRecorder;
 
 constexpr unsigned kInterval = 4096;
 
-/** Mixed compute/memory run with a mid-run behaviour change. */
+/** Mixed compute/memory run with mid-run behaviour changes. */
 analysis::SimBundle
 makeBundle(bool batched, bool superblocks)
 {
@@ -63,6 +63,16 @@ runWorkload(analysis::SimBundle &b)
                     co_await g.load(a);
                     co_await g.store(a + 8);
                     co_await g.compute(2);
+                }
+                // A declared hot loop: with superblocks on it retires
+                // through replay, whose spans must still split at
+                // slice boundaries exactly where per-op events do.
+                const sim::Addr hot = 0x400000 + g.tid() * 0x10000;
+                g.declareLoop({{sim::OpKind::Load},
+                               {sim::OpKind::Compute, 3}});
+                for (unsigned s = 0; s < 3'000; ++s) {
+                    co_await g.load(hot + (s % 64) * 8);
+                    co_await g.compute(3);
                 }
             });
     }
@@ -94,6 +104,12 @@ TEST(TimelineRecorder, SlicesBitIdenticalAcrossExecutionModes)
         b.timeline()->finalize(b.machine().maxTime());
         EXPECT_EQ(end, b.machine().maxTime());
         flat[m] = flattenLanes(*b.timeline());
+        if (m == 0 && sim::batchedExecutionDefault() &&
+            sim::superblockExecutionDefault()) {
+            // Otherwise the comparison below proves nothing about how
+            // replayed spans land in slices.
+            EXPECT_GT(b.machine().superblockStats().opsReplayed, 0u);
+        }
 
         prof::Report report;
         report.schema("limitpp-timeline-v1");
