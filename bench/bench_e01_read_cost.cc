@@ -133,6 +133,10 @@ main(int argc, char **argv)
                 pec_ns, sim::ticksToNs(rows[3].cycles) / pec_ns,
                 sim::ticksToNs(rows[4].cycles) / pec_ns);
 
+    // The exact table EXPERIMENTS.md embeds — regenerate by pasting.
+    std::puts("\nEXPERIMENTS.md (E1) markdown:");
+    std::fputs(t.renderMarkdown().c_str(), stdout);
+
     // Dedicated traced re-run of the headline method.
     if (args.instrumented())
         runMethod(methods[0], 0, &args);

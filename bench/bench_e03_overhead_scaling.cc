@@ -178,6 +178,10 @@ main(int argc, char **argv)
               "one read per operation; syscall methods degrade "
               "severely as density rises.");
 
+    // The exact table EXPERIMENTS.md embeds — regenerate by pasting.
+    std::puts("\nEXPERIMENTS.md (E3) markdown:");
+    std::fputs(t.renderMarkdown().c_str(), stdout);
+
     // Dedicated traced re-run: densest PEC instrumentation, so the
     // timeline carries syscall, futex and switch traffic.
     if (args.instrumented())

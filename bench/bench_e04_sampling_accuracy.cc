@@ -184,6 +184,10 @@ main(int argc, char **argv)
               "segments are effectively invisible), matching the "
               "paper's precision argument.");
 
+    // The exact table EXPERIMENTS.md embeds — regenerate by pasting.
+    std::puts("\nEXPERIMENTS.md (E4) markdown:");
+    std::fputs(t.renderMarkdown().c_str(), stdout);
+
     // Dedicated traced re-run of one sampling point — the timeline
     // shows the sampling PMIs landing against the region boundaries.
     if (args.instrumented())

@@ -152,6 +152,10 @@ main(int argc, char **argv)
               "per-read cost matches naive-sum when no overflow hits "
               "the read window.");
 
+    // The exact table EXPERIMENTS.md embeds — regenerate by pasting.
+    std::puts("\nEXPERIMENTS.md (E8) markdown:");
+    std::fputs(t.renderMarkdown().c_str(), stdout);
+
     // Dedicated traced re-run: a 12-bit counter under the kernel
     // fix-up wraps constantly, so the timeline is dense with overflow
     // PMIs and fix-up events.

@@ -1,44 +1,13 @@
 #include "analysis/profile_report.hh"
 
 #include <cstdio>
+#include <variant>
 
 #include "analysis/trace_report.hh"
 #include "prof/kernel_profile.hh"
 #include "prof/timeline.hh"
 
 namespace limit::analysis {
-
-void
-annotateReport(prof::Report &report, SimBundle &bundle,
-               const BenchArgs &args, const std::string &bench)
-{
-    report.meta("bench", bench);
-    report.meta("seeds", static_cast<std::uint64_t>(args.seeds));
-    report.meta("jobs", static_cast<std::uint64_t>(args.jobs));
-    report.meta("sim.max_time_ticks",
-                static_cast<std::uint64_t>(bundle.machine().maxTime()));
-    report.meta("os.context_switches",
-                bundle.kernel().totalContextSwitches());
-    const sim::SuperblockStats &sb =
-        bundle.machine().superblockStats();
-    report.meta("superblock.entries", sb.entries);
-    report.meta("superblock.full_commits", sb.fullCommits);
-    report.meta("superblock.partial_flushes", sb.partialFlushes);
-    report.meta("superblock.stall_bridges", sb.stallBridges);
-    report.meta("superblock.ops_replayed", sb.opsReplayed);
-    const trace::Tracer *tracer = bundle.tracer();
-    if (tracer) {
-        report.meta("trace.records", tracer->totalRecorded());
-        report.meta("trace.dropped", tracer->totalDropped());
-        for (unsigned c = 0; c < tracer->numCores(); ++c) {
-            const std::uint64_t d = tracer->ring(c).dropped();
-            if (d > 0) {
-                report.meta("trace.dropped.core" + std::to_string(c),
-                            d);
-            }
-        }
-    }
-}
 
 bool
 writeProfile(prof::Report &report, const BenchArgs &args,
@@ -108,8 +77,10 @@ writeRunArtifacts(SimBundle &bundle, const BenchArgs &args,
     if (args.tracing())
         ok = writeTraceReport(bundle, args.trace) && ok;
     ok = writeTimeline(bundle, args, bench) && ok;
-    if (args.profile)
-        annotateReport(report, bundle, args, bench);
+    if (args.profile) {
+        for (const RunCounter &c : runCounters(bundle))
+            std::visit([&](auto v) { report.meta(c.key, v); }, c.value);
+    }
     return writeProfile(report, args, bench) && ok;
 }
 

@@ -23,14 +23,6 @@
 namespace limit::analysis {
 
 /**
- * Fold standard run metadata into `report` (bench name, seeds/jobs,
- * simulated time, context switches, per-core trace drops when a
- * tracer is attached).
- */
-void annotateReport(prof::Report &report, SimBundle &bundle,
-                    const BenchArgs &args, const std::string &bench);
-
-/**
  * Write the profile artifact when --profile was requested: stamp
  * bench/seeds/jobs metadata and write `report` to --profile-out.
  * For benches whose report aggregates many bundles (ParallelRunner
@@ -59,8 +51,8 @@ bool writeTimeline(SimBundle &bundle, const BenchArgs &args,
  * --trace FILE → Chrome-trace JSON from `bundle`'s tracer (with
  * timeline counter tracks when --timeline is also active);
  * --timeline FILE → limitpp-timeline-v1 JSON;
- * --profile / --profile-out FILE → `report` as profile JSON,
- * annotated with `bundle`'s run metadata.
+ * --profile / --profile-out FILE → `report` as profile JSON, with
+ * `bundle`'s runCounters as meta.
  * Returns false when a requested artifact could not be written.
  */
 bool writeRunArtifacts(SimBundle &bundle, const BenchArgs &args,

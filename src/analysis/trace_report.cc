@@ -9,53 +9,73 @@
 
 namespace limit::analysis {
 
+std::vector<RunCounter>
+runCounters(SimBundle &bundle)
+{
+    const sim::Machine &machine = bundle.machine();
+    const sim::WorkStats &w = machine.work();
+    // Superblock keys stay present (zeros) when replay is off, so
+    // dashboards can diff runs.
+    const sim::SuperblockStats &sb = machine.superblockStats();
+    // Hit rate over every op a replay covered: retired through it, or
+    // bridged through a mid-replay stall on the full memory path.
+    const std::uint64_t sb_total = sb.opsReplayed + sb.stallBridges;
+    std::vector<RunCounter> out = {
+        {"sim.max_time_ticks", machine.maxTime()},
+        {"os.context_switches", bundle.kernel().totalContextSwitches()},
+        {"sim.rounds", w.rounds},
+        {"sim.guest_ops", w.guestOps},
+        {"os.polls", w.polls},
+        {"mem.access_calls", w.accessCalls},
+        {"mem.fast_tries", w.fastTries},
+        {"mem.fast_hits", w.fastHits},
+        {"superblock.entries", sb.entries},
+        {"superblock.full_commits", sb.fullCommits},
+        {"superblock.partial_flushes", sb.partialFlushes},
+        {"superblock.stall_bridges", sb.stallBridges},
+        {"superblock.ops_replayed", sb.opsReplayed},
+        {"superblock.refused_faults", sb.refusedFaults},
+        {"superblock.refused_pmi", sb.refusedPmi},
+        {"superblock.refused_horizon", sb.refusedHorizon},
+        {"superblock.refused_budget", sb.refusedBudget},
+        {"superblock.refused_overflow", sb.refusedOverflow},
+        {"superblock.refused_mem_view", sb.refusedMemView},
+        {"superblock.hit_rate",
+         sb_total == 0 ? 0.0
+                       : static_cast<double>(sb.opsReplayed) /
+                             static_cast<double>(sb_total)},
+    };
+    if (const trace::Tracer *tracer = bundle.tracer()) {
+        out.push_back({"trace.records", tracer->totalRecorded()});
+        out.push_back({"trace.dropped", tracer->totalDropped()});
+        for (unsigned c = 0; c < tracer->numCores(); ++c) {
+            const std::uint64_t d = tracer->ring(c).dropped();
+            if (d > 0)
+                out.push_back({"trace.dropped.core" + std::to_string(c), d});
+        }
+    }
+    return out;
+}
+
 void
 harvestStandardMetrics(SimBundle &bundle)
 {
     trace::MetricsRegistry &m = bundle.metrics();
-    m.set("sim.max_time_ticks",
-          static_cast<double>(bundle.machine().maxTime()));
+    for (const RunCounter &c : runCounters(bundle)) {
+        if (const auto *n = std::get_if<std::uint64_t>(&c.value))
+            m.add(c.key, *n);
+        else
+            m.set(c.key, std::get<double>(c.value));
+    }
     m.set("os.threads", bundle.kernel().numThreads());
-    m.add("os.context_switches",
-          bundle.kernel().totalContextSwitches());
     m.add("ledger.instructions",
           totalEvent(bundle.kernel(), sim::EventType::Instructions));
     m.add("ledger.cycles",
           totalEvent(bundle.kernel(), sim::EventType::Cycles));
 
-    // Superblock replay effectiveness (zeros when replay is off — the
-    // keys stay present so dashboards can diff runs).
-    const sim::SuperblockStats &sb =
-        bundle.machine().superblockStats();
-    m.add("superblock.entries", sb.entries);
-    m.add("superblock.full_commits", sb.fullCommits);
-    m.add("superblock.partial_flushes", sb.partialFlushes);
-    m.add("superblock.stall_bridges", sb.stallBridges);
-    m.add("superblock.ops_replayed", sb.opsReplayed);
-    m.add("superblock.refused_faults", sb.refusedFaults);
-    m.add("superblock.refused_pmi", sb.refusedPmi);
-    m.add("superblock.refused_horizon", sb.refusedHorizon);
-    m.add("superblock.refused_budget", sb.refusedBudget);
-    m.add("superblock.refused_overflow", sb.refusedOverflow);
-    m.add("superblock.refused_mem_view", sb.refusedMemView);
-    // Hit rate over every op a replay covered: retired through it, or
-    // bridged through a mid-replay stall on the full memory path.
-    const std::uint64_t sb_total = sb.opsReplayed + sb.stallBridges;
-    m.set("superblock.hit_rate",
-          sb_total == 0 ? 0.0
-                        : static_cast<double>(sb.opsReplayed) /
-                              static_cast<double>(sb_total));
-
     const trace::Tracer *tracer = bundle.tracer();
     if (!tracer)
         return;
-    m.add("trace.records", tracer->totalRecorded());
-    m.add("trace.dropped", tracer->totalDropped());
-    for (unsigned c = 0; c < tracer->numCores(); ++c) {
-        const std::uint64_t d = tracer->ring(c).dropped();
-        if (d > 0)
-            m.add("trace.dropped.core" + std::to_string(c), d);
-    }
     for (unsigned c = 0; c < trace::numTraceCategories; ++c) {
         const auto cat = static_cast<trace::TraceCategory>(c);
         const std::uint64_t n = tracer->categoryCount(cat);

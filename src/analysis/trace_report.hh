@@ -13,16 +13,38 @@
 #ifndef LIMIT_ANALYSIS_TRACE_REPORT_HH
 #define LIMIT_ANALYSIS_TRACE_REPORT_HH
 
+#include <cstdint>
 #include <string>
+#include <variant>
+#include <vector>
 
 #include "analysis/bundle.hh"
 
 namespace limit::analysis {
 
+/** One exported machine counter: an exact count, or a ratio. */
+struct RunCounter
+{
+    std::string key;
+    std::variant<std::uint64_t, double> value;
+};
+
 /**
- * Fold standard post-run metrics from `bundle` (ledger totals,
- * scheduler counts, trace aggregates when a tracer is attached) into
- * bundle.metrics(). Safe to call on an untraced bundle.
+ * The machine counters every run artifact exports, named once here:
+ * simulated end time, context switches, host work (sim::WorkStats),
+ * superblock replay stats and, when a tracer is attached, ring totals
+ * and per-core drops. harvestStandardMetrics folds them into the
+ * trace metrics (counts as counters, ratios as gauges) and
+ * writeRunArtifacts into the profile's meta. Host-work counts depend
+ * on the execution mode, so no table and no fingerprint reads them.
+ */
+std::vector<RunCounter> runCounters(SimBundle &bundle);
+
+/**
+ * Fold standard post-run metrics from `bundle` (runCounters plus
+ * ledger totals, thread count and, when a tracer is attached,
+ * per-category trace counts) into bundle.metrics(). Safe to call on
+ * an untraced bundle.
  */
 void harvestStandardMetrics(SimBundle &bundle);
 

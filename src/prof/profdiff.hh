@@ -11,8 +11,7 @@
  * mean-to-mean with min/max spread bands across the side's files. A
  * delta is *significant* only when the two bands do not overlap, so
  * seed-level noise cannot trip the gate. `tools/profdiff` wraps this
- * in a CLI with markdown output and a `--gate pct` exit code, the
- * guest-metric mirror of scripts/check_selfperf.py.
+ * in a CLI with markdown output and a `--gate pct` exit code.
  */
 
 #ifndef LIMIT_PROF_PROFDIFF_HH

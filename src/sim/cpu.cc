@@ -16,7 +16,7 @@ Cpu::Cpu(CoreId id, Machine &machine, const CostModel &costs,
          unsigned pmu_counters, const PmuFeatures &pmu_features)
     : id_(id), machine_(machine), costs_(costs),
       pmu_(pmu_counters, pmu_features),
-      sbStats_(machine.superblockStats())
+      sbStats_(machine.superblockStats()), work_(machine.work())
 {
 }
 
@@ -341,10 +341,12 @@ Cpu::execMemoryFast(GuestContext &ctx, const PendingOp &op)
 
     // All-hit accesses (the common case on streaming patterns) carry
     // exactly three events; skip the dense-deltas machinery for them.
+    ++work_.fastTries;
     const Tick fast = machine_.memory()->tryFastAccess(id_, op.addr,
                                                        write);
     if (fast == 0)
         return false;
+    ++work_.fastHits;
     const SparseDelta d[3] = {
         {EventType::Cycles, fast},
         {EventType::Instructions, 1},
@@ -367,6 +369,7 @@ Cpu::execMemorySlow(GuestContext &ctx, const PendingOp &op)
 {
     const bool write = op.kind == OpKind::Store;
     EventDeltas d;
+    ++work_.accessCalls;
     const Tick latency =
         machine_.memory()->access(id_, op.addr, write, false, d);
 
@@ -383,6 +386,7 @@ Cpu::execAtomic(GuestContext &ctx, const PendingOp &op)
 {
     panic_if(op.word == nullptr, "atomic op without host storage");
     EventDeltas d;
+    ++work_.accessCalls;
     const Tick latency = machine_.memory()->access(id_, op.addr,
                                                    /*write=*/true,
                                                    /*atomic=*/true, d);

@@ -22,6 +22,7 @@ namespace limit::sim {
 class Machine;
 class KernelIf;
 class MemoryIf;
+struct WorkStats;
 
 /**
  * A single in-order core.
@@ -386,8 +387,9 @@ class Cpu
     bool epiloguePending_ = false;
     /** @} */
 
-    /** The machine's superblock stats block (shared by all cores). */
+    /** The machine's superblock and host-work stats (shared by all cores). */
     SuperblockStats &sbStats_;
+    WorkStats &work_;
 
     /** @name Superblock replay state @{ */
     /** Replay active for this run (batched mode only). */

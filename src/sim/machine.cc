@@ -145,6 +145,7 @@ Machine::runPerOp()
         const Tick now = best ? best->now() : maxTick;
         if (now >= nextPollAt_) {
             nextPollAt_ = 0; // conservative unless the kernel re-arms
+            ++work_.polls;
             if (kernel_->poll(now))
                 best = earliest_busy();
         }
@@ -159,8 +160,8 @@ Machine::runPerOp()
                  "runaway simulation: core ", best->id(),
                  " passed the hard limit at tick ", best->now());
         best->step();
-        ++batchRounds_;
-        ++batchOps_;
+        ++work_.rounds;
+        ++work_.guestOps;
     }
     return maxTime();
 }
@@ -209,6 +210,7 @@ Machine::runBatched()
         const Tick now = best ? best->now() : maxTick;
         if (now >= nextPollAt_) {
             nextPollAt_ = 0; // conservative unless the kernel re-arms
+            ++work_.polls;
             if (kernel_->poll(now)) {
                 rebuild();
                 best = heap.empty() ? nullptr : heap.front();
@@ -242,8 +244,8 @@ Machine::runBatched()
         // conservative per-op cadence.
         const Cpu::BatchResult res = best->runUntil(
             bound, nextPollAt_, config_.hardLimit, batchMaxOps);
-        ++batchRounds_;
-        batchOps_ += res.ops;
+        ++work_.rounds;
+        work_.guestOps += res.ops;
 
         if (res.interacted || best->idle()) {
             // Kernel touched the schedule (wakes, switches, exits,

@@ -62,6 +62,28 @@ struct MachineConfig
 };
 
 /**
+ * Host work one run cost the simulator, counted exactly: one plain
+ * increment at each call site, always on. The counts depend only on
+ * the seed, the workload and the execution mode, never on the host,
+ * so tests/test_work.cc pins them: a change that does more host work
+ * per guest op fails a test instead of slowing a timer.
+ */
+struct WorkStats
+{
+    /** Scheduler rounds: batches in batched mode, ops per-op. */
+    std::uint64_t rounds = 0;
+    /** Guest ops executed across all rounds, replayed ops included. */
+    std::uint64_t guestOps = 0;
+    /** KernelIf::poll calls; the kernel's poll hint elides the rest. */
+    std::uint64_t polls = 0;
+    /** Full MemoryIf::access calls (fast-path misses and atomics). */
+    std::uint64_t accessCalls = 0;
+    /** MemoryIf::tryFastAccess probes, and the ones that hit. */
+    std::uint64_t fastTries = 0;
+    std::uint64_t fastHits = 0;
+};
+
+/**
  * Process-wide master switch for horizon-batched execution, consulted
  * by every Machine::run. Cleared by --no-batch (analysis::parseBenchArgs)
  * and by setting LIMITPP_FORCE_NO_BATCH in the environment.
@@ -163,10 +185,16 @@ class Machine
     /** Largest core-local clock. */
     Tick maxTime() const;
 
+    /**
+     * Host work counted over every run() so far; every core counts
+     * into this one block.
+     */
+    WorkStats &work() { return work_; }
+    const WorkStats &work() const { return work_; }
     /** Scheduler rounds taken by run() (batches in batched mode). */
-    std::uint64_t batchRounds() const { return batchRounds_; }
+    std::uint64_t batchRounds() const { return work_.rounds; }
     /** Guest ops executed across all rounds. */
-    std::uint64_t batchOps() const { return batchOps_; }
+    std::uint64_t batchOps() const { return work_.guestOps; }
 
     /**
      * Machine-wide superblock replay statistics; every core counts
@@ -180,8 +208,9 @@ class Machine
     Tick runBatched();
 
     MachineConfig config_;
-    /** Declared before cpus_: each Cpu binds a reference to it. */
+    /** Declared before cpus_: each Cpu binds a reference to both. */
     SuperblockStats sbStats_;
+    WorkStats work_;
     std::vector<std::unique_ptr<Cpu>> cpus_;
     FlatMemory flatMemory_;
     MemoryIf *memory_ = nullptr;
@@ -192,8 +221,6 @@ class Machine
     RegionTable regions_;
     Tick stopAt_ = 0;
     Tick nextPollAt_ = 0;
-    std::uint64_t batchRounds_ = 0;
-    std::uint64_t batchOps_ = 0;
 };
 
 } // namespace limit::sim

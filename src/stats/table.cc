@@ -117,32 +117,30 @@ Table::render() const
 }
 
 std::string
-Table::renderCsv() const
+Table::renderMarkdown() const
 {
     panic_if(inRow_, "rendering a table with an unterminated row");
-    auto quote = [](const std::string &s) {
-        if (s.find_first_of(",\"\n") == std::string::npos)
-            return s;
-        std::string out = "\"";
-        for (char c : s) {
-            if (c == '"')
-                out += '"';
-            out += c;
-        }
-        out += '"';
-        return out;
-    };
     std::ostringstream os;
     auto emit = [&](const std::vector<std::string> &cells) {
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            os << quote(cells[i]);
-            if (i + 1 < cells.size())
-                os << ',';
+        os << '|';
+        for (const auto &c : cells) {
+            os << ' ';
+            for (char ch : c) {
+                if (ch == '|')
+                    os << '\\';
+                os << ch;
+            }
+            os << " |";
         }
         os << '\n';
     };
-    if (!header_.empty())
+    if (!header_.empty()) {
         emit(header_);
+        os << '|';
+        for (std::size_t i = 0; i < header_.size(); ++i)
+            os << "---|";
+        os << '\n';
+    }
     for (const auto &r : rows_)
         emit(r);
     return os.str();

@@ -3,7 +3,8 @@
  * Paper-style text table rendering shared by every bench binary.
  *
  * Tables are built row by row from heterogeneous cells and rendered
- * either as aligned ASCII (for terminal output) or CSV (for plotting).
+ * either as aligned ASCII (for terminal output) or as the markdown
+ * EXPERIMENTS.md quotes.
  */
 
 #ifndef LIMIT_STATS_TABLE_HH
@@ -15,7 +16,7 @@
 
 namespace limit::stats {
 
-/** Column-aligned text/CSV table builder. */
+/** Column-aligned text/markdown table builder. */
 class Table
 {
   public:
@@ -44,8 +45,11 @@ class Table
     /** Render aligned ASCII with a title and rule lines. */
     std::string render() const;
 
-    /** Render RFC-4180-ish CSV (quotes fields containing commas). */
-    std::string renderCsv() const;
+    /**
+     * Render a markdown table (no title; `|` in a cell is escaped),
+     * the form EXPERIMENTS.md quotes.
+     */
+    std::string renderMarkdown() const;
 
     /** Format helper: engineering notation with unit suffix. */
     static std::string withUnit(double value, const std::string &unit,

@@ -382,46 +382,5 @@ TEST(BatchEquivalence, OltpConvoyBitIdentical)
     expectIdentical(runOltpConvoy(true), runOltpConvoy(false));
 }
 
-// ---------------------------------------------------------------------
-// Batch accounting: the batched loop really batches
-// ---------------------------------------------------------------------
-
-TEST(BatchEquivalence, BatchedRunsAmortizeSchedulerRounds)
-{
-    if (!sim::batchedExecutionDefault()) {
-        // Under LIMITPP_FORCE_NO_BATCH (the no-batch CI job) every
-        // machine runs per-op, so there is no batching to measure —
-        // the equivalence tests above still run both paths' results.
-        GTEST_SKIP() << "batched execution force-disabled";
-    }
-    analysis::SimBundle batched(analysis::BundleOptions::Builder()
-                                    .cores(1)
-                                    .seed(3)
-                                    .batched(true)
-                                    .build());
-    batched.kernel().spawn("solo", [](Guest &g) -> Task<void> {
-        for (unsigned s = 0; s < 5'000; ++s)
-            co_await g.compute(10);
-    });
-    batched.machine().run();
-    // A lone compute-bound thread should execute many ops per
-    // scheduler round once the poll hint is parked far away.
-    EXPECT_GT(batched.machine().batchOps(),
-              batched.machine().batchRounds());
-
-    analysis::SimBundle perop(analysis::BundleOptions::Builder()
-                                  .cores(1)
-                                  .seed(3)
-                                  .batched(false)
-                                  .build());
-    perop.kernel().spawn("solo", [](Guest &g) -> Task<void> {
-        for (unsigned s = 0; s < 5'000; ++s)
-            co_await g.compute(10);
-    });
-    perop.machine().run();
-    // The reference loop is one op per round, by definition.
-    EXPECT_EQ(perop.machine().batchOps(), perop.machine().batchRounds());
-}
-
 } // namespace
 } // namespace limit

@@ -9,10 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/bundle.hh"
 #include "os/kernel.hh"
 #include "os/sysno.hh"
 #include "pec/pec.hh"
 #include "sim/machine.hh"
+#include "stats/hdr_histogram.hh"
 
 namespace limit {
 namespace {
@@ -260,6 +262,32 @@ TEST(PecDeathTest, ReadDeltaRequiresFeature)
             m.run();
         },
         ::testing::ExitedWithCode(1), "destructiveRead");
+}
+
+// The simulated cost of a fast read, pinned exactly: 20,000
+// back-to-back reads of one counter on an idle core at seed 1, each
+// read's guest-visible duration in simulated cycles. Any change is a
+// read-path or cost-model change and re-pins on purpose.
+TEST(Pec, FastReadLatencyPercentilesPinned)
+{
+    analysis::SimBundle b(
+        analysis::BundleOptions::builder().cores(1).seed(1).build());
+    PecSession session(b.kernel());
+    session.addEvent(0, EventType::Cycles, true, true);
+    stats::HdrHistogram h;
+    b.kernel().spawn("probe", [&](Guest &g) -> Task<void> {
+        for (int i = 0; i < 20'000; ++i) {
+            const sim::Tick t0 = g.now();
+            const std::uint64_t v = co_await session.read(g, 0);
+            (void)v;
+            h.add(g.now() - t0);
+        }
+    });
+    b.machine().run();
+    EXPECT_EQ(h.totalCount(), 20'000u);
+    EXPECT_EQ(h.quantile(0.5), 111u);
+    EXPECT_EQ(h.quantile(0.99), 125u);
+    EXPECT_EQ(h.quantile(0.999), 125u);
 }
 
 TEST(Pec, MultipleCountersIndependent)

@@ -46,22 +46,24 @@ TEST(TableDeathTest, RowWidthMismatchPanics)
     EXPECT_DEATH(t.row({"only-one"}), "row width");
 }
 
-TEST(Table, CsvQuotesSpecials)
+TEST(Table, MarkdownRendersHeaderRuleAndRows)
 {
-    Table t("csv");
-    t.header({"name", "value"});
-    t.row({"a,b", "say \"hi\""});
-    const std::string csv = t.renderCsv();
-    EXPECT_NE(csv.find("\"a,b\""), std::string::npos);
-    EXPECT_NE(csv.find("\"say \"\"hi\"\"\""), std::string::npos);
+    Table t("md");
+    t.header({"method", "ns"});
+    t.row({"pec", "37.1"});
+    t.beginRow().cell("perf").cell(3402.0, 1);
+    EXPECT_EQ(t.renderMarkdown(), "| method | ns |\n"
+                                  "|---|---|\n"
+                                  "| pec | 37.1 |\n"
+                                  "| perf | 3402.0 |\n");
 }
 
-TEST(Table, CsvPlainFieldsUnquoted)
+TEST(Table, MarkdownEscapesPipes)
 {
-    Table t("csv");
+    Table t("md");
     t.header({"x"});
-    t.row({"plain"});
-    EXPECT_EQ(t.renderCsv(), "x\nplain\n");
+    t.row({"a|b"});
+    EXPECT_EQ(t.renderMarkdown(), "| x |\n|---|\n| a\\|b |\n");
 }
 
 TEST(Table, WithUnitScales)

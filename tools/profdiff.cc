@@ -1,8 +1,7 @@
 /**
  * @file
  * profdiff: diff two limitpp report JSON files (profile, sensitivity
- * or timeline schema) and gate on guest-metric regressions — the
- * guest-side mirror of scripts/check_selfperf.py.
+ * or timeline schema) and gate on guest-metric regressions.
  *
  * Usage:
  *   profdiff [--gate PCT] [--out FILE] BASE[,BASE2,...] NEW[,NEW2,...]
