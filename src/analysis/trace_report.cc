@@ -17,8 +17,8 @@ runCounters(SimBundle &bundle)
     // Superblock keys stay present (zeros) when replay is off, so
     // dashboards can diff runs.
     const sim::SuperblockStats &sb = machine.superblockStats();
-    // Hit rate over every op a replay covered: retired through it, or
-    // bridged through a mid-replay stall on the full memory path.
+    // Hit rate over every op a replay covered: retired on the fast
+    // check, or run through the full memory model inside the replay.
     const std::uint64_t sb_total = sb.opsReplayed + sb.stallBridges;
     std::vector<RunCounter> out = {
         {"sim.max_time_ticks", machine.maxTime()},

@@ -13,6 +13,7 @@
 #ifndef LIMIT_MEM_HIERARCHY_HH
 #define LIMIT_MEM_HIERARCHY_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -100,6 +101,9 @@ class CacheHierarchy : public sim::MemoryIf
      * The exact tryFastAccess hit predicate, exported field by field:
      * same-page TLB repeat AND MRU-way L1 hit at l1Latency. Write vs.
      * read makes no difference on this path, mirroring tryFastAccess.
+     * The worst plain access misses the TLB and is served by the
+     * slowest level; the levels' latencies are independent knobs, so
+     * that is the largest of them, not necessarily memLatency.
      */
     sim::FastPeekView
     fastPeekView(sim::CoreId core) override
@@ -109,6 +113,9 @@ class CacheHierarchy : public sim::MemoryIf
             return v;
         const HotPath &h = hot_[core];
         v.latency = config_.l1Latency;
+        v.maxLatency = config_.tlbMissPenalty +
+                       std::max({config_.l1Latency, config_.l2Latency,
+                                 config_.llcLatency, config_.memLatency});
         v.lastPage = h.tlb->lastPagePtr();
         v.pageShift = h.tlb->pageShiftBits();
         v.mruTags = h.l1->tagArrayPtr();

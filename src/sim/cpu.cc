@@ -200,15 +200,9 @@ Cpu::tryInlineOp(GuestContext &ctx)
             return true;
         if (ctx.opConsumedInline)
             return false; // single-op replay ended the batch
-        // Entry op mismatched after all (a mem stall has already
-        // flushed via sbStallMem); commit and fall through.
-        if (ctx.sbr.cur != nullptr)
-            sbCommitReplay(ctx, /*partial=*/true);
-        // A stall flush advances the clock and spends budget, so
-        // the entry pre-checks may no longer hold for this op.
-        if (batchOpsLeft_ == 0 || now_ >= batchBound_ ||
-            now_ >= batchPollAt_)
-            return false;
+        // The entry op's operands did not match the declaration: drop
+        // the empty replay (nothing to commit) and fall through.
+        sbCommitReplay(ctx, /*partial=*/true);
     }
     switch (op.kind) {
       case OpKind::Compute:
@@ -578,9 +572,45 @@ Cpu::drainOverflowsSlow()
 // ---------------------------------------------------------------------
 
 bool
-Cpu::sbSizeIters(const Superblock &block, std::uint64_t &out)
+Cpu::sbTryEnter(GuestContext &ctx, const Superblock &block)
 {
     SuperblockStats &stats = sbStats_;
+    // A fault plan can trigger on any op's seams; replay would skip
+    // its probe points. Refuse outright while any controller is
+    // attached — fault runs are diagnostics, not throughput runs.
+    if (machine_.faults() != nullptr) {
+        ++stats.refusedFaults;
+        return false;
+    }
+    // A pending PMI must be delivered at the next op boundary.
+    if (!pendingPmis_.empty()) {
+        ++stats.refusedPmi;
+        return false;
+    }
+    SbReplay &r = ctx.sbr;
+    if (block.numMemOps > 0) {
+        // Model swapped or reconfigured since the declaration (memLat
+        // is nonzero by declaration; the bounds assume memMaxLat), or
+        // a geometry the shift-based set indexing can't express.
+        if (sbPeek_.latency != block.memLat ||
+            sbPeek_.maxLatency != block.memMaxLat ||
+            (!sbPeek_.alwaysHit &&
+             (sbPeek_.ways & (sbPeek_.ways - 1)) != 0)) {
+            ++stats.refusedMemView;
+            return false;
+        }
+        r.memAlwaysHit = sbPeek_.alwaysHit;
+        if (!sbPeek_.alwaysHit) {
+            r.pageShift = sbPeek_.pageShift;
+            r.lineShift = sbPeek_.lineShift;
+            r.waysShift = static_cast<unsigned>(
+                std::countr_zero(sbPeek_.ways));
+            r.pageVal = *sbPeek_.lastPage;
+            r.setMask = sbPeek_.setMask;
+            r.mruTags = sbPeek_.mruTags;
+            r.lastGoodLine = ~0ull;
+        }
+    }
     // Every replayed op must land strictly below the batch bound, the
     // poll deadline and the quantum end (so per-op execution would
     // also have run the whole span back to back on this core), and at
@@ -646,62 +676,18 @@ Cpu::sbSizeIters(const Superblock &block, std::uint64_t &out)
         if (byWrap < iters)
             iters = byWrap;
     }
-    out = iters;
-    return true;
-}
-
-bool
-Cpu::sbTryEnter(GuestContext &ctx, const Superblock &block)
-{
-    SuperblockStats &stats = sbStats_;
-    // A fault plan can trigger on any op's seams; replay would skip
-    // its probe points. Refuse outright while any controller is
-    // attached — fault runs are diagnostics, not throughput runs.
-    if (machine_.faults() != nullptr) {
-        ++stats.refusedFaults;
-        return false;
-    }
-    // A pending PMI must be delivered at the next op boundary.
-    if (!pendingPmis_.empty()) {
-        ++stats.refusedPmi;
-        return false;
-    }
-    SbReplay &r = ctx.sbr;
-    if (block.numMemOps > 0) {
-        // Model swapped or reconfigured since the declaration (memLat
-        // is nonzero by declaration), or a geometry the shift-based
-        // set indexing can't express.
-        if (sbPeek_.latency != block.memLat ||
-            (!sbPeek_.alwaysHit &&
-             (sbPeek_.ways & (sbPeek_.ways - 1)) != 0)) {
-            ++stats.refusedMemView;
-            return false;
-        }
-        r.peek = sbPeek_;
-        r.memAlwaysHit = sbPeek_.alwaysHit;
-        if (!sbPeek_.alwaysHit) {
-            r.pageShift = sbPeek_.pageShift;
-            r.lineShift = sbPeek_.lineShift;
-            r.waysShift = static_cast<unsigned>(
-                std::countr_zero(sbPeek_.ways));
-            r.pageVal = *sbPeek_.lastPage;
-            r.setMask = sbPeek_.setMask;
-            r.mruTags = sbPeek_.mruTags;
-            r.lastGoodLine = ~0ull;
-        }
-    }
-    std::uint64_t iters;
-    if (!sbSizeIters(block, iters))
-        return false;
     r.opsBegin = block.ops.data();
     r.opsEnd = r.opsBegin + block.ops.size();
     r.cur = r.opsBegin;
-    r.startOffset = 0;
     r.itersTotal = iters;
     r.itersLeft = iters;
     r.mispredictPenalty = costs_.mispredictPenalty;
     r.accBranches = 0;
     r.accMisses = 0;
+    r.fullOps = 0;
+    r.fullTicks = 0;
+    r.memCredited = 0;
+    r.fullDeltas = {};
     r.block = &block;
     // Replayable ops all produce a zero result; publish it once.
     ctx.result = 0;
@@ -709,87 +695,34 @@ Cpu::sbTryEnter(GuestContext &ctx, const Superblock &block)
     return true;
 }
 
-bool
-Cpu::sbResume(GuestContext &ctx, const Superblock &block,
-              std::uint32_t start)
-{
-    // Same round, same block: the peek view, fault state (attachable
-    // only between runs), and ops pointers are all still valid, and
-    // the caller already verified no PMI is pending. Only the sizing
-    // must be redone against the advanced clock and budget.
-    std::uint64_t iters;
-    if (!sbSizeIters(block, iters))
-        return false;
-    SbReplay &r = ctx.sbr;
-    r.cur = r.opsBegin + start;
-    r.startOffset = start;
-    r.itersTotal = iters;
-    r.itersLeft = iters;
-    r.accBranches = 0;
-    r.accMisses = 0;
-    r.block = &block;
-    // The bridged access may have moved the TLB's hot page and the L1
-    // MRU tags; the other flattened fields are geometry, invariant
-    // within a run. The validation cache is poisoned for the same
-    // reason.
-    if (!r.memAlwaysHit && block.numMemOps > 0) {
-        r.pageVal = *r.peek.lastPage;
-        r.lastGoodLine = ~0ull;
-    }
-    ++sbStats_.entries;
-    return true;
-}
-
-bool
-Cpu::sbStallMem(GuestContext &ctx)
+void
+Cpu::sbFullAccess(GuestContext &ctx)
 {
     SbReplay &r = ctx.sbr;
     const Superblock &b = *r.block;
-    const std::uint64_t curOff =
-        static_cast<std::uint64_t>(r.cur - r.opsBegin);
-    // No progress yet: a plain entry miss. Take the ordinary flush
-    // and let the caller run the op on the normal path.
-    if (r.itersLeft == r.itersTotal && curOff == r.startOffset) {
-        sbCommitReplay(ctx, /*partial=*/true);
-        return false;
-    }
-    // Commit the span first: the bulk TLB/L1 credits must land before
-    // the full access below mutates the recency state they assume,
-    // and the access's own deltas must apply after the span's.
-    sbCommitReplay(ctx, /*partial=*/true);
-    // The stalled op itself needs the normal path's budget/horizons.
-    if (batchOpsLeft_ == 0 || now_ >= batchBound_ || now_ >= batchPollAt_)
-        return false; // suspend path
-    panic_if(now_ > batchHardLimit_,
-             "runaway simulation: core ", id_,
-             " passed the hard limit at tick ", now_);
-    execMemorySlow(ctx, ctx.op);
-    --batchOpsLeft_;
-    ++sbStats_.stallBridges;
-    if (!pendingPmis_.empty() || now_ >= quantumEnd) {
-        epiloguePending_ = true;
-        ctx.opConsumedInline = true;
-        return false;
-    }
-    if (now_ >= batchBound_ || now_ >= batchPollAt_ ||
-        batchOpsLeft_ == 0) {
-        ctx.opConsumedInline = true;
-        return false;
-    }
-    // Continue the same block right after the stalled op. On refusal
-    // the guest still continues inline — just without a replay, until
-    // the declared loop's first op comes round again.
-    std::uint32_t next = static_cast<std::uint32_t>(curOff) + 1;
-    if (next == b.ops.size())
-        next = 0;
-    sbResume(ctx, b, next);
-    return true;
+    // Credit the fast hits retired since the previous full access
+    // first: per-op execution touched the DTLB's most recent page for
+    // each of them before this access could demote or evict it.
+    const std::uint64_t memBefore =
+        (r.itersTotal - r.itersLeft) * (b.iterLoads + b.iterStores) +
+        r.cur->prefixLoads + r.cur->prefixStores;
+    if (memBefore > r.memCredited)
+        machine_.memory()->creditFastAccesses(id_, memBefore - r.memCredited);
+    r.memCredited = memBefore + 1;
+    ++work_.accessCalls;
+    r.fullTicks += machine_.memory()->access(
+        id_, ctx.op.addr, ctx.op.kind == OpKind::Store, false, r.fullDeltas);
+    ++r.fullOps;
+    // The access may have moved the TLB's most recent page and the
+    // L1 MRU tags the validation reads.
+    r.pageVal = *sbPeek_.lastPage;
+    r.lastGoodLine = ~0ull;
 }
 
-bool
-superblockStallMem(GuestContext &ctx) noexcept
+void
+superblockFullAccess(GuestContext &ctx) noexcept
 {
-    return ctx.inlineCpu->sbStallMem(ctx);
+    ctx.inlineCpu->sbFullAccess(ctx);
 }
 
 void
@@ -798,50 +731,44 @@ Cpu::sbCommitReplay(GuestContext &ctx, bool partial)
     SbReplay &r = ctx.sbr;
     const Superblock &b = *r.block;
     SuperblockStats &stats = sbStats_;
-    const std::uint64_t size = b.ops.size();
     const std::uint64_t fullIters = r.itersTotal - r.itersLeft;
-    const std::uint64_t curOff =
-        static_cast<std::uint64_t>(r.cur - r.opsBegin);
-    const std::uint64_t ops =
-        fullIters * size + curOff - r.startOffset;
+    const MicroOp &cur = *r.cur;
+    const std::uint64_t ops = fullIters * b.ops.size() +
+                              static_cast<std::uint64_t>(r.cur - r.opsBegin);
+    const Tick cycles = ctx.sbPendingTicks();
     r.cur = nullptr;
     r.block = nullptr;
     if (ops == 0)
         return; // armed, but the very first op already mismatched
 
     // O(1) commit: everything except the residue-driven branch terms
-    // is a prefix-sum difference (`ops` spans fullIters whole
-    // iterations plus the [startOffset, curOff) partial span).
-    const MicroOp *curOp = r.opsBegin + curOff;
-    const MicroOp *startOp = r.opsBegin + r.startOffset;
-    const Tick base = fullIters * b.iterBase + curOp->prefixBase -
-                      startOp->prefixBase;
-    const std::uint64_t instrs = fullIters * b.iterInstrs +
-                                 curOp->prefixInstrs - startOp->prefixInstrs;
-    const std::uint64_t loads = fullIters * b.iterLoads +
-                                curOp->prefixLoads - startOp->prefixLoads;
-    const std::uint64_t stores = fullIters * b.iterStores +
-                                 curOp->prefixStores -
-                                 startOp->prefixStores;
-    const Tick cycles = base + r.accMisses * costs_.mispredictPenalty;
+    // and the full accesses is a prefix sum over `ops` (fullIters
+    // whole iterations plus the partial one up to `cur`).
+    const std::uint64_t loads = fullIters * b.iterLoads + cur.prefixLoads;
+    const std::uint64_t stores = fullIters * b.iterStores + cur.prefixStores;
     // Deferred clock: sbStep does not advance the core clock per op;
     // the whole span lands here (mid-replay readers reconstruct the
     // exact time via GuestContext::sbPendingTicks).
     now_ += cycles;
-    const SparseDelta d[6] = {{EventType::Cycles, cycles},
-                              {EventType::Instructions, instrs},
-                              {EventType::Loads, loads},
-                              {EventType::Stores, stores},
-                              {EventType::Branches, r.accBranches},
-                              {EventType::BranchMisses, r.accMisses}};
+    EventDeltas &d = r.fullDeltas;
+    d[EventType::Cycles] += cycles;
+    d[EventType::Instructions] +=
+        fullIters * b.iterInstrs + cur.prefixInstrs;
+    d[EventType::Loads] += loads;
+    d[EventType::Stores] += stores;
+    d[EventType::Branches] += r.accBranches;
+    d[EventType::BranchMisses] += r.accMisses;
     // sbTryEnter sized the replay so no counter can wrap: this apply
     // queues no PMIs, making the one-shot fold exact.
-    applyFewEvents(PrivMode::User, d);
-    if (loads + stores > 0)
-        machine_.memory()->creditFastAccesses(id_, loads + stores);
+    applyEvents(PrivMode::User, d);
+    if (loads + stores > r.memCredited) {
+        machine_.memory()->creditFastAccesses(
+            id_, loads + stores - r.memCredited);
+    }
     batchOpsLeft_ -= static_cast<unsigned>(ops);
 
-    stats.opsReplayed += ops;
+    stats.opsReplayed += ops - r.fullOps;
+    stats.stallBridges += r.fullOps;
     if (partial)
         ++stats.partialFlushes;
     else

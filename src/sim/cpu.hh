@@ -120,16 +120,15 @@ class Cpu
     bool sbFinishReplay(GuestContext &ctx);
 
     /**
-     * Mid-replay stall on a memory op that left the declared fast
-     * path (called from GuestContext::sbStep via superblockStallMem):
-     * commit the replayed span, execute the op on the full path right
-     * here, and resume the same block at the next offset. Falls back
-     * to the plain flush when the replay had made no progress, and to
-     * the suspend path when the op budget or a horizon refuses the
-     * op. Returns true when the op was consumed and the guest may keep
-     * running inline.
+     * A replayed memory op failed the fast-path check (called from
+     * GuestContext::sbStep via superblockFullAccess): credit the fast
+     * hits retired since the previous full access, run this op's
+     * MemoryIf::access into the replay cursor's latency sum and event
+     * deltas, and refresh the cursor's page and line validation. The
+     * replay goes on; sbTryEnter sized it for every memory op taking
+     * this path at its worst-case latency.
      */
-    bool sbStallMem(GuestContext &ctx);
+    void sbFullAccess(GuestContext &ctx);
 
     /**
      * Enable/disable superblock replay on this core's hot path
@@ -244,29 +243,19 @@ class Cpu
     /**
      * Try to arm a replay of the thread's declared loop at its first
      * op, for the op about to execute: checks fault plans, pending
-     * PMIs, the batch horizon/poll/quantum limits, the op budget, PMU
-     * headroom (no counter may wrap inside the replay), and the memory
-     * fast-path view, then sizes the replay to the largest iteration
-     * count safe under all of them.
+     * PMIs, the memory fast-path view (its fast and worst-case
+     * latencies must be the declared ones), the batch horizon/poll/
+     * quantum/timeline-slice limits, the op budget and PMU headroom
+     * (no counter may wrap inside the replay), then sizes the replay
+     * to the largest iteration count safe under all of them.
      */
     bool sbTryEnter(GuestContext &ctx, const Superblock &block);
     /**
-     * Shared sizing core of sbTryEnter/sbResume: the largest iteration
-     * count safe under the batch horizon, poll deadline, quantum end,
-     * hard limit, op budget, and PMU no-wrap headroom. False (with the
-     * refusal counted) when not even one iteration fits.
-     */
-    bool sbSizeIters(const Superblock &block, std::uint64_t &iters);
-    /**
-     * Re-arm the just-committed replay after a bridged stall: same
-     * block, same peek view, fresh sizing, starting at op `start`.
-     */
-    bool sbResume(GuestContext &ctx, const Superblock &block,
-                  std::uint32_t start);
-    /**
-     * Commit a replay's deferred effects (one applyFewEvents call plus
-     * bulk memory-model credits) and clear the cursor. `partial` marks
-     * replays ended by an op mismatch rather than by plan.
+     * Commit a replay's deferred effects (one applyEvents call with
+     * the span's totals and its full accesses' miss events, plus the
+     * fast-hit credits not yet handed to the memory model) and clear
+     * the cursor. `partial` marks replays ended by an op mismatch
+     * rather than by plan.
      */
     void sbCommitReplay(GuestContext &ctx, bool partial);
     void executeOp(GuestContext &ctx);
@@ -278,13 +267,8 @@ class Cpu
      * changed beyond the per-core probe).
      */
     bool execMemoryFast(GuestContext &ctx, const PendingOp &op);
-    /**
-     * Full-path half of execMemory: MemoryIf::access plus the dense
-     * event apply. The stall bridge calls it directly for an op
-     * already known to miss the fast path (it validated the exact
-     * tryFastAccess predicate through the live peek view an op ago),
-     * skipping the re-probe.
-     */
+    /** Full-path half of execMemory: MemoryIf::access plus the
+     *  dense event apply. */
     void execMemorySlow(GuestContext &ctx, const PendingOp &op);
     void execAtomic(GuestContext &ctx, const PendingOp &op);
     void execPmcRead(GuestContext &ctx, const PendingOp &op);
@@ -395,9 +379,10 @@ class Cpu
     /** Replay active for this run (batched mode only). */
     bool sbEnabled_ = false;
     /**
-     * Memory model's fast-path probe view, refreshed once per batch
-     * round (the model can be swapped between runs, never inside a
-     * round) so sbTryEnter pays no virtual call per entry.
+     * Memory model's fast-path probe view, snapshotted once per run
+     * by setSuperblocksEnabled (the model can be swapped between
+     * runs, never inside one) so neither sbTryEnter nor sbFullAccess
+     * pays a virtual call for it.
      */
     FastPeekView sbPeek_{};
     /** @} */

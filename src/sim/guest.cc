@@ -46,7 +46,7 @@ Guest::declareLoop(std::initializer_list<LoopOp> body)
     Machine &m = c.machine();
     auto block = std::make_unique<const Superblock>(
         std::span<const LoopOp>(body.begin(), body.size()),
-        m.memory()->fastPeekView(c.lastCore).latency,
+        m.memory()->fastPeekView(c.lastCore),
         m.config().costs.mispredictPenalty);
     if (c.sbr.block != nullptr && c.sbr.block == c.loop.get())
         c.retiredLoop = std::move(c.loop);

@@ -181,8 +181,8 @@ class GuestContext
     std::unique_ptr<const Superblock> loop;
     /**
      * The declaration `loop` replaced while a replay cursor still
-     * pointed into it: kept alive so the cursor, and any stall-bridge
-     * resume of it, stay valid.
+     * pointed into it: kept alive so the cursor stays valid until
+     * that replay commits.
      */
     std::unique_ptr<const Superblock> retiredLoop;
     /**
@@ -199,7 +199,8 @@ class GuestContext
      * Ticks an in-progress replay has accumulated but not yet folded
      * into the core clock (the commit folds them in one add). Exact:
      * prefix sums cover the residue-independent part, accMisses the
-     * mispredict term. Zero when no replay is active.
+     * mispredict term, and fullTicks replaces the fast-path latency
+     * of each full access. Zero when no replay is active.
      */
     Tick sbPendingTicks() const noexcept;
     std::vector<RegionId> regionStack;
@@ -251,13 +252,11 @@ class GuestContext
 bool superblockFinishReplay(GuestContext &ctx) noexcept;
 
 /**
- * Out-of-line hook for a mid-replay memory op that left the declared
- * fast path (defined in cpu.cc; forwards to Cpu::sbStallMem): commits
- * the span replayed so far, executes the op on the full path, and
- * resumes the same block at the next offset when the budgets allow.
- * Returns true when the op was consumed and the guest may continue.
+ * Out-of-line hook for a replayed memory op that failed the fast-path
+ * check (defined in cpu.cc; forwards to Cpu::sbFullAccess): runs it
+ * through the full memory model without ending the replay.
  */
-bool superblockStallMem(GuestContext &ctx) noexcept;
+void superblockFullAccess(GuestContext &ctx) noexcept;
 
 inline bool
 GuestContext::sbStep() noexcept
@@ -301,30 +300,24 @@ GuestContext::sbStep() noexcept
                 r.accMisses += misses;
             }
         }
-    } else {
-        // Load/Store: the declared fast-path assumptions must still
-        // hold for this address (same TLB page, L1 MRU way). A miss
-        // here is almost always a line/page crossing of an otherwise
-        // stable loop: bridge it — commit the span, run this one op on
-        // the full path, resume the same block — without tearing the
-        // replay down (Cpu::sbStallMem).
-        if (!r.memAlwaysHit) {
-            const std::uint64_t line = o.addr >> r.lineShift;
-            // Hoisted validation: the assumptions are frozen for the
-            // whole span, so an op on the same line as the previous
-            // validated one is valid by that op's check (same line ⇒
-            // same page; the MRU tags cannot change mid-span). One
-            // register compare instead of a page check plus a tags
-            // load for the common run of same-line accesses between
-            // line crossings.
-            if (line != r.lastGoodLine) {
-                if ((o.addr >> r.pageShift) != r.pageVal) [[unlikely]]
-                    return superblockStallMem(*this);
-                if (r.mruTags[(line & r.setMask) << r.waysShift] != line)
-                    [[unlikely]]
-                    return superblockStallMem(*this);
+    } else if (!r.memAlwaysHit) {
+        // Load/Store: a fast hit needs the same TLB page and the L1
+        // MRU way, and retires like a compute op. Anything else (a
+        // line or page crossing, a miss, a non-MRU hit) runs through
+        // the full memory model right here, and the replay goes on.
+        const std::uint64_t line = o.addr >> r.lineShift;
+        // Hoisted validation: nothing touches the model between full
+        // accesses, so an op on the same line as the previous
+        // validated one is valid by that op's check (same line ⇒ same
+        // page; the MRU tags cannot have changed). One register
+        // compare instead of a page check plus a tags load for runs
+        // of same-line accesses.
+        if (line != r.lastGoodLine) {
+            if ((o.addr >> r.pageShift) == r.pageVal &&
+                r.mruTags[(line & r.setMask) << r.waysShift] == line)
                 r.lastGoodLine = line;
-            }
+            else
+                superblockFullAccess(*this);
         }
     }
     if (++r.cur == r.opsEnd) [[unlikely]] {
@@ -342,9 +335,11 @@ GuestContext::sbPendingTicks() const noexcept
     if (r.cur == nullptr)
         return 0;
     const std::uint64_t fullIters = r.itersTotal - r.itersLeft;
-    const MicroOp *startOp = r.opsBegin + r.startOffset;
+    // The prefix sums cost every memory op at the fast latency,
+    // including the full accesses, so the subtraction cannot wrap.
     return fullIters * r.block->iterBase + r.cur->prefixBase -
-           startOp->prefixBase + r.accMisses * r.mispredictPenalty;
+           r.fullOps * r.block->memLat + r.fullTicks +
+           r.accMisses * r.mispredictPenalty;
 }
 
 /**

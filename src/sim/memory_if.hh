@@ -33,14 +33,18 @@ struct MemAccessResult
  *     mruTags[((addr >> lineShift) & setMask) * ways] == addr >> lineShift
  *
  * and the implementation guarantees this predicate is exactly its
- * tryFastAccess hit condition. The pointed-to state is owned by the
- * memory model and stays valid while the machine runs; replay
- * re-fetches the view at every block entry, so the fields only need
- * to stay accurate between two consecutive ops of one core.
+ * tryFastAccess hit condition. An access that fails it runs through
+ * access() inside the replay, so `maxLatency` must bound every plain
+ * access from above (and be at least `latency`): replay sizes its
+ * spans against it. The pointed-to state is owned by the memory
+ * model and stays valid while the machine runs; replay reads
+ * `*lastPage` again after each full access it makes.
  */
 struct FastPeekView
 {
     Tick latency = 0;
+    /** Worst-case latency of one plain (non-atomic) access(). */
+    Tick maxLatency = 0;
     bool alwaysHit = false;
     const std::uint64_t *lastPage = nullptr;
     unsigned pageShift = 0;
@@ -60,6 +64,10 @@ class MemoryIf
      * Access one word (hot path): accumulate miss events into
      * `deltas` and return the access latency. The CPU calls this once
      * per load/store/atomic, so implementations should not allocate.
+     * A plain (non-atomic) access adds at most one each of DTlbMiss,
+     * L1DMiss, L2Miss and LLCMiss, nothing else, and takes at most
+     * fastPeekView().maxLatency: superblock replay runs such accesses
+     * inside a span it sized against these bounds.
      * @param core   issuing core (selects private caches)
      * @param addr   virtual address
      * @param write  store vs. load
@@ -101,11 +109,13 @@ class MemoryIf
     }
 
     /**
-     * Credit `n` consecutive successful fast-path accesses in one
-     * call: must leave the model in exactly the state n successive
-     * tryFastAccess hits would have (hit counters, recency state).
-     * Called once per superblock replay commit. The default matches
-     * the default tryFastAccess, which never succeeds.
+     * Credit `n` (> 0) consecutive successful fast-path accesses in
+     * one call: must leave the model in exactly the state n
+     * successive tryFastAccess hits would have (hit counters, recency
+     * state). A superblock replay calls it before each full access it
+     * makes and at its commit, so the hits land in per-op order. The
+     * default matches the default tryFastAccess, which never
+     * succeeds.
      */
     virtual void
     creditFastAccesses(CoreId core, std::uint64_t n)
@@ -156,6 +166,7 @@ class FlatMemory : public MemoryIf
         if (latency_ == 0)
             return v; // a 0-latency hit cannot signal "fast" upstream
         v.latency = latency_;
+        v.maxLatency = latency_;
         v.alwaysHit = true;
         return v;
     }

@@ -6,9 +6,9 @@
 
 namespace limit::sim {
 
-Superblock::Superblock(std::span<const LoopOp> body, Tick mem_lat,
-                       Tick mispredict_penalty)
-    : ops(body.size()), memLat(mem_lat)
+Superblock::Superblock(std::span<const LoopOp> body,
+                       const FastPeekView &mem, Tick mispredict_penalty)
+    : ops(body.size()), memLat(mem.latency), memMaxLat(mem.maxLatency)
 {
     std::uint64_t branchesUb = 0;
     for (std::size_t i = 0; i < body.size(); ++i) {
@@ -35,7 +35,7 @@ Superblock::Superblock(std::span<const LoopOp> body, Tick mem_lat,
                 branchesUb += static_cast<std::uint64_t>(m.branchStep) + 1;
             }
         } else {
-            m.baseCost = mem_lat;
+            m.baseCost = memLat;
             iterInstrs += 1;
             ++numMemOps;
             if (op.kind == OpKind::Load)
@@ -45,7 +45,10 @@ Superblock::Superblock(std::span<const LoopOp> body, Tick mem_lat,
         }
         iterBase += m.baseCost;
     }
-    maxIterCycles = iterBase + branchesUb * mispredict_penalty;
+    panic_if(numMemOps > 0 && memMaxLat < memLat,
+             "memory model's worst-case latency is below its fast path");
+    maxIterCycles = iterBase - numMemOps * memLat + numMemOps * memMaxLat +
+                    branchesUb * mispredict_penalty;
     using E = EventType;
     iterUb[static_cast<unsigned>(E::Cycles)] = maxIterCycles;
     iterUb[static_cast<unsigned>(E::Instructions)] = iterInstrs;
@@ -53,6 +56,8 @@ Superblock::Superblock(std::span<const LoopOp> body, Tick mem_lat,
     iterUb[static_cast<unsigned>(E::Stores)] = iterStores;
     iterUb[static_cast<unsigned>(E::Branches)] = branchesUb;
     iterUb[static_cast<unsigned>(E::BranchMisses)] = branchesUb;
+    for (E e : {E::DTlbMiss, E::L1DMiss, E::L2Miss, E::LLCMiss})
+        iterUb[static_cast<unsigned>(e)] = numMemOps;
 }
 
 } // namespace limit::sim

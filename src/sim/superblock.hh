@@ -10,10 +10,13 @@
  * While the thread runs, the Cpu *replays* the block: each incoming
  * op is checked against the declared micro-op (exact operand match
  * for compute, fast-path-hit preconditions for memory) and, when it
- * matches, is retired with a single clock add instead of the full
- * awaiter → tryInlineOp → exec → ledger → PMU pipeline. The deferred
- * event deltas are committed in one Cpu::applyFewEvents call when the
- * replay ends.
+ * matches, is retired by advancing the replay cursor instead of the
+ * full awaiter → tryInlineOp → exec → ledger → PMU pipeline. A load
+ * or store that fails the fast-path check does not end the replay:
+ * it runs through the full memory model on the spot
+ * (Cpu::sbFullAccess), and the cursor keeps its latency and miss
+ * events. The deferred event deltas are committed in one
+ * Cpu::applyEvents call when the replay ends.
  *
  * Exactness contract (see DESIGN.md "Superblock replay"): replay never
  * *predicts* the op stream — the guest coroutine still runs and still
@@ -73,7 +76,8 @@ struct MicroOp
     double branchStep = 0.0;
     /**
      * Residue-independent cycles: the compute base cost (before the
-     * mispredict term) or the memory fast-path latency.
+     * mispredict term) or the memory fast-path latency (the commit
+     * re-costs memory ops that took the full path).
      */
     Tick baseCost = 0;
 
@@ -89,10 +93,12 @@ struct MicroOp
 struct Superblock
 {
     /**
-     * Decode `body` (Compute/Load/Store templates only, non-empty),
-     * costing every memory op at the fast-path latency `mem_lat`.
+     * Decode `body` (Compute/Load/Store templates only, non-empty)
+     * against the memory model's view `mem`: prefix sums cost every
+     * memory op at its fast-path latency, the upper bounds at its
+     * worst plain access.
      */
-    Superblock(std::span<const LoopOp> body, Tick mem_lat,
+    Superblock(std::span<const LoopOp> body, const FastPeekView &mem,
                Tick mispredict_penalty);
 
     std::vector<MicroOp> ops;
@@ -108,15 +114,20 @@ struct Superblock
     unsigned numMemOps = 0;
     /** Fast-path latency every memory op was declared with. */
     Tick memLat = 0;
+    /** Worst-case plain-access latency it was declared with. */
+    Tick memMaxLat = 0;
     /**
-     * Conservative upper bound on one iteration's cycles, including
-     * the worst-case mispredict penalty term. Zero only for a body
-     * that costs nothing; Guest::declareLoop keeps no such block.
+     * Conservative upper bound on one iteration's cycles: every
+     * memory op at memMaxLat (any of them may take the full path)
+     * plus the worst-case mispredict penalty term. Zero only for a
+     * body that costs nothing; Guest::declareLoop keeps no such block.
      */
     Tick maxIterCycles = 0;
     /**
      * Per-event upper bound on one iteration's deltas (dense, indexed
-     * by EventType) for the PMU no-wrap entry check.
+     * by EventType) for the PMU no-wrap entry check: one of each miss
+     * event per memory op (MemoryIf::access's bound) on top of the
+     * exact totals.
      */
     std::uint64_t iterUb[numEventTypes] = {};
 };
@@ -130,7 +141,10 @@ struct SuperblockStats
     std::uint64_t fullCommits = 0;
     /** Replays ended early by an op mismatch or thread exit. */
     std::uint64_t partialFlushes = 0;
-    /** Ops retired through replay (the numerator of the hit rate). */
+    /**
+     * Ops retired through replay that passed the fast check (the
+     * numerator of the hit rate); stallBridges counts the rest.
+     */
     std::uint64_t opsReplayed = 0;
     /**
      * Always 0: loops are declared, not recorded. Kept because
@@ -138,9 +152,9 @@ struct SuperblockStats
      */
     std::uint64_t opsRecorded = 0;
     /**
-     * Mid-replay slow memory ops bridged without leaving the replay:
-     * the span so far was committed, the op ran on the full path, and
-     * the same block resumed at the next offset (Cpu::sbStallMem).
+     * Memory ops a replay ran through the full memory model inside
+     * its span (Cpu::sbFullAccess). limitbench/driver/jobs.cc reads
+     * the field under this name.
      */
     std::uint64_t stallBridges = 0;
 
@@ -168,8 +182,6 @@ struct SbReplay
     std::uint64_t itersLeft = 0;
     /** Iterations planned at entry. */
     std::uint64_t itersTotal = 0;
-    /** Op offset the replay entered at (mid-block resume). */
-    std::uint32_t startOffset = 0;
 
     /**
      * @name Fast-path assumptions, flattened for the per-op check
@@ -177,12 +189,12 @@ struct SbReplay
      * Scalar copies of the FastPeekView fields sbStep touches, laid
      * out here so the check is a handful of one-level loads (the
      * compiler cannot keep them in registers across an opaque
-     * suspension point). `pageVal` is the *value* behind peek
-     * .lastPage: it only changes inside tlb.access/fill, which never
-     * run between two validated ops of a replay (a bridged slow op
-     * refreshes it in sbResume), so comparing against the copy is
-     * exactly the live-pointer compare. `waysShift` is log2(ways) —
-     * entry refuses mem replay for non-power-of-two ways.
+     * suspension point). `pageVal` is the *value* behind the view's
+     * lastPage: it only changes inside the TLB's access, which runs
+     * mid-replay only in a full access, after which sbFullAccess
+     * re-reads it, so comparing against the copy is exactly the
+     * live-pointer compare. `waysShift` is log2(ways) — entry refuses
+     * mem replay for non-power-of-two ways.
      * @{
      */
     bool memAlwaysHit = false;
@@ -194,12 +206,12 @@ struct SbReplay
     const std::uint64_t *mruTags = nullptr;
     /**
      * Last cache line that passed the page + MRU validation. The
-     * assumptions above are frozen for the whole span (no access runs
-     * between validated ops), so an op on the same line as the
+     * assumptions above hold between two full accesses (nothing else
+     * touches the model mid-span), so an op on the same line as the
      * previous one is valid by the previous op's check — same line
      * implies same page, and the MRU tags cannot have changed. Reset
-     * to the poison value at entry and after every stall bridge (the
-     * bridged access mutates the tags).
+     * to the poison value at entry and after every full access (which
+     * mutates the tags).
      */
     std::uint64_t lastGoodLine = ~0ull;
     /** @} */
@@ -210,8 +222,21 @@ struct SbReplay
     std::uint64_t accBranches = 0;
     std::uint64_t accMisses = 0;
     /** @} */
-    /** Cold copy of the model's fast-path view (resume refresh). */
-    FastPeekView peek{};
+    /**
+     * @name Memory ops that failed the fast check (Cpu::sbFullAccess)
+     *
+     * Their summed latency and miss events, which the commit applies
+     * in place of the fast-path latency the prefix sums assumed, and
+     * the memory ops already handed to the model (fast hits credited
+     * plus full accesses), so each credit covers only the fast hits
+     * since the last one.
+     * @{
+     */
+    std::uint64_t fullOps = 0;
+    Tick fullTicks = 0;
+    std::uint64_t memCredited = 0;
+    EventDeltas fullDeltas{};
+    /** @} */
     const Superblock *block = nullptr;
 };
 

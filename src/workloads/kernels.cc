@@ -52,6 +52,7 @@ ComputeKernel::body(sim::Guest &g)
 
       case KernelKind::PtrChase: {
         mem::PointerChaseStream chase(data_, Rng(seed_));
+        g.declareLoop({{sim::OpKind::Load}, {sim::OpKind::Compute, 4}});
         while (!g.shouldStop()) {
             for (int i = 0; i < 64; ++i) {
                 const sim::Addr a = chase.next();
@@ -68,6 +69,7 @@ ComputeKernel::body(sim::Guest &g)
         p.branchFrac = 0.04;
         p.mispredictRate = 0.002;
         mem::StrideStream tile(hot_, 64);
+        g.declareLoop({{sim::OpKind::Load}, {sim::OpKind::Compute, 120, p}});
         while (!g.shouldStop()) {
             for (int i = 0; i < 16; ++i) {
                 const sim::Addr a = tile.next();
@@ -84,6 +86,7 @@ ComputeKernel::body(sim::Guest &g)
         p.branchFrac = 0.28;
         p.mispredictRate = 0.12; // data-dependent compares
         mem::UniformStream pick(data_, Rng(seed_));
+        g.declareLoop({{sim::OpKind::Load}, {sim::OpKind::Compute, 18, p}});
         while (!g.shouldStop()) {
             for (int i = 0; i < 48; ++i) {
                 const sim::Addr a = pick.next();

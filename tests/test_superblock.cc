@@ -12,10 +12,11 @@
  * by field, exactly like tests/test_batch.cc does for horizon
  * batching. The shapes deliberately stress the replay seams: PMI
  * storms splitting replays, counter overflow landing at block
- * boundaries, futex sleeps and wakeups in the middle of a hot loop,
- * wakes that start past the quantum end, fault plans that must fire at
- * the same op regardless of execution strategy, and declarations that
- * do not match the loop they name.
+ * boundaries, cache and TLB misses run through the full memory model
+ * inside a replay, futex sleeps and wakeups in the middle of a hot
+ * loop, wakes that start past the quantum end, fault plans that must
+ * fire at the same op regardless of execution strategy, and
+ * declarations that do not match the loop they name.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +29,7 @@
 
 #include "analysis/bundle.hh"
 #include "fault/plan.hh"
+#include "mem/hierarchy.hh"
 #include "os/sysno.hh"
 #include "pec/pec.hh"
 #include "sim/machine.hh"
@@ -88,6 +90,12 @@ struct Fingerprint
     /** core-major, then counter index: final PMU values. */
     std::vector<std::uint64_t> pmuFinals;
     std::vector<trace::TraceRecord> records;
+    /**
+     * Core-major L1D, L2 and DTLB hits and misses, then the LLC's
+     * (empty on flat memory): replay must leave the model in the
+     * state per-op accesses would.
+     */
+    std::vector<std::uint64_t> mem;
     sim::SuperblockStats sb{};
 };
 
@@ -114,6 +122,15 @@ collect(analysis::SimBundle &b, sim::Tick end)
     }
     if (b.tracer() != nullptr)
         fp.records = b.tracer()->merged();
+    if (mem::CacheHierarchy *h = b.hierarchy()) {
+        for (unsigned c = 0; c < b.machine().numCores(); ++c) {
+            fp.mem.insert(fp.mem.end(),
+                          {h->l1d(c).hits(), h->l1d(c).misses(),
+                           h->l2(c).hits(), h->l2(c).misses(),
+                           h->dtlb(c).hits(), h->dtlb(c).misses()});
+        }
+        fp.mem.insert(fp.mem.end(), {h->llc().hits(), h->llc().misses()});
+    }
     fp.sb = b.machine().superblockStats();
     return fp;
 }
@@ -126,6 +143,7 @@ expectIdentical(const Fingerprint &a, const Fingerprint &b,
     EXPECT_EQ(a.switches, b.switches) << what;
     EXPECT_EQ(a.ledgers, b.ledgers) << what;
     EXPECT_EQ(a.pmuFinals, b.pmuFinals) << what;
+    EXPECT_EQ(a.mem, b.mem) << what;
     ASSERT_EQ(a.records.size(), b.records.size()) << what;
     for (std::size_t i = 0; i < a.records.size(); ++i) {
         const trace::TraceRecord &ra = a.records[i];
@@ -249,6 +267,90 @@ runPmiStorm(Mode mode)
 TEST(SuperblockEquivalence, PmiStormBitIdentical)
 {
     threeWay(runPmiStorm);
+}
+
+// ---------------------------------------------------------------------
+// Miss-storm shape: every replayed load runs through the full memory
+// model and raises miss events on narrow counters, so the replay
+// sizing must bound the misses as well as the cycles — an overflow
+// PMI landing inside a span would be delivered late
+// ---------------------------------------------------------------------
+
+Fingerprint
+runMissStorm(Mode mode)
+{
+    analysis::SimBundle b(builderFor(mode)
+                              .cores(1)
+                              .quantum(200'000)
+                              .pmuWidth(10) // wraps every 1,024 misses
+                              .traceCapacity(1 << 14)
+                              .seed(37)
+                              .build());
+    pec::PecSession session(b.kernel());
+    session.addEvent(0, EventType::L1DMiss);
+    session.addEvent(1, EventType::DTlbMiss);
+
+    for (unsigned i = 0; i < 2; ++i) {
+        b.kernel().spawn(
+            "miss" + std::to_string(i), [](Guest &g) -> Task<void> {
+                // A page and a line further on each time (4,096 + 64
+                // bytes): every load misses the DTLB and every cache.
+                const sim::Addr base = 0x1000000 + g.tid() * 0x4000000;
+                g.declareLoop({{OpKind::Load}, {OpKind::Compute, 4}});
+                for (unsigned s = 0; s < 6'000; ++s) {
+                    co_await g.load(base + s * 4'160);
+                    co_await g.compute(4);
+                }
+            });
+    }
+    const sim::Tick end = b.machine().run();
+    return collect(b, end);
+}
+
+TEST(SuperblockEquivalence, MissStormBitIdentical)
+{
+    threeWay(runMissStorm);
+    if (superblocksActive()) {
+        // The misses ran inside replays rather than ending them.
+        const Fingerprint fp = runMissStorm(Mode::Superblock);
+        EXPECT_GT(fp.sb.stallBridges, 10 * fp.sb.entries);
+    }
+}
+
+// ---------------------------------------------------------------------
+// DTLB-recency shape: a hot page's fast hits must reach the TLB's
+// recency list before each miss that follows them, or a burst of
+// cold pages evicts the hot one
+// ---------------------------------------------------------------------
+
+constexpr unsigned dtlbIters = 400;
+
+Fingerprint
+runDtlbRecency(Mode mode)
+{
+    analysis::SimBundle b(
+        builderFor(mode).cores(1).seed(41).build());
+    b.kernel().spawn("tlb", [](Guest &g) -> Task<void> {
+        // One hot line on page P (L1 set 0), then one of 96 cold
+        // pages cycling through the 64-entry DTLB, each on L1 set 1.
+        g.declareLoop({{OpKind::Load}, {OpKind::Load}});
+        for (unsigned s = 0; s < dtlbIters; ++s) {
+            co_await g.load(0x100000);
+            co_await g.load(0x400000 + (s % 96) * 4'096 + 64);
+        }
+    });
+    const sim::Tick end = b.machine().run();
+    return collect(b, end);
+}
+
+TEST(SuperblockEquivalence, DtlbRecencyBitIdentical)
+{
+    threeWay(runDtlbRecency);
+    // Closed form: every cold load misses the DTLB, and the hot page
+    // misses once and then stays resident (fingerprint layout: core
+    // 0's DTLB misses sit at index 5).
+    const Fingerprint fp = runDtlbRecency(Mode::Superblock);
+    EXPECT_EQ(fp.mem[5], dtlbIters + 1);
 }
 
 // ---------------------------------------------------------------------
@@ -412,9 +514,9 @@ TEST(SuperblockReplay, CommittedDeltaSumsMatchClosedForm)
     EXPECT_EQ(user(EventType::Cycles),
               iters * (computeInstrs + 2 * memLat));
 
-    // The loop is declared from its first op and flat memory cannot
-    // stall (no bridges), so all but the few ops at horizon and
-    // budget edges retire through replay.
+    // The loop is declared from its first op and flat memory always
+    // takes the fast path (no full accesses), so all but the few ops
+    // at horizon and budget edges retire through replay.
     const sim::SuperblockStats &sb = b.machine().superblockStats();
     EXPECT_GE(sb.opsReplayed,
               static_cast<std::uint64_t>(iters) * 3 * 99 / 100);
@@ -423,35 +525,37 @@ TEST(SuperblockReplay, CommittedDeltaSumsMatchClosedForm)
 }
 
 // ---------------------------------------------------------------------
-// Stall bridging: a cache-missing stream keeps replaying across slow
-// memory ops instead of tearing the replay down every crossing
+// Misses inside a replay: a cache-missing stream keeps its replay
+// across every line crossing instead of ending it there
 // ---------------------------------------------------------------------
 
 TEST(SuperblockReplay, StreamingLoopBridgesStalls)
 {
     if (!superblocksActive())
         GTEST_SKIP() << "superblock execution force-disabled";
+    constexpr unsigned iters = 60'000;
     analysis::SimBundle b(analysis::BundleOptions::Builder()
                               .cores(1)
                               .seed(5)
                               .build());
     b.kernel().spawn("stream", [](Guest &g) -> Task<void> {
-        // Sequential walk: one line crossing (fast-path miss) every 8
-        // accesses, exactly the shape sbStallMem exists for.
+        // Sequential walk: a line crossing (fast-path miss) every 8
+        // accesses and a page crossing every 512.
         g.declareLoop({{OpKind::Load}, {OpKind::Compute, 4}});
-        for (unsigned s = 0; s < 60'000; ++s) {
+        for (unsigned s = 0; s < iters; ++s) {
             co_await g.load(0x700000 + s * 8);
             co_await g.compute(4);
         }
     });
     b.machine().run();
     const sim::SuperblockStats &sb = b.machine().superblockStats();
-    EXPECT_GT(sb.opsReplayed, 0u);
-    EXPECT_GT(sb.stallBridges, 0u);
-    // A bridge keeps the replay going across each line crossing, so
-    // the 15 ops between crossings replay: were the bridges tearing
-    // replays down instead, far fewer would.
-    EXPECT_GT(sb.opsReplayed, sb.stallBridges * 10);
+    // Every crossing ran its full access inside a replay...
+    EXPECT_GE(sb.stallBridges, iters / 8);
+    EXPECT_GE(sb.opsReplayed + sb.stallBridges,
+              static_cast<std::uint64_t>(iters) * 2 * 99 / 100);
+    // ...without ending it: a replay that ended at each crossing
+    // would have been armed again after it, once per full access.
+    EXPECT_LT(sb.entries * 10, sb.stallBridges);
 }
 
 // ---------------------------------------------------------------------

@@ -158,21 +158,21 @@ PrintTo(const Pin &pin, std::ostream *os)
 
 const Pin pins[] = {
     {"stream", kernel<KernelKind::Stream>, true,
-     "rounds=72 ops=291073 polls=2 access=12319 fast=92/110 | sb "
-     "entries=12427 full=119 partial=12302 replayed=278600 "
-     "bridged=12301 refused=0/0/3/51/0/0"},
+     "rounds=72 ops=291073 polls=2 access=12319 fast=171/186 | sb "
+     "entries=443 full=442 partial=1 replayed=278489 bridged=12304 "
+     "refused=0/0/47/46/0/0"},
     {"ptrchase", kernel<KernelKind::PtrChase>, true,
-     "rounds=9 ops=28161 polls=2 access=14080 fast=0/14080 | sb "
-     "entries=0 full=0 partial=0 replayed=0 bridged=0 "
-     "refused=0/0/0/0/0/0"},
+     "rounds=9 ops=28161 polls=2 access=14080 fast=0/7 | sb entries=17 "
+     "full=16 partial=1 replayed=14073 bridged=14073 "
+     "refused=0/0/4/3/0/0"},
     {"matmul", kernel<KernelKind::MatMul>, true,
-     "rounds=16 ops=62529 polls=2 access=31264 fast=0/31264 | sb "
-     "entries=0 full=0 partial=0 replayed=0 bridged=0 "
-     "refused=0/0/0/0/0/0"},
+     "rounds=16 ops=62529 polls=2 access=31264 fast=0/10 | sb "
+     "entries=104 full=103 partial=1 replayed=31254 bridged=31254 "
+     "refused=0/0/10/0/0/0"},
     {"sortlike", kernel<KernelKind::SortLike>, true,
-     "rounds=8 ops=26593 polls=2 access=13296 fast=0/13296 | sb "
-     "entries=0 full=0 partial=0 replayed=0 bridged=0 "
-     "refused=0/0/0/0/0/0"},
+     "rounds=8 ops=26593 polls=2 access=13296 fast=0/7 | sb entries=23 "
+     "full=23 partial=0 replayed=13289 bridged=13289 "
+     "refused=0/0/4/3/0/0"},
     {"oltp", oltp, true,
      "rounds=8389 ops=18163 polls=563 access=10030 fast=186/7064 | sb "
      "entries=0 full=0 partial=0 replayed=0 bridged=0 "
