@@ -24,8 +24,8 @@
  *
  * All lattice points fan through analysis::ParallelRunner, so the
  * report (and the --profile-out JSON, schema limitpp-sensitivity-v1)
- * is bit-identical for any --jobs value and across
- * batched/per-op/superblock execution modes.
+ * is bit-identical for any --jobs value and across the batched and
+ * per-op execution modes.
  */
 
 #include <cstdio>

@@ -59,14 +59,13 @@ struct SyncRunResult
  * the workload RNG (0 reproduces the historical tables). A non-null
  * `tspec` attaches a tracer (and narrows the counters, see TraceSpec)
  * and writes the Chrome-trace JSON before returning. A non-null
- * `args` applies the shared bench CLI to the run the same way every
- * other bench does: a --faults plan is installed on the machine
- * (--no-batch/--no-superblock already act through the process-wide
- * execution defaults parseBenchArgs sets). A non-null
- * `artifact_bench` marks this the dedicated representative run: the
- * timeline recorder attaches when --timeline was given and the
- * artifact is written under that bench name before returning (per-job
- * runs pass nullptr so the fan-out stays uninstrumented).
+ * `args` installs its --faults plan on the machine, so E5 and E6 run
+ * the plan, as E13 and E15 do; the other simulated benches only
+ * validate it. A non-null `artifact_bench` marks this the dedicated
+ * representative run: the timeline recorder attaches when --timeline
+ * was given and the artifact is written under that bench name before
+ * returning (per-job runs pass nullptr so the fan-out stays
+ * uninstrumented).
  */
 inline SyncRunResult
 runApp(const std::string &which, sim::Tick ticks, std::uint64_t seed = 0,
@@ -81,9 +80,8 @@ runApp(const std::string &which, sim::Tick ticks, std::uint64_t seed = 0,
         ob.timelineInterval(args->captureTimelineInterval());
     analysis::SimBundle b(ob.build());
 
-    // Deterministic fault injection, identical to the --faults
-    // behaviour of the non-sync benches. The controller must outlive
-    // the run; detach before it goes out of scope.
+    // Deterministic fault injection from --faults. The controller
+    // must outlive the run; detach before it goes out of scope.
     std::unique_ptr<fault::PlanController> fault_controller;
     if (args && !args->faults.empty()) {
         fault::Plan plan;

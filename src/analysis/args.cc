@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "fault/plan.hh"
-#include "sim/machine.hh"
 
 namespace limit::analysis {
 
@@ -20,8 +19,8 @@ usage(const char *prog, const BenchDefaults &defaults,
         out,
         "usage: %s [--seeds N] [--jobs N] [--trace FILE] "
         "[--trace-cap N] [--faults SPEC] [--profile] "
-        "[--profile-out FILE] [--no-batch] [--no-superblock] "
-        "[--timeline FILE] [--timeline-interval N]\n"
+        "[--profile-out FILE] [--timeline FILE] "
+        "[--timeline-interval N]\n"
         "  --seeds N      %s (default %u)\n"
         "  --jobs N       host threads for parallel experiment "
         "fan-out; 0 = all hardware threads (default %u)\n"
@@ -36,12 +35,6 @@ usage(const char *prog, const BenchDefaults &defaults,
         "stats, kernel decomposition; see docs/PROFILING.md)\n"
         "  --profile-out FILE  profile path (default profile.json; "
         "implies --profile)\n"
-        "  --no-batch     run the per-op reference scheduler instead "
-        "of horizon-batched execution (bit-identical results, "
-        "slower; for equivalence checking)\n"
-        "  --no-superblock  disable the decoded-op superblock replay "
-        "cache (bit-identical results, slower; for equivalence "
-        "checking)\n"
         "  --timeline FILE  write a limitpp-timeline-v1 JSON of one "
         "representative run: exact per-core PMU event deltas per "
         "guest-cycle interval (see docs/TIMELINE.md)\n"
@@ -185,10 +178,6 @@ tryParseBenchArgs(int argc, char **argv, BenchDefaults defaults)
                 return p;
             }
             p.args.timeline = value;
-        } else if (std::strcmp(arg, "--no-batch") == 0) {
-            p.args.noBatch = true;
-        } else if (std::strcmp(arg, "--no-superblock") == 0) {
-            p.args.noSuperblock = true;
         } else if (std::strcmp(arg, "--profile") == 0) {
             p.args.profile = true;
         } else if ((value =
@@ -219,13 +208,6 @@ parseBenchArgs(int argc, char **argv, BenchDefaults defaults,
         std::fprintf(stderr, "%s: %s\n", prog, p.error.c_str());
         usage(prog, defaults, what_seeds, 2);
     }
-    // Process-wide so every machine the bench builds — including ones
-    // constructed deep inside helpers — honours the flag. (The pure
-    // tryParseBenchArgs only records it; side effects live here.)
-    if (p.args.noBatch)
-        sim::setBatchedExecutionDefault(false);
-    if (p.args.noSuperblock)
-        sim::setSuperblockExecutionDefault(false);
     return p.args;
 }
 

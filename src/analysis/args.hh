@@ -19,12 +19,6 @@
  *   --profile        emit a prof::Report JSON profile artifact
  *   --profile-out F  profile output path (default profile.json;
  *                    implies --profile)
- *   --no-batch       per-op reference scheduler instead of horizon
- *                    batching (bit-identical, slower; equivalence
- *                    checking and CI)
- *   --no-superblock  disable the decoded-op superblock replay cache
- *                    (bit-identical, slower; equivalence checking
- *                    and CI)
  *   --timeline FILE  write a limitpp-timeline-v1 JSON of one
  *                    representative run: exact per-core PMU event
  *                    deltas per guest-cycle interval with phase
@@ -35,7 +29,9 @@
  * parallelizes, and instruments a reproduction run without editing
  * source. Flags also accept the --flag=value spelling. Parsing is
  * deliberately tiny — a handful of flags and --help — rather than a
- * general option library.
+ * general option library. The execution mode is not a flag:
+ * LIMITPP_FORCE_NO_BATCH=1 in the environment runs every machine on
+ * the per-op reference scheduler (sim::batchedExecutionDefault).
  */
 
 #ifndef LIMIT_ANALYSIS_ARGS_HH
@@ -59,20 +55,6 @@ struct BenchArgs
     std::string faults;
     /** Emit a prof::Report JSON artifact (--profile / --profile-out). */
     bool profile = false;
-    /**
-     * Force the per-op reference scheduler (--no-batch). Applied by
-     * parseBenchArgs via sim::setBatchedExecutionDefault(false); every
-     * published number is bit-identical either way — the flag exists
-     * so CI can keep proving that.
-     */
-    bool noBatch = false;
-    /**
-     * Disable the superblock replay cache (--no-superblock). Applied
-     * by parseBenchArgs via sim::setSuperblockExecutionDefault(false);
-     * like --no-batch this changes no published number — replay is
-     * bit-identical — only how fast the hot path retires ops.
-     */
-    bool noSuperblock = false;
     /** Profile artifact path (setting it via --profile-out implies
         --profile). */
     std::string profileOut = "profile.json";

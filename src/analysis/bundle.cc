@@ -60,10 +60,6 @@ BundleOptions::Builder::build() const
                  !o_.kernelConfig.virtualizeCounters,
              "BundleOptions: taggedVirtualization requires "
              "virtualizeCounters(true)");
-    // Superblock replay rides the batched scheduler; asking for it
-    // explicitly on the per-op loop would silently never replay.
-    fatal_if(superblocksExplicit_ && o_.superblocks && !o_.batched,
-             "BundleOptions: superblocks(true) requires batched(true)");
     // A tiny interval allocates one 88-byte slice per handful of ops —
     // gigabytes over a long run. parseBenchArgs enforces the same
     // bound on --timeline-interval; this catches programmatic use.
@@ -93,7 +89,6 @@ SimBundle::SimBundle(const BundleOptions &options)
     mc.pmuFeatures = options.pmuFeatures;
     mc.seed = options.seed;
     mc.batched = options.batched;
-    mc.superblocks = options.superblocks;
     if (options.quantum != 0)
         mc.costs.quantum = options.quantum;
     machine_ = std::make_unique<sim::Machine>(mc);

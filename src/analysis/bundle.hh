@@ -53,22 +53,14 @@ struct BundleOptions
      */
     unsigned timelineInterval = 0;
     /**
-     * Horizon-batched run loop (sim::MachineConfig::batched). Results
-     * are bit-identical either way; false forces the per-op reference
-     * scheduler for this bundle even when the process default is
-     * batched. Overridden globally by --no-batch and
-     * LIMITPP_FORCE_NO_BATCH (see sim::setBatchedExecutionDefault).
+     * Horizon-batched run loop with replay of declared loops
+     * (sim::MachineConfig::batched). Results are bit-identical either
+     * way; false forces the per-op reference scheduler for this
+     * bundle even when the process default is batched. Overridden
+     * globally by LIMITPP_FORCE_NO_BATCH (see
+     * sim::batchedExecutionDefault).
      */
     bool batched = true;
-    /**
-     * Superblock replay cache on the batched hot path
-     * (sim::MachineConfig::superblocks). Bit-identical either way;
-     * false disables the cache for this bundle even when the process
-     * default is on. Overridden globally by --no-superblock and
-     * LIMITPP_FORCE_NO_SUPERBLOCK (see
-     * sim::setSuperblockExecutionDefault). No effect unless `batched`.
-     */
-    bool superblocks = true;
 
     class Builder;
     /** Start a validated fluent build (canonical defaults). */
@@ -234,13 +226,6 @@ class BundleOptions::Builder
         o_.batched = on;
         return *this;
     }
-    /** Superblock replay cache (only meaningful with batched(true)). */
-    Builder &superblocks(bool on)
-    {
-        superblocksExplicit_ = true;
-        o_.superblocks = on;
-        return *this;
-    }
 
     /** Validate the combination and return the options (fatals on
      *  an impossible machine). */
@@ -260,8 +245,6 @@ class BundleOptions::Builder
     bool flat_ = false;
     /** hierarchy(cfg) or a per-field cache setter was requested. */
     bool hier_ = false;
-    /** superblocks(on) was called explicitly (vs. left at default). */
-    bool superblocksExplicit_ = false;
 };
 
 inline BundleOptions::Builder

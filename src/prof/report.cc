@@ -60,6 +60,21 @@ pct(std::uint64_t part, std::uint64_t whole)
         : 100.0 * static_cast<double>(part) / static_cast<double>(whole);
 }
 
+/** PEC-counted instructions against the ledger's, as a % drift. */
+double
+ledgerDriftPct(const Report::KernelSection &s)
+{
+    const std::uint64_t ledger =
+        s.profile.userInstructions() + s.profile.kernelInstructions();
+    const std::uint64_t pec =
+        s.pecUserInstructions + s.pecKernelInstructions;
+    return ledger == 0
+        ? 0.0
+        : 100.0 * (static_cast<double>(pec) -
+                   static_cast<double>(ledger)) /
+            static_cast<double>(ledger);
+}
+
 } // namespace
 
 void
@@ -251,19 +266,12 @@ Report::kernelTable(const std::string &title) const
         const unsigned runs = std::max(1u, s.runs);
         const std::uint64_t user = s.profile.userInstructions();
         const std::uint64_t kern = s.profile.kernelInstructions();
-        const std::uint64_t pec =
-            s.pecUserInstructions + s.pecKernelInstructions;
-        const double drift = user + kern == 0
-            ? 0.0
-            : 100.0 * (static_cast<double>(pec) -
-                       static_cast<double>(user + kern)) /
-                static_cast<double>(user + kern);
         t.beginRow()
             .cell(s.name)
             .cell(static_cast<double>(user) / runs / 1e6, 2)
             .cell(static_cast<double>(kern) / runs / 1e6, 2)
             .cell(pct(kern, user + kern), 1)
-            .cell(drift, 2);
+            .cell(ledgerDriftPct(s), 2);
     }
     return t;
 }
@@ -297,9 +305,9 @@ Report::sensitivityTable(const std::string &title) const
 std::string
 Report::sensitivityMarkdown() const
 {
-    std::ostringstream os;
-    os << "| scenario | rank | axis | base | most sensitive level | "
-          "Δwork % | score |\n|---|---|---|---|---|---|---|\n";
+    stats::Table t("sensitivity ranking");
+    t.header({"scenario", "rank", "axis", "base", "most sensitive level",
+              "Δwork %", "score"});
     for (const auto &s : sensitivity_) {
         unsigned rank = 0;
         for (const auto &a : s.axes) {
@@ -311,14 +319,17 @@ Report::sensitivityMarkdown() const
                     std::abs(l.workRelPct) > std::abs(best->workRelPct))
                     best = &l;
             }
-            os << "| " << s.name << " | " << rank << " | " << a.axis
-               << " (" << a.unit << ") | " << fmtDouble(a.baseParam, 0)
-               << " | " << (best ? fmtDouble(best->param, 0) : "-")
-               << " | " << (best ? fmtDouble(best->workRelPct, 2) : "-")
-               << " | " << fmtDouble(a.score, 2) << " |\n";
+            t.beginRow()
+                .cell(s.name)
+                .cell(rank)
+                .cell(a.axis + " (" + a.unit + ")")
+                .cell(a.baseParam, 0)
+                .cell(best ? fmtDouble(best->param, 0) : "-")
+                .cell(best ? fmtDouble(best->workRelPct, 2) : "-")
+                .cell(a.score, 2);
         }
     }
-    return os.str();
+    return t.renderMarkdown();
 }
 
 std::string
@@ -403,20 +414,18 @@ Report::timelineAscii() const
 std::string
 Report::syncSummaryMarkdown() const
 {
-    std::ostringstream os;
-    os << "| app | % cycles acquiring | % cycles in crit. sec. | "
-          "acquisitions |\n|---|---|---|---|\n";
+    stats::Table t("sync summary");
+    t.header({"app", "% cycles acquiring", "% cycles in crit. sec.",
+              "acquisitions"});
     for (const auto &s : sync_) {
         const unsigned runs = std::max(1u, s.runs);
-        os << "| " << s.name << " | "
-           << fmtDouble(pct(s.profile.totalWaitCycles(), s.totalCycles),
-                        2)
-           << " | "
-           << fmtDouble(pct(s.profile.totalHoldCycles(), s.totalCycles),
-                        2)
-           << " | " << s.profile.totalAcquisitions() / runs << " |\n";
+        t.beginRow()
+            .cell(s.name)
+            .cell(pct(s.profile.totalWaitCycles(), s.totalCycles), 2)
+            .cell(pct(s.profile.totalHoldCycles(), s.totalCycles), 2)
+            .cell(s.profile.totalAcquisitions() / runs);
     }
-    return os.str();
+    return t.renderMarkdown();
 }
 
 std::string
@@ -436,23 +445,18 @@ Report::kernelMarkdown() const
                                      b->profile.kernelInstructions());
                      });
 
-    std::ostringstream os;
-    os << "| workload | kernel instruction % | counter-vs-ledger drift "
-          "|\n|---|---|---|\n";
+    stats::Table t("kernel share");
+    t.header({"workload", "kernel instruction %",
+              "counter-vs-ledger drift"});
     for (const KernelSection *s : rows) {
         const std::uint64_t user = s->profile.userInstructions();
         const std::uint64_t kern = s->profile.kernelInstructions();
-        const std::uint64_t pec =
-            s->pecUserInstructions + s->pecKernelInstructions;
-        const double drift = user + kern == 0
-            ? 0.0
-            : 100.0 * (static_cast<double>(pec) -
-                       static_cast<double>(user + kern)) /
-                static_cast<double>(user + kern);
-        os << "| " << s->name << " | " << fmtDouble(pct(kern, user + kern), 1)
-           << " % | " << fmtDouble(drift, 1) << " % |\n";
+        t.beginRow()
+            .cell(s->name)
+            .cell(fmtDouble(pct(kern, user + kern), 1) + " %")
+            .cell(fmtDouble(ledgerDriftPct(*s), 1) + " %");
     }
-    return os.str();
+    return t.renderMarkdown();
 }
 
 std::string

@@ -55,11 +55,9 @@ Cpu::step()
 }
 
 void
-Cpu::setSuperblocksEnabled(bool on)
+Cpu::snapshotFastPeek()
 {
-    sbEnabled_ = on;
-    if (on)
-        sbPeek_ = machine_.memory()->fastPeekView(id_);
+    sbPeek_ = machine_.memory()->fastPeekView(id_);
 }
 
 void
@@ -135,12 +133,7 @@ Cpu::runUntil(Tick bound, Tick poll_at, Tick hard_limit,
                 // coroutine is suspended (it may context-switch).
                 epiloguePending_ = false;
                 kernelRound_ = false;
-                drainOverflows();
-                if (current_ && now_ >= quantumEnd) {
-                    kernelRound_ = true;
-                    machine_.kernel()->timerTick(*this);
-                    drainOverflows();
-                }
+                opEpilogue();
                 r.interacted = kernelRound_;
             }
             break; // horizon / poll deadline / budget reached
@@ -194,8 +187,8 @@ Cpu::tryInlineOp(GuestContext &ctx)
     // kind matches it; sbStep validates the rest. A thread that
     // declared nothing pays this one null test.
     const Superblock *loop = ctx.loop.get();
-    if (loop != nullptr && sbEnabled_ && !flushed &&
-        loop->ops[0].kind == op.kind && sbTryEnter(ctx, *loop)) {
+    if (loop != nullptr && !flushed && loop->ops[0].kind == op.kind &&
+        sbTryEnter(ctx, *loop)) {
         if (ctx.sbStep())
             return true;
         if (ctx.opConsumedInline)
@@ -220,7 +213,12 @@ Cpu::tryInlineOp(GuestContext &ctx)
         return false; // cross-core-visible: scheduler round
     }
     --batchOpsLeft_;
+    return continueInline(ctx);
+}
 
+bool
+Cpu::continueInline(GuestContext &ctx)
+{
     if (!pendingPmis_.empty() || now_ >= quantumEnd) {
         // The drain/timer epilogue can switch threads, which is only
         // safe with this coroutine suspended; hand back to runUntil.
@@ -233,6 +231,17 @@ Cpu::tryInlineOp(GuestContext &ctx)
         return false;
     }
     return true;
+}
+
+void
+Cpu::opEpilogue()
+{
+    drainOverflows();
+    if (current_ && now_ >= quantumEnd) {
+        kernelRound_ = true;
+        machine_.kernel()->timerTick(*this);
+        drainOverflows();
+    }
 }
 
 void
@@ -273,13 +282,7 @@ Cpu::executeOp(GuestContext &ctx)
       default:
         panic("unknown op kind");
     }
-
-    drainOverflows();
-    if (current_ && now_ >= quantumEnd) {
-        kernelRound_ = true;
-        machine_.kernel()->timerTick(*this);
-        drainOverflows();
-    }
+    opEpilogue();
 }
 
 void
@@ -328,8 +331,8 @@ Cpu::execCompute(GuestContext &ctx, const PendingOp &op)
     ctx.result = 0;
 }
 
-bool
-Cpu::execMemoryFast(GuestContext &ctx, const PendingOp &op)
+void
+Cpu::execMemory(GuestContext &ctx, const PendingOp &op)
 {
     const bool write = op.kind == OpKind::Store;
 
@@ -338,30 +341,18 @@ Cpu::execMemoryFast(GuestContext &ctx, const PendingOp &op)
     ++work_.fastTries;
     const Tick fast = machine_.memory()->tryFastAccess(id_, op.addr,
                                                        write);
-    if (fast == 0)
-        return false;
-    ++work_.fastHits;
-    const SparseDelta d[3] = {
-        {EventType::Cycles, fast},
-        {EventType::Instructions, 1},
-        {write ? EventType::Stores : EventType::Loads, 1}};
-    applyFewEvents(PrivMode::User, d);
-    now_ += fast;
-    ctx.result = 0;
-    return true;
-}
+    if (fast != 0) {
+        ++work_.fastHits;
+        const SparseDelta d[3] = {
+            {EventType::Cycles, fast},
+            {EventType::Instructions, 1},
+            {write ? EventType::Stores : EventType::Loads, 1}};
+        applyFewEvents(PrivMode::User, d);
+        now_ += fast;
+        ctx.result = 0;
+        return;
+    }
 
-void
-Cpu::execMemory(GuestContext &ctx, const PendingOp &op)
-{
-    if (!execMemoryFast(ctx, op))
-        execMemorySlow(ctx, op);
-}
-
-void
-Cpu::execMemorySlow(GuestContext &ctx, const PendingOp &op)
-{
-    const bool write = op.kind == OpKind::Store;
     EventDeltas d;
     ++work_.accessCalls;
     const Tick latency =
@@ -783,20 +774,10 @@ Cpu::sbFinishReplay(GuestContext &ctx)
     ctx.sbr.cur = ctx.sbr.opsBegin;
     ctx.sbr.itersLeft = 0;
     sbCommitReplay(ctx, /*partial=*/false);
-    // Mirror tryInlineOp's post-op checks: the replay was sized to
-    // stay inside every horizon, but it may have consumed the whole
-    // op budget or landed exactly on a boundary.
-    if (!pendingPmis_.empty() || now_ >= quantumEnd) {
-        epiloguePending_ = true;
-        ctx.opConsumedInline = true;
-        return false;
-    }
-    if (now_ >= batchBound_ || now_ >= batchPollAt_ ||
-        batchOpsLeft_ == 0) {
-        ctx.opConsumedInline = true;
-        return false;
-    }
-    return true;
+    // The replay was sized to stay inside every horizon, but it may
+    // have consumed the whole op budget or landed exactly on a
+    // boundary.
+    return continueInline(ctx);
 }
 
 bool

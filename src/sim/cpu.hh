@@ -131,14 +131,13 @@ class Cpu
     void sbFullAccess(GuestContext &ctx);
 
     /**
-     * Enable/disable superblock replay on this core's hot path
-     * (set by Machine::runBatched / runPerOp per run). Enabling
-     * snapshots the memory model's fast-peek view once for the whole
-     * run — its pointers are stable for the life of the machine ↔
-     * memory binding, which cannot change mid-run — so runUntil
-     * rounds don't pay the virtual fastPeekView call.
+     * Snapshot the memory model's fast-peek view for replay (called
+     * by Machine::runBatched once per run). Its pointers are stable
+     * for the life of the machine ↔ memory binding, which cannot
+     * change mid-run, so runUntil rounds don't pay the virtual
+     * fastPeekView call.
      */
-    void setSuperblocksEnabled(bool on);
+    void snapshotFastPeek();
 
     /**
      * Charge `cycles` of kernel-mode work to the current thread (or to
@@ -258,18 +257,21 @@ class Cpu
      * rather than by plan.
      */
     void sbCommitReplay(GuestContext &ctx, bool partial);
+    /**
+     * After an inline op or a completed replay: true when the guest
+     * may keep running inline; otherwise marks the op consumed
+     * (ctx.opConsumedInline) so the batch ends, deferring the
+     * drain/timer epilogue to runUntil when one is due.
+     */
+    bool continueInline(GuestContext &ctx);
+    /**
+     * Deliver queued PMIs, then take the timer tick if the quantum
+     * ran out; runs after every op with the guest suspended.
+     */
+    void opEpilogue();
     void executeOp(GuestContext &ctx);
     void execCompute(GuestContext &ctx, const PendingOp &op);
     void execMemory(GuestContext &ctx, const PendingOp &op);
-    /**
-     * Fast-path half of execMemory: probe tryFastAccess and, on a
-     * hit, charge + count the access. False on a miss (no state
-     * changed beyond the per-core probe).
-     */
-    bool execMemoryFast(GuestContext &ctx, const PendingOp &op);
-    /** Full-path half of execMemory: MemoryIf::access plus the
-     *  dense event apply. */
-    void execMemorySlow(GuestContext &ctx, const PendingOp &op);
     void execAtomic(GuestContext &ctx, const PendingOp &op);
     void execPmcRead(GuestContext &ctx, const PendingOp &op);
     void execSyscall(GuestContext &ctx, const PendingOp &op);
@@ -375,17 +377,13 @@ class Cpu
     SuperblockStats &sbStats_;
     WorkStats &work_;
 
-    /** @name Superblock replay state @{ */
-    /** Replay active for this run (batched mode only). */
-    bool sbEnabled_ = false;
     /**
      * Memory model's fast-path probe view, snapshotted once per run
-     * by setSuperblocksEnabled (the model can be swapped between
-     * runs, never inside one) so neither sbTryEnter nor sbFullAccess
-     * pays a virtual call for it.
+     * by snapshotFastPeek (the model can be swapped between runs,
+     * never inside one) so neither sbTryEnter nor sbFullAccess pays a
+     * virtual call for it.
      */
     FastPeekView sbPeek_{};
-    /** @} */
 
     /** @name Timeline capture (nullptr lane = disabled) @{ */
     TimelineLane *tlLane_ = nullptr;

@@ -13,45 +13,17 @@ namespace {
 /** Cap on ops per batch; any positive value is bit-identical. */
 constexpr unsigned batchMaxOps = 4096;
 
-/** True when environment variable `name` is set to anything but
-    "" or "0"; read once per variable by its caller. */
-bool
-envFlagSet(const char *name)
-{
-    const char *v = std::getenv(name);
-    return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
-
-bool batchedDefault = true;
-bool superblockDefault = true;
-
 } // namespace
-
-void
-setBatchedExecutionDefault(bool batched)
-{
-    batchedDefault = batched;
-}
 
 bool
 batchedExecutionDefault()
 {
-    static const bool forcedOff = envFlagSet("LIMITPP_FORCE_NO_BATCH");
-    return batchedDefault && !forcedOff;
-}
-
-void
-setSuperblockExecutionDefault(bool enabled)
-{
-    superblockDefault = enabled;
-}
-
-bool
-superblockExecutionDefault()
-{
-    static const bool forcedOff =
-        envFlagSet("LIMITPP_FORCE_NO_SUPERBLOCK");
-    return superblockDefault && !forcedOff;
+    static const bool forcedOff = [] {
+        const char *v = std::getenv("LIMITPP_FORCE_NO_BATCH");
+        return v != nullptr && v[0] != '\0' &&
+               !(v[0] == '0' && v[1] == '\0');
+    }();
+    return !forcedOff;
 }
 
 Machine::Machine(const MachineConfig &config)
@@ -114,15 +86,13 @@ Machine::run()
 
 /**
  * Reference scheduler: one op per global round. Kept verbatim as the
- * bit-identity oracle for runBatched() (--no-batch, the no-batch CI
- * job, and tests/test_batch.cc).
+ * bit-identity oracle for runBatched() (LIMITPP_FORCE_NO_BATCH, the
+ * no-batch CI job, and the equivalence tests). It never reaches the
+ * inline fast path, so it never replays a declared loop.
  */
 Tick
 Machine::runPerOp()
 {
-    // The reference loop never replays superblocks.
-    for (auto &cpu : cpus_)
-        cpu->setSuperblocksEnabled(false);
     auto earliest_busy = [this]() -> Cpu * {
         Cpu *best = nullptr;
         for (auto &cpu : cpus_) {
@@ -180,9 +150,8 @@ Machine::runPerOp()
 Tick
 Machine::runBatched()
 {
-    const bool sb = config_.superblocks && superblockExecutionDefault();
     for (auto &cpu : cpus_)
-        cpu->setSuperblocksEnabled(sb);
+        cpu->snapshotFastPeek();
     // (now, id)-lexicographic order; strict-weak, heap comparator is
     // the inverse (std::*_heap build max-heaps).
     auto after = [](const Cpu *a, const Cpu *b) {

@@ -43,22 +43,15 @@ struct MachineConfig
      */
     Tick hardLimit = maxTick;
     /**
-     * Horizon-batched execution (bit-identical to the per-op reference
-     * scheduler; see DESIGN.md "Safe-horizon batching"). Effective only
-     * while the process-wide default is also on: --no-batch and the
-     * LIMITPP_FORCE_NO_BATCH environment variable force the per-op
-     * loop everywhere regardless of this field.
+     * Horizon-batched execution, which replays every loop a guest
+     * declared (see DESIGN.md "Safe-horizon batching" and "Superblock
+     * replay"); false selects the per-op reference scheduler, its
+     * bit-identity oracle. Effective only while
+     * batchedExecutionDefault() is also on: LIMITPP_FORCE_NO_BATCH
+     * in the environment forces the per-op loop everywhere
+     * regardless of this field.
      */
     bool batched = true;
-    /**
-     * Superblock replay on the batched hot path (bit-identical
-     * replay of guest-declared loop bodies; see sim/superblock.hh and
-     * DESIGN.md "Superblock replay"). Effective only in batched mode
-     * and while the process-wide default is also on: --no-superblock
-     * and the LIMITPP_FORCE_NO_SUPERBLOCK environment variable
-     * disable replay everywhere regardless of this field.
-     */
-    bool superblocks = true;
 };
 
 /**
@@ -85,20 +78,10 @@ struct WorkStats
 
 /**
  * Process-wide master switch for horizon-batched execution, consulted
- * by every Machine::run. Cleared by --no-batch (analysis::parseBenchArgs)
- * and by setting LIMITPP_FORCE_NO_BATCH in the environment.
+ * by every Machine::run: false when LIMITPP_FORCE_NO_BATCH is set in
+ * the environment to anything but "" or "0" (read once).
  */
-void setBatchedExecutionDefault(bool batched);
 bool batchedExecutionDefault();
-
-/**
- * Process-wide master switch for superblock replay, consulted by
- * every Machine::run. Cleared by --no-superblock
- * (analysis::parseBenchArgs) and by setting LIMITPP_FORCE_NO_SUPERBLOCK
- * in the environment.
- */
-void setSuperblockExecutionDefault(bool enabled);
-bool superblockExecutionDefault();
 
 /**
  * Deterministic multi-core machine.

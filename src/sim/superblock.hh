@@ -26,8 +26,9 @@
  * possible counter wrap, or active fault plan refuses or ends the
  * replay and falls back to the normal path, so a wrong declaration
  * costs replay, never bytes: the published tables stay byte-identical
- * with replay on, off (--no-superblock / LIMITPP_FORCE_NO_SUPERBLOCK),
- * or under the per-op reference loop.
+ * under the per-op reference loop (LIMITPP_FORCE_NO_BATCH), which
+ * never replays. A run that should not replay a loop simply does not
+ * declare it.
  */
 
 #ifndef LIMIT_SIM_SUPERBLOCK_HH

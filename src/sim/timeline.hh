@@ -3,12 +3,12 @@
  * Guest-cycle timeline recorder: exact per-interval PMU event deltas.
  *
  * Every event application on a core lands in the slice holding the
- * core's clock at apply time (slice = now / interval). Because all
- * three execution loops apply an op's events *before* advancing the
- * clock — and superblock replay sizing additionally refuses to let a
- * span cross the next slice boundary (see Cpu::sbSizeIters) — the
- * slice vectors are bit-identical across per-op, batched and
- * superblock execution, and across any `--jobs` fan-out (the
+ * core's clock at apply time (slice = now / interval). Because both
+ * execution modes apply an op's events *before* advancing the clock —
+ * and superblock replay sizing additionally refuses to let a span
+ * cross the next slice boundary (see Cpu::sbTryEnter) — the slice
+ * vectors are bit-identical between per-op and batched execution
+ * (declared loops replayed), and across any `--jobs` fan-out (the
  * instrumented run is a dedicated single representative run).
  *
  * Unlike sampling, nothing here is statistical: each slice is the

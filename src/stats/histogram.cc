@@ -129,62 +129,4 @@ Log2Histogram::render(unsigned width) const
     return os.str();
 }
 
-LinearHistogram::LinearHistogram(double lo, double hi, unsigned num_buckets)
-    : lo_(lo), width_((hi - lo) / num_buckets), counts_(num_buckets, 0)
-{
-    panic_if(num_buckets == 0, "LinearHistogram with zero buckets");
-    panic_if(!(hi > lo), "LinearHistogram with hi <= lo");
-}
-
-void
-LinearHistogram::add(double value, std::uint64_t weight)
-{
-    total_ += weight;
-    sum_ += value * weight;
-    if (value < lo_) {
-        underflow_ += weight;
-        return;
-    }
-    const auto idx = static_cast<std::uint64_t>((value - lo_) / width_);
-    if (idx >= counts_.size()) {
-        overflow_ += weight;
-        return;
-    }
-    counts_[static_cast<unsigned>(idx)] += weight;
-}
-
-void
-LinearHistogram::clear()
-{
-    std::fill(counts_.begin(), counts_.end(), 0);
-    underflow_ = overflow_ = total_ = 0;
-    sum_ = 0.0;
-}
-
-std::string
-LinearHistogram::render(unsigned width) const
-{
-    std::uint64_t max_count = std::max(underflow_, overflow_);
-    for (auto c : counts_)
-        max_count = std::max(max_count, c);
-    if (total_ == 0)
-        return "(empty histogram)\n";
-
-    std::ostringstream os;
-    if (underflow_)
-        os << barRow("under           ", underflow_, max_count, width);
-    for (unsigned b = 0; b < counts_.size(); ++b) {
-        if (!counts_[b])
-            continue;
-        std::ostringstream label;
-        label << "[" << bucketLo(b) << ", " << bucketLo(b) + width_ << ") ";
-        std::string l = label.str();
-        l.resize(16, ' ');
-        os << barRow(l, counts_[b], max_count, width);
-    }
-    if (overflow_)
-        os << barRow("over            ", overflow_, max_count, width);
-    return os.str();
-}
-
 } // namespace limit::stats

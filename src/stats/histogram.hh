@@ -1,13 +1,9 @@
 /**
  * @file
- * Fixed-layout histograms used throughout the benches.
- *
- * Two flavours:
- *   - Log2Histogram: one bucket per power of two; the natural choice
- *     for critical-section / latency distributions spanning orders of
- *     magnitude (paper-style figures).
- *   - LinearHistogram: evenly sized buckets over [lo, hi) with
- *     underflow/overflow tails.
+ * Fixed-layout histogram used throughout the benches: Log2Histogram,
+ * one bucket per power of two, the natural choice for critical-section
+ * / latency distributions spanning orders of magnitude (paper-style
+ * figures).
  */
 
 #ifndef LIMIT_STATS_HISTOGRAM_HH
@@ -72,40 +68,6 @@ class Log2Histogram
     std::vector<std::uint64_t> counts_;
     std::uint64_t total_ = 0;
     std::uint64_t sum_ = 0;
-};
-
-/** Evenly bucketed histogram with explicit under/overflow tails. */
-class LinearHistogram
-{
-  public:
-    /** Bucket i covers [lo + i*w, lo + (i+1)*w) with w = (hi-lo)/n. */
-    LinearHistogram(double lo, double hi, unsigned num_buckets);
-
-    void add(double value) { add(value, 1); }
-    void add(double value, std::uint64_t weight);
-
-    unsigned numBuckets() const { return static_cast<unsigned>(counts_.size()); }
-    std::uint64_t bucket(unsigned b) const { return counts_.at(b); }
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    std::uint64_t totalCount() const { return total_; }
-    double bucketLo(unsigned b) const { return lo_ + b * width_; }
-    double bucketWidth() const { return width_; }
-
-    double mean() const { return total_ ? sum_ / static_cast<double>(total_) : 0.0; }
-
-    void clear();
-
-    std::string render(unsigned width = 50) const;
-
-  private:
-    double lo_;
-    double width_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t total_ = 0;
-    double sum_ = 0.0;
 };
 
 } // namespace limit::stats

@@ -190,25 +190,6 @@ TEST(BundleBuilderDeathTest, RejectsMemoryModelConflicts)
         "flatMemory\\(\\) conflicts");
 }
 
-TEST(BundleBuilderDeathTest, RejectsSuperblocksWithoutBatching)
-{
-    EXPECT_DEATH(BundleOptions::builder()
-                     .batched(false)
-                     .superblocks(true)
-                     .build(),
-                 "superblocks\\(true\\) requires batched");
-    // Defaulted superblocks with batched(false) stays legal: that is
-    // exactly what --no-batch produces.
-    const BundleOptions o =
-        BundleOptions::builder().batched(false).build();
-    EXPECT_FALSE(o.batched);
-    // And explicitly turning superblocks *off* is always fine.
-    (void)BundleOptions::builder()
-        .batched(false)
-        .superblocks(false)
-        .build();
-}
-
 TEST(BundleBuilderDeathTest, RejectsBadCacheGeometry)
 {
     EXPECT_DEATH(BundleOptions::builder().l1Size(0).build(),
@@ -335,7 +316,8 @@ TEST(BenchArgs, RejectsUnknownFlags)
           parseArgs({"--job-timeout", "2.5"}),
           parseArgs({"--journal=e15.journal"}), parseArgs({"--resume"}),
           parseArgs({"--sentinel"}), parseArgs({"--sentinel-every", "4"}),
-          parseArgs({"--status-file=hb.json"})}) {
+          parseArgs({"--status-file=hb.json"}), parseArgs({"--no-batch"}),
+          parseArgs({"--no-superblock"})}) {
         ASSERT_FALSE(q.ok());
         EXPECT_NE(q.error.find("unknown argument"), std::string::npos);
     }
@@ -369,28 +351,6 @@ TEST(BenchArgs, RejectsMissingAndOutOfRangeValues)
     EXPECT_FALSE(parseArgs({"--seeds", "0"}).ok());
     EXPECT_FALSE(parseArgs({"--trace-cap", "0"}).ok());
     EXPECT_FALSE(parseArgs({"--jobs", "100000001"}).ok());
-}
-
-TEST(BenchArgs, ParsesSchedulerBypassFlags)
-{
-    // Snapshot, not an absolute value: the LIMITPP_FORCE_* env
-    // overrides may have flipped the process-wide default at startup
-    // (the no-superblock CI job does exactly that).
-    const bool sb_default = sim::superblockExecutionDefault();
-    const auto p = parseArgs({"--no-batch", "--no-superblock"});
-    ASSERT_TRUE(p.ok()) << p.error;
-    EXPECT_TRUE(p.args.noBatch);
-    EXPECT_TRUE(p.args.noSuperblock);
-    // Defaults stay off, and the flags take no value: a dangling
-    // operand must be rejected as an unknown argument, not silently
-    // swallowed.
-    EXPECT_FALSE(parseArgs({}).args.noSuperblock);
-    const auto q = parseArgs({"--no-superblock", "yes"});
-    ASSERT_FALSE(q.ok());
-    EXPECT_NE(q.error.find("unknown argument"), std::string::npos);
-    // The pure parser records the flag without flipping the
-    // process-wide default (side effects live in parseBenchArgs).
-    EXPECT_EQ(sim::superblockExecutionDefault(), sb_default);
 }
 
 TEST(BenchArgs, ValidatesFaultPlanGrammarUpFront)

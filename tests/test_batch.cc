@@ -10,8 +10,9 @@
  * experiments (overflow storms, futex-heavy sync, region-attributed
  * phases, fault injection, sleep-driven migration, the OLTP sleeper
  * convoy) and is run under both schedulers via
- * BundleOptions::batched; the whole observable machine state is then
- * compared field by field.
+ * BundleOptions::batched; the whole observable machine state, cache
+ * and TLB counts included, is then compared field by field with the
+ * harness tests/test_superblock.cc uses (tests/equivalence.hh).
  */
 
 #include <gtest/gtest.h>
@@ -22,85 +23,27 @@
 #include <vector>
 
 #include "analysis/bundle.hh"
+#include "equivalence.hh"
 #include "fault/plan.hh"
 #include "os/sysno.hh"
 #include "pec/pec.hh"
 #include "sim/machine.hh"
 #include "sync/mutex.hh"
-#include "trace/trace.hh"
 #include "workloads/oltp.hh"
 
 namespace limit {
 namespace {
 
+using equiv::collect;
+using equiv::expectIdentical;
+using equiv::Fingerprint;
 using fault::FaultSpec;
 using fault::Plan;
 using fault::PlanController;
 using fault::Site;
 using sim::EventType;
 using sim::Guest;
-using sim::PrivMode;
 using sim::Task;
-
-/** Everything observable about a finished run. */
-struct Fingerprint
-{
-    sim::Tick end = 0;
-    std::uint64_t switches = 0;
-    /** thread-major, then mode-major, then event: exact ledgers. */
-    std::vector<std::uint64_t> ledgers;
-    /** core-major, then counter index: final PMU values. */
-    std::vector<std::uint64_t> pmuFinals;
-    std::vector<trace::TraceRecord> records;
-};
-
-Fingerprint
-collect(analysis::SimBundle &b, sim::Tick end)
-{
-    Fingerprint fp;
-    fp.end = end;
-    fp.switches = b.kernel().totalContextSwitches();
-    for (unsigned t = 0; t < b.kernel().numThreads(); ++t) {
-        const auto &ledger = b.kernel().thread(t).ctx.ledger();
-        for (unsigned m = 0; m < 2; ++m) {
-            for (unsigned e = 0; e < sim::numEventTypes; ++e) {
-                fp.ledgers.push_back(
-                    ledger.count(static_cast<EventType>(e),
-                                 static_cast<PrivMode>(m)));
-            }
-        }
-    }
-    for (unsigned c = 0; c < b.machine().numCores(); ++c) {
-        const auto &pmu = b.machine().cpu(c).pmu();
-        for (unsigned k = 0; k < pmu.numCounters(); ++k)
-            fp.pmuFinals.push_back(pmu.read(k));
-    }
-    if (b.tracer() != nullptr)
-        fp.records = b.tracer()->merged();
-    return fp;
-}
-
-void
-expectIdentical(const Fingerprint &batched, const Fingerprint &perop)
-{
-    EXPECT_EQ(batched.end, perop.end);
-    EXPECT_EQ(batched.switches, perop.switches);
-    EXPECT_EQ(batched.ledgers, perop.ledgers);
-    EXPECT_EQ(batched.pmuFinals, perop.pmuFinals);
-    ASSERT_EQ(batched.records.size(), perop.records.size());
-    for (std::size_t i = 0; i < batched.records.size(); ++i) {
-        const trace::TraceRecord &a = batched.records[i];
-        const trace::TraceRecord &b = perop.records[i];
-        EXPECT_EQ(a.tick, b.tick) << "record " << i;
-        EXPECT_EQ(a.a0, b.a0) << "record " << i;
-        EXPECT_EQ(a.a1, b.a1) << "record " << i;
-        EXPECT_EQ(a.tid, b.tid) << "record " << i;
-        EXPECT_EQ(a.core, b.core) << "record " << i;
-        EXPECT_EQ(static_cast<unsigned>(a.event),
-                  static_cast<unsigned>(b.event))
-            << "record " << i;
-    }
-}
 
 // ---------------------------------------------------------------------
 // Overflow-storm shape: narrow counters, PMIs mid-batch, PEC reads

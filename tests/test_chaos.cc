@@ -208,10 +208,8 @@ runFaultedSpin(const std::string &faults)
 
 TEST(ChaosFaults, ArmedNonReplayPlansForceReplayRefusal)
 {
-    if (!sim::batchedExecutionDefault() ||
-        !sim::superblockExecutionDefault()) {
-        GTEST_SKIP() << "superblock execution force-disabled";
-    }
+    if (!sim::batchedExecutionDefault())
+        GTEST_SKIP() << "batched execution force-disabled";
     // Clean run: the spin loop retires through superblock replay.
     const SpinRun clean = runFaultedSpin("");
     EXPECT_GT(clean.opsReplayed, 0u);

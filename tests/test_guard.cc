@@ -1,8 +1,9 @@
 /**
  * @file
  * Run-fingerprint tests: guard::foldRun digests a finished machine,
- * the digest agrees across the three execution modes on the same job,
- * and it separates runs of different lengths. limitbench's `correct`
+ * the digest agrees whether a job replays its declared loop, runs the
+ * same loop undeclared, or runs on the per-op reference scheduler, and
+ * it separates runs of different lengths. limitbench's `correct`
  * check digests every job through foldRun.
  */
 
@@ -22,14 +23,13 @@ using sim::Task;
 
 /**
  * One flat-memory spin job run to `horizon`, folded into a
- * fingerprint. Every load takes the memory fast path, so with
- * superblocks on the declared loop body retires through replay. The
- * mode comes from the bundle options alone; --no-batch,
- * --no-superblock and the LIMITPP_FORCE_NO_* variables can only
- * narrow it further.
+ * fingerprint. Every load takes the memory fast path, so a batched run
+ * of the declared loop body retires it through replay; an undeclared
+ * one runs the same ops batched without replay. Under
+ * LIMITPP_FORCE_NO_BATCH every run is per-op.
  */
 Fingerprint
-spinFingerprint(bool batched, bool superblocks, sim::Tick horizon)
+spinFingerprint(bool batched, bool declared, sim::Tick horizon)
 {
     SimBundle b(BundleOptions::builder()
                     .cores(1)
@@ -37,11 +37,11 @@ spinFingerprint(bool batched, bool superblocks, sim::Tick horizon)
                     .quantum(50'000)
                     .seed(1)
                     .batched(batched)
-                    .superblocks(superblocks)
                     .build());
     std::uint64_t iters = 0;
     b.kernel().spawn("spin", [&](Guest &g) -> Task<void> {
-        g.declareLoop({{sim::OpKind::Load}, {sim::OpKind::Compute, 2}});
+        if (declared)
+            g.declareLoop({{sim::OpKind::Load}, {sim::OpKind::Compute, 2}});
         while (!g.shouldStop()) {
             co_await g.load(0x8000 + (iters % 256) * 64);
             co_await g.compute(2);
@@ -57,14 +57,16 @@ spinFingerprint(bool batched, bool superblocks, sim::Tick horizon)
 
 TEST(FingerprintTest, AllThreeModesAgreeOnACleanRun)
 {
-    const Fingerprint sb = spinFingerprint(true, true, 100'000);
-    const Fingerprint ba = spinFingerprint(true, false, 100'000);
-    const Fingerprint po = spinFingerprint(false, false, 100'000);
-    EXPECT_TRUE(sb == ba);
-    EXPECT_TRUE(sb == po);
-    EXPECT_EQ(sb.runs, 1u);
-    EXPECT_GT(sb.instructions, 0u);
-    EXPECT_GT(sb.endTick, 0u);
+    // The three ways a loop can run: replayed, batched op by op, and
+    // on the per-op reference scheduler.
+    const Fingerprint replayed = spinFingerprint(true, true, 100'000);
+    const Fingerprint undeclared = spinFingerprint(true, false, 100'000);
+    const Fingerprint perop = spinFingerprint(false, true, 100'000);
+    EXPECT_TRUE(replayed == undeclared);
+    EXPECT_TRUE(replayed == perop);
+    EXPECT_EQ(replayed.runs, 1u);
+    EXPECT_GT(replayed.instructions, 0u);
+    EXPECT_GT(replayed.endTick, 0u);
 }
 
 TEST(FingerprintTest, DifferentWindowsProduceDifferentFingerprints)

@@ -97,36 +97,6 @@ TEST(Log2Histogram, RenderShowsBars)
     EXPECT_NE(r.find('#'), std::string::npos);
 }
 
-TEST(LinearHistogram, BucketsAndTails)
-{
-    LinearHistogram h(0.0, 10.0, 10);
-    h.add(-1.0);
-    h.add(0.0);
-    h.add(9.99);
-    h.add(10.0);
-    h.add(5.5);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(9), 1u);
-    EXPECT_EQ(h.bucket(5), 1u);
-    EXPECT_EQ(h.totalCount(), 5u);
-}
-
-TEST(LinearHistogram, MeanIncludesTails)
-{
-    LinearHistogram h(0.0, 10.0, 5);
-    h.add(20.0);
-    h.add(0.0);
-    EXPECT_DOUBLE_EQ(h.mean(), 10.0);
-}
-
-TEST(LinearHistogramDeathTest, BadGeometry)
-{
-    EXPECT_DEATH(LinearHistogram(1.0, 1.0, 4), "hi <= lo");
-    EXPECT_DEATH(LinearHistogram(0.0, 1.0, 0), "zero buckets");
-}
-
 // ---------------------------------------------------------------------
 // HdrHistogram (the exact, serializable histogram profiles use)
 // ---------------------------------------------------------------------

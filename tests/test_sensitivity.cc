@@ -183,11 +183,13 @@ TEST(SensitivityEngine, ReportIsBitIdenticalAcrossJobCounts)
 }
 
 /**
- * Real-simulation lattice: a short compute/load loop measured across
- * a tiny L1-size axis must produce identical measurements whichever
- * execution mode runs it (batched + superblocks, batched only, or
+ * Real-simulation lattice: a short declared compute/load loop measured
+ * across a tiny L1-size axis must produce identical measurements
+ * whichever execution mode runs it (batched, replaying the loop, or
  * the per-op reference loop) — the engine inherits the simulator's
- * determinism contract.
+ * determinism contract. Each load of the 32 KiB sweep touches a new
+ * line, so batched runs retire every load as a full access inside the
+ * replay.
  */
 Measurement
 simWorkload(const BundleOptions &base, std::uint64_t seed)
@@ -196,6 +198,7 @@ simWorkload(const BundleOptions &base, std::uint64_t seed)
         BundleOptions::Builder::from(base).seed(seed).build());
     std::uint64_t iters = 0;
     b.kernel().spawn("t", [&](sim::Guest &g) -> sim::Task<void> {
+        g.declareLoop({{sim::OpKind::Load}, {sim::OpKind::Compute, 3}});
         while (!g.shouldStop()) {
             co_await g.load(0x4000 + (iters % 512) * 64);
             co_await g.compute(3);
@@ -213,13 +216,12 @@ simWorkload(const BundleOptions &base, std::uint64_t seed)
 
 TEST(SensitivityEngine, SimLatticeInvariantAcrossExecutionModes)
 {
-    auto run = [](bool batched, bool superblocks) {
+    auto run = [](bool batched) {
         ParamSpace space(ParamSpace(
             BundleOptions::builder()
                 .cores(1)
                 .l1Size(4 * 1024)
                 .batched(batched)
-                .superblocks(superblocks)
                 .build()));
         space.add(Axis::l1Size({64 * 1024}))
             .add(Axis::l1Latency({8}));
@@ -233,9 +235,7 @@ TEST(SensitivityEngine, SimLatticeInvariantAcrossExecutionModes)
                                            opts);
         return report.toJson();
     };
-    const std::string full = run(true, true);
-    EXPECT_EQ(full, run(true, false)); // superblocks off
-    EXPECT_EQ(full, run(false, false)); // per-op reference loop
+    EXPECT_EQ(run(true), run(false));
 }
 
 } // namespace

@@ -6,17 +6,18 @@
  * replay") retires whole declared loop bodies (Guest::declareLoop)
  * with precomputed event-delta prefix sums instead of per-op
  * bookkeeping. Its contract is bit-identity: every scenario here runs
- * three ways — superblocks on, superblocks off (--no-superblock's
- * effect, via BundleOptions::superblocks), and the per-op reference
- * scheduler — and compares the whole observable machine state field
- * by field, exactly like tests/test_batch.cc does for horizon
- * batching. The shapes deliberately stress the replay seams: PMI
- * storms splitting replays, counter overflow landing at block
- * boundaries, cache and TLB misses run through the full memory model
- * inside a replay, futex sleeps and wakeups in the middle of a hot
- * loop, wakes that start past the quantum end, fault plans that must
- * fire at the same op regardless of execution strategy, and
- * declarations that do not match the loop they name.
+ * batched, where every declared loop replays, and on the per-op
+ * reference scheduler, which never replays, and compares the whole
+ * observable machine state field by field with the harness
+ * tests/test_batch.cc uses (tests/equivalence.hh). A batched run
+ * without replay is the same workload left undeclared. The shapes
+ * deliberately stress the replay seams: PMI storms splitting replays,
+ * counter overflow landing at block boundaries, cache and TLB misses
+ * run through the full memory model inside a replay, futex sleeps and
+ * wakeups in the middle of a hot loop, wakes that start past the
+ * quantum end, fault plans that must fire at the same op regardless
+ * of execution mode, and declarations that do not match the loop they
+ * name.
  */
 
 #include <gtest/gtest.h>
@@ -25,21 +26,22 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "analysis/bundle.hh"
+#include "equivalence.hh"
 #include "fault/plan.hh"
-#include "mem/hierarchy.hh"
 #include "os/sysno.hh"
 #include "pec/pec.hh"
 #include "sim/machine.hh"
 #include "sim/superblock.hh"
 #include "sync/mutex.hh"
-#include "trace/trace.hh"
 
 namespace limit {
 namespace {
 
+using equiv::collect;
+using equiv::expectIdentical;
+using equiv::Fingerprint;
 using fault::FaultSpec;
 using fault::Plan;
 using fault::PlanController;
@@ -50,131 +52,38 @@ using sim::OpKind;
 using sim::PrivMode;
 using sim::Task;
 
-/** The three execution strategies every scenario must agree across. */
+/** The two execution modes every scenario must agree across. */
 enum class Mode
 {
-    Superblock, ///< batched + superblock replay
-    NoSuperblock, ///< batched, replay disabled (--no-superblock)
-    PerOp, ///< per-op reference scheduler (--no-batch)
+    Batched, ///< horizon batching, declared loops replayed
+    PerOp, ///< per-op reference scheduler
 };
 
 analysis::BundleOptions::Builder
 builderFor(Mode mode)
 {
     analysis::BundleOptions::Builder b;
-    b.batched(mode != Mode::PerOp);
-    b.superblocks(mode == Mode::Superblock);
+    b.batched(mode == Mode::Batched);
     return b;
 }
 
 /**
- * True when a Mode::Superblock bundle can actually replay: the
- * process-wide defaults may be force-disabled by the no-batch /
- * no-superblock CI jobs, in which case the equivalence tests still
- * compare all three runs but replay-activity assertions must skip.
+ * Run one scenario both ways and demand identical state. Replay
+ * assertions hold only while batching is on: the no-batch CI job
+ * forces every run onto the per-op loop.
  */
-bool
-superblocksActive()
-{
-    return sim::batchedExecutionDefault() &&
-           sim::superblockExecutionDefault();
-}
-
-/** Everything observable about a finished run. */
-struct Fingerprint
-{
-    sim::Tick end = 0;
-    std::uint64_t switches = 0;
-    /** thread-major, then mode-major, then event: exact ledgers. */
-    std::vector<std::uint64_t> ledgers;
-    /** core-major, then counter index: final PMU values. */
-    std::vector<std::uint64_t> pmuFinals;
-    std::vector<trace::TraceRecord> records;
-    /**
-     * Core-major L1D, L2 and DTLB hits and misses, then the LLC's
-     * (empty on flat memory): replay must leave the model in the
-     * state per-op accesses would.
-     */
-    std::vector<std::uint64_t> mem;
-    sim::SuperblockStats sb{};
-};
-
-Fingerprint
-collect(analysis::SimBundle &b, sim::Tick end)
-{
-    Fingerprint fp;
-    fp.end = end;
-    fp.switches = b.kernel().totalContextSwitches();
-    for (unsigned t = 0; t < b.kernel().numThreads(); ++t) {
-        const auto &ledger = b.kernel().thread(t).ctx.ledger();
-        for (unsigned m = 0; m < 2; ++m) {
-            for (unsigned e = 0; e < sim::numEventTypes; ++e) {
-                fp.ledgers.push_back(
-                    ledger.count(static_cast<EventType>(e),
-                                 static_cast<PrivMode>(m)));
-            }
-        }
-    }
-    for (unsigned c = 0; c < b.machine().numCores(); ++c) {
-        const auto &pmu = b.machine().cpu(c).pmu();
-        for (unsigned k = 0; k < pmu.numCounters(); ++k)
-            fp.pmuFinals.push_back(pmu.read(k));
-    }
-    if (b.tracer() != nullptr)
-        fp.records = b.tracer()->merged();
-    if (mem::CacheHierarchy *h = b.hierarchy()) {
-        for (unsigned c = 0; c < b.machine().numCores(); ++c) {
-            fp.mem.insert(fp.mem.end(),
-                          {h->l1d(c).hits(), h->l1d(c).misses(),
-                           h->l2(c).hits(), h->l2(c).misses(),
-                           h->dtlb(c).hits(), h->dtlb(c).misses()});
-        }
-        fp.mem.insert(fp.mem.end(), {h->llc().hits(), h->llc().misses()});
-    }
-    fp.sb = b.machine().superblockStats();
-    return fp;
-}
-
-void
-expectIdentical(const Fingerprint &a, const Fingerprint &b,
-                const char *what)
-{
-    EXPECT_EQ(a.end, b.end) << what;
-    EXPECT_EQ(a.switches, b.switches) << what;
-    EXPECT_EQ(a.ledgers, b.ledgers) << what;
-    EXPECT_EQ(a.pmuFinals, b.pmuFinals) << what;
-    EXPECT_EQ(a.mem, b.mem) << what;
-    ASSERT_EQ(a.records.size(), b.records.size()) << what;
-    for (std::size_t i = 0; i < a.records.size(); ++i) {
-        const trace::TraceRecord &ra = a.records[i];
-        const trace::TraceRecord &rb = b.records[i];
-        EXPECT_EQ(ra.tick, rb.tick) << what << " record " << i;
-        EXPECT_EQ(ra.a0, rb.a0) << what << " record " << i;
-        EXPECT_EQ(ra.a1, rb.a1) << what << " record " << i;
-        EXPECT_EQ(ra.tid, rb.tid) << what << " record " << i;
-        EXPECT_EQ(ra.core, rb.core) << what << " record " << i;
-        EXPECT_EQ(static_cast<unsigned>(ra.event),
-                  static_cast<unsigned>(rb.event))
-            << what << " record " << i;
-    }
-}
-
-/** Run one scenario all three ways and demand identical state. */
 template <typename RunFn>
 void
-threeWay(RunFn run, bool expect_replays = true)
+twoWay(RunFn run, bool expect_replays = true)
 {
-    const Fingerprint sb = run(Mode::Superblock);
-    const Fingerprint nosb = run(Mode::NoSuperblock);
+    const Fingerprint batched = run(Mode::Batched);
     const Fingerprint perop = run(Mode::PerOp);
-    expectIdentical(sb, nosb, "superblock vs no-superblock");
-    expectIdentical(sb, perop, "superblock vs per-op");
-    // The superblock run must actually have replayed something —
+    expectIdentical(batched, perop);
+    // The batched run must actually have replayed something —
     // otherwise the equivalence above proved nothing about replay.
-    if (expect_replays && superblocksActive()) {
-        EXPECT_GT(sb.sb.opsReplayed, 0u) << "scenario never replayed";
+    if (expect_replays && sim::batchedExecutionDefault()) {
+        EXPECT_GT(batched.sb.opsReplayed, 0u) << "scenario never replayed";
     }
-    EXPECT_EQ(nosb.sb.opsReplayed, 0u);
     EXPECT_EQ(perop.sb.opsReplayed, 0u);
 }
 
@@ -218,7 +127,7 @@ runHotLoop(Mode mode)
 
 TEST(SuperblockEquivalence, HotLoopBitIdentical)
 {
-    threeWay(runHotLoop);
+    twoWay(runHotLoop);
 }
 
 // ---------------------------------------------------------------------
@@ -266,7 +175,7 @@ runPmiStorm(Mode mode)
 
 TEST(SuperblockEquivalence, PmiStormBitIdentical)
 {
-    threeWay(runPmiStorm);
+    twoWay(runPmiStorm);
 }
 
 // ---------------------------------------------------------------------
@@ -309,10 +218,10 @@ runMissStorm(Mode mode)
 
 TEST(SuperblockEquivalence, MissStormBitIdentical)
 {
-    threeWay(runMissStorm);
-    if (superblocksActive()) {
+    twoWay(runMissStorm);
+    if (sim::batchedExecutionDefault()) {
         // The misses ran inside replays rather than ending them.
-        const Fingerprint fp = runMissStorm(Mode::Superblock);
+        const Fingerprint fp = runMissStorm(Mode::Batched);
         EXPECT_GT(fp.sb.stallBridges, 10 * fp.sb.entries);
     }
 }
@@ -345,11 +254,11 @@ runDtlbRecency(Mode mode)
 
 TEST(SuperblockEquivalence, DtlbRecencyBitIdentical)
 {
-    threeWay(runDtlbRecency);
+    twoWay(runDtlbRecency);
     // Closed form: every cold load misses the DTLB, and the hot page
     // misses once and then stays resident (fingerprint layout: core
     // 0's DTLB misses sit at index 5).
-    const Fingerprint fp = runDtlbRecency(Mode::Superblock);
+    const Fingerprint fp = runDtlbRecency(Mode::Batched);
     EXPECT_EQ(fp.mem[5], dtlbIters + 1);
 }
 
@@ -401,7 +310,7 @@ runFutexWakeups(Mode mode)
 
 TEST(SuperblockEquivalence, FutexWakeupsBitIdentical)
 {
-    threeWay(runFutexWakeups);
+    twoWay(runFutexWakeups);
 }
 
 // ---------------------------------------------------------------------
@@ -457,9 +366,9 @@ TEST(SuperblockEquivalence, FaultSeamsFireIdentically)
     // plan's probe seams sit on per-op boundaries), so this scenario
     // proves the refusal path, not replay: zero ops replayed, every
     // entry attempt counted as a fault refusal, results identical.
-    threeWay(runFaultPlan, /*expect_replays=*/false);
-    if (superblocksActive()) {
-        const Fingerprint fp = runFaultPlan(Mode::Superblock);
+    twoWay(runFaultPlan, /*expect_replays=*/false);
+    if (sim::batchedExecutionDefault()) {
+        const Fingerprint fp = runFaultPlan(Mode::Batched);
         EXPECT_EQ(fp.sb.opsReplayed, 0u);
         EXPECT_GT(fp.sb.refusedFaults, 0u);
     }
@@ -472,8 +381,8 @@ TEST(SuperblockEquivalence, FaultSeamsFireIdentically)
 
 TEST(SuperblockReplay, CommittedDeltaSumsMatchClosedForm)
 {
-    if (!superblocksActive())
-        GTEST_SKIP() << "superblock execution force-disabled";
+    if (!sim::batchedExecutionDefault())
+        GTEST_SKIP() << "batched execution force-disabled";
     constexpr unsigned iters = 20'000;
     constexpr std::uint64_t computeInstrs = 8;
     // Flat memory: every access hits the fast path at a fixed latency,
@@ -531,8 +440,8 @@ TEST(SuperblockReplay, CommittedDeltaSumsMatchClosedForm)
 
 TEST(SuperblockReplay, StreamingLoopBridgesStalls)
 {
-    if (!superblocksActive())
-        GTEST_SKIP() << "superblock execution force-disabled";
+    if (!sim::batchedExecutionDefault())
+        GTEST_SKIP() << "batched execution force-disabled";
     constexpr unsigned iters = 60'000;
     analysis::SimBundle b(analysis::BundleOptions::Builder()
                               .cores(1)
@@ -591,7 +500,7 @@ runWakePastQuantumEnd(Mode mode)
 
 TEST(SuperblockEquivalence, WakePastQuantumEndBitIdentical)
 {
-    threeWay(runWakePastQuantumEnd);
+    twoWay(runWakePastQuantumEnd);
 }
 
 // ---------------------------------------------------------------------
@@ -652,11 +561,11 @@ TEST(SuperblockDeclaration, WrongOperandsReplayNothing)
 {
     for (Misdeclared wrong :
          {Misdeclared::Instrs, Misdeclared::ProfileBits}) {
-        threeWay([wrong](Mode m) { return runMisdeclared(m, wrong); },
+        twoWay([wrong](Mode m) { return runMisdeclared(m, wrong); },
                  /*expect_replays=*/false);
-        const Fingerprint fp = runMisdeclared(Mode::Superblock, wrong);
+        const Fingerprint fp = runMisdeclared(Mode::Batched, wrong);
         EXPECT_EQ(fp.sb.opsReplayed, 0u);
-        if (superblocksActive()) {
+        if (sim::batchedExecutionDefault()) {
             // Entry was armed at every compute and ended by its
             // operand check, not skipped.
             EXPECT_GT(fp.sb.entries, 0u);
@@ -666,14 +575,14 @@ TEST(SuperblockDeclaration, WrongOperandsReplayNothing)
 
 TEST(SuperblockDeclaration, WrongOrderNeverCompletesAnIteration)
 {
-    threeWay([](Mode m) { return runMisdeclared(m, Misdeclared::Order); },
+    twoWay([](Mode m) { return runMisdeclared(m, Misdeclared::Order); },
              /*expect_replays=*/false);
     // A permutation that is not a rotation matches the op it entered
     // on (the compute) and then mismatches at once, on the load where
     // it expects the store: each entry retires that one op, and no
     // span ever covers a whole iteration.
     const Fingerprint fp =
-        runMisdeclared(Mode::Superblock, Misdeclared::Order);
+        runMisdeclared(Mode::Batched, Misdeclared::Order);
     EXPECT_EQ(fp.sb.fullCommits, 0u);
     EXPECT_EQ(fp.sb.opsReplayed, fp.sb.partialFlushes);
     EXPECT_EQ(fp.sb.opsReplayed, fp.sb.entries);
@@ -699,8 +608,8 @@ runUndeclared(Mode mode)
 
 TEST(SuperblockDeclaration, UndeclaredHotLoopReplaysNothing)
 {
-    threeWay(runUndeclared, /*expect_replays=*/false);
-    const Fingerprint fp = runUndeclared(Mode::Superblock);
+    twoWay(runUndeclared, /*expect_replays=*/false);
+    const Fingerprint fp = runUndeclared(Mode::Batched);
     EXPECT_EQ(fp.sb.entries, 0u);
     EXPECT_EQ(fp.sb.opsReplayed, 0u);
     EXPECT_EQ(fp.sb.opsRecorded, 0u);
@@ -744,8 +653,8 @@ TEST(SuperblockDeclaration, MemoryWithoutFastPathReplaysNothing)
 {
     // A declared load has no fast-path latency to replay at, so the
     // declaration is dropped rather than entered.
-    threeWay(runWithoutFastPath, /*expect_replays=*/false);
-    const Fingerprint fp = runWithoutFastPath(Mode::Superblock);
+    twoWay(runWithoutFastPath, /*expect_replays=*/false);
+    const Fingerprint fp = runWithoutFastPath(Mode::Batched);
     EXPECT_EQ(fp.sb.entries, 0u);
     EXPECT_EQ(fp.sb.opsReplayed, 0u);
 }
@@ -785,10 +694,10 @@ runRedeclared(Mode mode, unsigned *mid_replay = nullptr)
 
 TEST(SuperblockDeclaration, RedeclaringMidReplayIsBitIdentical)
 {
-    threeWay([](Mode m) { return runRedeclared(m); });
-    if (superblocksActive()) {
+    twoWay([](Mode m) { return runRedeclared(m); });
+    if (sim::batchedExecutionDefault()) {
         unsigned mid_replay = 0;
-        runRedeclared(Mode::Superblock, &mid_replay);
+        runRedeclared(Mode::Batched, &mid_replay);
         EXPECT_GT(mid_replay, 0u);
     }
 }

@@ -5,9 +5,10 @@
  * The TimelineRecorder slices every core's full PMU event vector at
  * fixed guest-cycle intervals, with each event delta attributed to
  * the slice in force when it was applied. The captured matrix must be
- * *bit-identical* across the three execution loops (per-op, batched,
- * superblock replay) and conserve events exactly against the ledgers;
- * buildTimeline layers deterministic phase segmentation on top.
+ * *bit-identical* across both execution modes (batched, with the
+ * declared loop replayed, and per-op) and conserve events exactly
+ * against the ledgers; buildTimeline layers deterministic phase
+ * segmentation on top.
  */
 
 #include <gtest/gtest.h>
@@ -35,14 +36,13 @@ constexpr unsigned kInterval = 4096;
 
 /** Mixed compute/memory run with mid-run behaviour changes. */
 analysis::SimBundle
-makeBundle(bool batched, bool superblocks)
+makeBundle(bool batched)
 {
     return analysis::SimBundle(analysis::BundleOptions::builder()
                                    .cores(2)
                                    .quantum(10'000)
                                    .seed(33)
                                    .batched(batched)
-                                   .superblocks(superblocks)
                                    .timelineInterval(kInterval)
                                    .build());
 }
@@ -64,9 +64,9 @@ runWorkload(analysis::SimBundle &b)
                     co_await g.store(a + 8);
                     co_await g.compute(2);
                 }
-                // A declared hot loop: with superblocks on it retires
-                // through replay, whose spans must still split at
-                // slice boundaries exactly where per-op events do.
+                // A declared hot loop: batched, it retires through
+                // replay, whose spans must still split at slice
+                // boundaries exactly where per-op events do.
                 const sim::Addr hot = 0x400000 + g.tid() * 0x10000;
                 g.declareLoop({{sim::OpKind::Load},
                                {sim::OpKind::Compute, 3}});
@@ -93,19 +93,16 @@ flattenLanes(const TimelineRecorder &recorder)
 
 TEST(TimelineRecorder, SlicesBitIdenticalAcrossExecutionModes)
 {
-    std::vector<std::uint64_t> flat[3];
-    std::string json[3];
-    const bool modes[3][2] = {
-        {true, true}, {true, false}, {false, false}};
-    for (int m = 0; m < 3; ++m) {
-        analysis::SimBundle b = makeBundle(modes[m][0], modes[m][1]);
+    std::vector<std::uint64_t> flat[2];
+    std::string json[2];
+    for (int m = 0; m < 2; ++m) {
+        analysis::SimBundle b = makeBundle(/*batched=*/m == 0);
         const sim::Tick end = runWorkload(b);
         ASSERT_NE(b.timeline(), nullptr);
         b.timeline()->finalize(b.machine().maxTime());
         EXPECT_EQ(end, b.machine().maxTime());
         flat[m] = flattenLanes(*b.timeline());
-        if (m == 0 && sim::batchedExecutionDefault() &&
-            sim::superblockExecutionDefault()) {
+        if (m == 0 && sim::batchedExecutionDefault()) {
             // Otherwise the comparison below proves nothing about how
             // replayed spans land in slices.
             EXPECT_GT(b.machine().superblockStats().opsReplayed, 0u);
@@ -116,15 +113,13 @@ TEST(TimelineRecorder, SlicesBitIdenticalAcrossExecutionModes)
         report.addTimeline(prof::buildTimeline("t", *b.timeline()));
         json[m] = report.toJson();
     }
-    EXPECT_EQ(flat[0], flat[1]) << "superblock vs batched";
-    EXPECT_EQ(flat[0], flat[2]) << "superblock vs per-op";
+    EXPECT_EQ(flat[0], flat[1]) << "batched vs per-op";
     EXPECT_EQ(json[0], json[1]);
-    EXPECT_EQ(json[0], json[2]);
 }
 
 TEST(TimelineRecorder, SliceSumsConserveEveryEventExactly)
 {
-    analysis::SimBundle b = makeBundle(true, true);
+    analysis::SimBundle b = makeBundle(true);
     runWorkload(b);
     b.timeline()->finalize(b.machine().maxTime());
 
@@ -144,7 +139,7 @@ TEST(TimelineRecorder, SliceSumsConserveEveryEventExactly)
 
 TEST(TimelineRecorder, FinalizePadsEveryLaneToTheMachineClock)
 {
-    analysis::SimBundle b = makeBundle(true, true);
+    analysis::SimBundle b = makeBundle(true);
     runWorkload(b);
     TimelineRecorder *tl = b.timeline();
     const std::uint64_t expect =
@@ -216,7 +211,7 @@ TEST(BuildTimeline, IdleRecorderYieldsOneIdlePhase)
 
 TEST(TimelineReport, JsonAndAsciiCarryTheSection)
 {
-    analysis::SimBundle b = makeBundle(true, true);
+    analysis::SimBundle b = makeBundle(true);
     runWorkload(b);
     b.timeline()->finalize(b.machine().maxTime());
 

@@ -13,10 +13,8 @@
  * pasting the line the failure prints.
  *
  * The scenarios are E11's SPEC-like kernels and applications on E11's
- * machine, plus a lone compute thread under both schedulers. The pins
- * hold for the default execution mode, so a batched scenario skips
- * when LIMITPP_FORCE_NO_BATCH or LIMITPP_FORCE_NO_SUPERBLOCK changes
- * its mode.
+ * machine, plus a lone compute thread under both schedulers. A
+ * batched scenario skips when LIMITPP_FORCE_NO_BATCH runs it per-op.
  */
 
 #include <gtest/gtest.h>
@@ -145,7 +143,7 @@ struct Pin
 {
     const char *name;
     std::string (*run)();
-    /** Runs batched with superblocks, the default mode. */
+    /** Runs batched, the default mode. */
     bool batched;
     const char *work;
 };
@@ -202,11 +200,8 @@ class WorkCounts : public testing::TestWithParam<Pin>
 TEST_P(WorkCounts, MatchPin)
 {
     const Pin &pin = GetParam();
-    if (pin.batched && !(sim::batchedExecutionDefault() &&
-                         sim::superblockExecutionDefault())) {
-        GTEST_SKIP() << "a LIMITPP_FORCE_NO_* default changes the "
-                        "execution mode this pin holds for";
-    }
+    if (pin.batched && !sim::batchedExecutionDefault())
+        GTEST_SKIP() << "LIMITPP_FORCE_NO_BATCH runs this pin per-op";
     EXPECT_EQ(pin.run(), pin.work);
 }
 
