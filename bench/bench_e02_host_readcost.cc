@@ -31,6 +31,8 @@
 #include <x86intrin.h>
 #endif
 
+#include "analysis/args.hh"
+
 namespace {
 
 void
@@ -107,55 +109,28 @@ BENCHMARK(BM_proc_self_stat_read);
 
 } // namespace
 
-// Accept (and ignore) the suite-wide --seeds/--jobs/--trace/
-// --trace-cap/--faults/--profile/--profile-out flags so drivers can
-// pass a uniform command line to every bench; this one measures real
-// host hardware, so simulated seeds, fan-out, tracing, fault
-// injection and profiling do not apply.
+// Every --benchmark_* argument goes to google-benchmark; everything
+// else goes through the suite's shared parser (analysis/args.hh), so E2
+// accepts exactly the flags every other bench does and rejects the rest
+// the same way. It then ignores them: this bench measures real host
+// hardware, so simulated seeds, fan-out, tracing, fault injection,
+// profiling and timelines do not apply.
 int
 main(int argc, char **argv)
 {
-    struct SuiteFlag
-    {
-        const char *name;
-        bool takes_value;
-    };
-    const SuiteFlag suite_flags[] = {
-        {"--seeds", true},     {"--jobs", true},
-        {"--trace", true},     {"--trace-cap", true},
-        {"--faults", true},    {"--profile-out", true},
-        {"--profile", false},
-    };
-    auto is_suite_flag = [&](const char *arg, bool &consumes_next) {
-        for (const SuiteFlag &flag : suite_flags) {
-            const std::size_t len = std::strlen(flag.name);
-            if (std::strncmp(arg, flag.name, len) != 0)
-                continue;
-            if (arg[len] == '=') {
-                consumes_next = false; // value was inline
-                return true;
-            }
-            if (arg[len] == '\0') {
-                consumes_next = flag.takes_value;
-                return true;
-            }
-        }
-        return false;
-    };
-    std::vector<char *> kept;
-    kept.push_back(argv[0]);
+    std::vector<char *> suite_argv{argv[0]};
+    std::vector<char *> bench_argv{argv[0]};
     for (int i = 1; i < argc; ++i) {
-        bool consumes_next = false;
-        if (is_suite_flag(argv[i], consumes_next)) {
-            if (consumes_next && i + 1 < argc)
-                ++i; // skip the flag's value too
-            continue;
-        }
-        kept.push_back(argv[i]);
+        const bool ours = std::strncmp(argv[i], "--benchmark_", 12) != 0;
+        (ours ? suite_argv : bench_argv).push_back(argv[i]);
     }
-    int kept_argc = static_cast<int>(kept.size());
-    benchmark::Initialize(&kept_argc, kept.data());
-    if (benchmark::ReportUnrecognizedArguments(kept_argc, kept.data()))
+    limit::analysis::parseBenchArgs(static_cast<int>(suite_argv.size()),
+                                    suite_argv.data(), {},
+                                    "ignored: E2 times host hardware");
+    int bench_argc = static_cast<int>(bench_argv.size());
+    benchmark::Initialize(&bench_argc, bench_argv.data());
+    if (benchmark::ReportUnrecognizedArguments(bench_argc,
+                                               bench_argv.data()))
         return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();

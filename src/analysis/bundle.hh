@@ -39,11 +39,7 @@ struct BundleOptions
     bool useCaches = true;
     mem::HierarchyConfig hierarchy{};
     os::KernelConfig kernelConfig{};
-    /**
-     * Per-core trace ring capacity in records; 0 builds no tracer.
-     * (With LIMITPP_TRACE=OFF a tracer is still built but nothing is
-     * ever recorded into it.)
-     */
+    /** Per-core trace ring capacity in records; 0 builds no tracer. */
     unsigned traceCapacity = 0;
     /**
      * Timeline slice width in guest cycles; 0 builds no recorder.

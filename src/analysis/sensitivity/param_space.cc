@@ -51,20 +51,6 @@ Axis::l1Latency(std::vector<double> levels)
 }
 
 Axis
-Axis::l2Size(std::vector<double> levels)
-{
-    return makeAxis(
-        "l2_size", "bytes",
-        [](const BundleOptions &o) {
-            return static_cast<double>(o.hierarchy.l2.sizeBytes);
-        },
-        [](BundleOptions::Builder &b, double v) {
-            b.l2Size(static_cast<std::uint64_t>(v));
-        },
-        std::move(levels));
-}
-
-Axis
 Axis::l2Latency(std::vector<double> levels)
 {
     return makeAxis(
@@ -74,34 +60,6 @@ Axis::l2Latency(std::vector<double> levels)
         },
         [](BundleOptions::Builder &b, double v) {
             b.l2Latency(static_cast<sim::Tick>(v));
-        },
-        std::move(levels));
-}
-
-Axis
-Axis::llcSize(std::vector<double> levels)
-{
-    return makeAxis(
-        "llc_size", "bytes",
-        [](const BundleOptions &o) {
-            return static_cast<double>(o.hierarchy.llc.sizeBytes);
-        },
-        [](BundleOptions::Builder &b, double v) {
-            b.llcSize(static_cast<std::uint64_t>(v));
-        },
-        std::move(levels));
-}
-
-Axis
-Axis::llcLatency(std::vector<double> levels)
-{
-    return makeAxis(
-        "llc_latency", "cycles",
-        [](const BundleOptions &o) {
-            return static_cast<double>(o.hierarchy.llcLatency);
-        },
-        [](BundleOptions::Builder &b, double v) {
-            b.llcLatency(static_cast<sim::Tick>(v));
         },
         std::move(levels));
 }
@@ -135,20 +93,6 @@ Axis::tlbEntries(std::vector<double> levels)
 }
 
 Axis
-Axis::tlbMissPenalty(std::vector<double> levels)
-{
-    return makeAxis(
-        "tlb_miss_penalty", "cycles",
-        [](const BundleOptions &o) {
-            return static_cast<double>(o.hierarchy.tlbMissPenalty);
-        },
-        [](BundleOptions::Builder &b, double v) {
-            b.tlbMissPenalty(static_cast<sim::Tick>(v));
-        },
-        std::move(levels));
-}
-
-Axis
 Axis::counterWidth(std::vector<double> levels)
 {
     return makeAxis(
@@ -158,20 +102,6 @@ Axis::counterWidth(std::vector<double> levels)
         },
         [](BundleOptions::Builder &b, double v) {
             b.pmuWidth(static_cast<unsigned>(v));
-        },
-        std::move(levels));
-}
-
-Axis
-Axis::pmuCounters(std::vector<double> levels)
-{
-    return makeAxis(
-        "pmu_counters", "counters",
-        [](const BundleOptions &o) {
-            return static_cast<double>(o.pmuCounters);
-        },
-        [](BundleOptions::Builder &b, double v) {
-            b.pmuCounters(static_cast<unsigned>(v));
         },
         std::move(levels));
 }

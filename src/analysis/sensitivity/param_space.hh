@@ -48,15 +48,10 @@ struct Axis
     /** @name Built-in axes over the standard machine knobs @{ */
     static Axis l1Size(std::vector<double> levels);
     static Axis l1Latency(std::vector<double> levels);
-    static Axis l2Size(std::vector<double> levels);
     static Axis l2Latency(std::vector<double> levels);
-    static Axis llcSize(std::vector<double> levels);
-    static Axis llcLatency(std::vector<double> levels);
     static Axis memLatency(std::vector<double> levels);
     static Axis tlbEntries(std::vector<double> levels);
-    static Axis tlbMissPenalty(std::vector<double> levels);
     static Axis counterWidth(std::vector<double> levels);
-    static Axis pmuCounters(std::vector<double> levels);
     static Axis quantum(std::vector<double> levels);
     static Axis cores(std::vector<double> levels);
     /** @} */

@@ -5,24 +5,6 @@
 
 namespace limit {
 
-namespace {
-
-LogLevel globalLevel = LogLevel::Warn;
-
-} // namespace
-
-void
-setLogLevel(LogLevel level)
-{
-    globalLevel = level;
-}
-
-LogLevel
-logLevel()
-{
-    return globalLevel;
-}
-
 namespace detail {
 
 void
@@ -45,18 +27,6 @@ void
 warnImpl(const std::string &msg)
 {
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-informImpl(const std::string &msg)
-{
-    std::fprintf(stdout, "info: %s\n", msg.c_str());
-}
-
-void
-debugImpl(const std::string &msg)
-{
-    std::fprintf(stderr, "debug: %s\n", msg.c_str());
 }
 
 } // namespace detail

@@ -8,41 +8,22 @@
  *   - fatal():  the simulation cannot continue because of a user error
  *               (bad configuration, invalid argument). Exits with 1.
  *   - warn():   something is modelled approximately; results nearby may
- *               deserve scrutiny.
- *   - inform(): plain status output.
+ *               deserve scrutiny. Always printed, to stderr.
  */
 
 #ifndef LIMIT_BASE_LOGGING_HH
 #define LIMIT_BASE_LOGGING_HH
 
-#include <cstdint>
 #include <sstream>
 #include <string>
-#include <string_view>
 
 namespace limit {
-
-/** Verbosity levels for runtime log filtering. */
-enum class LogLevel : std::uint8_t {
-    Silent = 0,
-    Warn = 1,
-    Inform = 2,
-    Debug = 3,
-};
-
-/** Set the global log threshold; messages above it are suppressed. */
-void setLogLevel(LogLevel level);
-
-/** Current global log threshold. */
-LogLevel logLevel();
 
 namespace detail {
 
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
-void debugImpl(const std::string &msg);
 
 /** Concatenate a mixed argument pack into a string via operator<<. */
 template <typename... Args>
@@ -94,26 +75,7 @@ template <typename... Args>
 void
 warn(Args &&...args)
 {
-    if (logLevel() >= LogLevel::Warn)
-        detail::warnImpl(detail::concat(std::forward<Args>(args)...));
-}
-
-/** Plain status message. */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    if (logLevel() >= LogLevel::Inform)
-        detail::informImpl(detail::concat(std::forward<Args>(args)...));
-}
-
-/** Developer-facing trace message. */
-template <typename... Args>
-void
-debugLog(Args &&...args)
-{
-    if (logLevel() >= LogLevel::Debug)
-        detail::debugImpl(detail::concat(std::forward<Args>(args)...));
+    detail::warnImpl(detail::concat(std::forward<Args>(args)...));
 }
 
 } // namespace limit

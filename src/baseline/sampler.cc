@@ -14,19 +14,16 @@ SamplingProfiler::SamplingProfiler(os::Kernel &kernel, unsigned ctr,
 
 SamplingProfiler::~SamplingProfiler()
 {
-    if (active_)
-        kernel_.perf().teardown(ctr_);
+    kernel_.perf().teardown(ctr_);
 }
 
 void
 SamplingProfiler::aggregate()
 {
     byRegion_.clear();
-    byThread_.clear();
     total_ = 0;
     for (const auto &s : kernel_.perf().samples()) {
         ++byRegion_[s.region];
-        ++byThread_[s.tid];
         ++total_;
     }
 }
@@ -36,19 +33,6 @@ SamplingProfiler::samplesIn(sim::RegionId region) const
 {
     auto it = byRegion_.find(region);
     return it == byRegion_.end() ? 0 : it->second;
-}
-
-std::uint64_t
-SamplingProfiler::samplesFor(sim::ThreadId tid) const
-{
-    auto it = byThread_.find(tid);
-    return it == byThread_.end() ? 0 : it->second;
-}
-
-std::uint64_t
-SamplingProfiler::lostSamples() const
-{
-    return kernel_.perf().lostSamples();
 }
 
 } // namespace limit::baseline

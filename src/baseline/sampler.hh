@@ -52,27 +52,13 @@ class SamplingProfiler
                static_cast<double>(period_);
     }
 
-    /** Samples attributed to thread `tid`. */
-    std::uint64_t samplesFor(sim::ThreadId tid) const;
-
-    /** Estimated event count for thread `tid`. */
-    double
-    estimateThread(sim::ThreadId tid) const
-    {
-        return static_cast<double>(samplesFor(tid)) *
-               static_cast<double>(period_);
-    }
-
     std::uint64_t totalSamples() const { return total_; }
-    std::uint64_t lostSamples() const;
 
   private:
     os::Kernel &kernel_;
     unsigned ctr_;
     std::uint64_t period_;
-    bool active_ = true;
     std::unordered_map<sim::RegionId, std::uint64_t> byRegion_;
-    std::unordered_map<sim::ThreadId, std::uint64_t> byThread_;
     std::uint64_t total_ = 0;
 };
 

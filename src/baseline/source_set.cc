@@ -63,116 +63,4 @@ standardSources()
     return specs;
 }
 
-std::string
-probeErrorName(int err)
-{
-    switch (err) {
-      case probeOk: return "OK";
-      case probeEINTR: return "EINTR";
-      case probeEAGAIN: return "EAGAIN";
-      case probeEACCES: return "EACCES";
-      case probeENOSYS: return "ENOSYS";
-      default: return "errno=" + std::to_string(err);
-    }
-}
-
-namespace {
-
-/** Which host capability a roster label depends on. */
-enum class Capability { None, Pec, Perf };
-
-Capability
-capabilityOf(const std::string &label)
-{
-    if (label.rfind("pec/", 0) == 0)
-        return Capability::Pec;
-    if (label == "papi-like" || label == "perf-syscall")
-        return Capability::Perf;
-    return Capability::None;
-}
-
-struct ProbeOutcome
-{
-    int err = probeOk;
-    unsigned attempts = 1;
-};
-
-/** Run one capability probe with the bounded transient-retry budget. */
-ProbeOutcome
-runProbe(const std::function<int(unsigned)> &probe, unsigned max_attempts)
-{
-    ProbeOutcome out;
-    if (!probe)
-        return out; // no probe supplied: capability present
-    if (max_attempts == 0)
-        max_attempts = 1;
-    for (unsigned a = 1; a <= max_attempts; ++a) {
-        out.attempts = a;
-        out.err = probe(a);
-        if (out.err == probeOk)
-            return out;
-        if (out.err != probeEINTR && out.err != probeEAGAIN)
-            return out; // permanent: retrying cannot help
-    }
-    return out; // transient budget exhausted; last error stands
-}
-
-} // namespace
-
-std::vector<RosterRow>
-probedSources(const ProbeEnv &env)
-{
-    const ProbeOutcome pec = runProbe(env.pecProbe, env.maxAttempts);
-    const ProbeOutcome perf = runProbe(env.perfProbe, env.maxAttempts);
-    const auto outcomeFor = [&](Capability c) -> const ProbeOutcome & {
-        static const ProbeOutcome ok;
-        switch (c) {
-          case Capability::Pec: return pec;
-          case Capability::Perf: return perf;
-          case Capability::None: return ok;
-        }
-        return ok;
-    };
-
-    const std::vector<SourceSpec> specs = standardSources();
-    const auto specFor = [&](const std::string &label) {
-        for (const SourceSpec &s : specs) {
-            if (s.label == label)
-                return s;
-        }
-        return specs.back(); // rusage: the chain's fixed point
-    };
-
-    std::vector<RosterRow> rows;
-    for (const SourceSpec &requested : specs) {
-        RosterRow row;
-        row.requested = requested.label;
-        row.attempts = outcomeFor(capabilityOf(requested.label)).attempts;
-
-        // Walk the fallback chain to the first available method,
-        // recording why each earlier hop was skipped.
-        std::vector<std::string> chain{requested.label};
-        if (capabilityOf(requested.label) == Capability::Pec)
-            chain.push_back("perf-syscall");
-        chain.push_back("rusage");
-
-        for (const std::string &hop : chain) {
-            const ProbeOutcome &o = outcomeFor(capabilityOf(hop));
-            if (o.err == probeOk) {
-                row.spec = specFor(hop);
-                break;
-            }
-            row.reason += hop + " unavailable: " + probeErrorName(o.err) +
-                          " after " + std::to_string(o.attempts) +
-                          " attempt(s); ";
-        }
-        if (row.degraded())
-            row.reason += "using " + row.spec.label;
-        else
-            row.reason.clear();
-        rows.push_back(std::move(row));
-    }
-    return rows;
-}
-
 } // namespace limit::baseline

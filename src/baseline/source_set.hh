@@ -54,77 +54,6 @@ struct SourceSpec
 /** The canonical six-method roster. */
 std::vector<SourceSpec> standardSources();
 
-// ---------------------------------------------------------------------
-// Probed roster with graceful degradation
-// ---------------------------------------------------------------------
-
-/**
- * Errno-style codes a capability probe can report. Mirrors the host
- * surface a real deployment would see: EINTR/EAGAIN are transient
- * (retried with a bounded budget), anything else is permanent for the
- * process lifetime (EACCES: perf_event_paranoid too strict; ENOSYS:
- * no such syscall / no patched kernel).
- */
-inline constexpr int probeOk = 0;
-inline constexpr int probeEINTR = 4;
-inline constexpr int probeEAGAIN = 11;
-inline constexpr int probeEACCES = 13;
-inline constexpr int probeENOSYS = 38;
-
-/** "EACCES" etc.; "errno=N" for codes outside the probed set. */
-std::string probeErrorName(int err);
-
-/**
- * The host-capability surface the roster is probed against. A null
- * probe means the capability is present (the simulator always grants
- * it); tests and hardened deployments supply functions that fail the
- * way their host does. The attempt number (1-based) is passed so a
- * probe can model transient-then-recovered conditions; real probes
- * would back off between attempts, which a simulated one need not.
- */
-struct ProbeEnv
-{
-    /** PEC availability: rdpmc usable + accumulator page mappable. */
-    std::function<int(unsigned attempt)> pecProbe;
-    /** perf-syscall surface (perf_event_open-style counting). */
-    std::function<int(unsigned attempt)> perfProbe;
-    /** Bounded retry budget for transient EINTR/EAGAIN failures. */
-    unsigned maxAttempts = 4;
-};
-
-/**
- * One roster entry after probing: the method actually usable, what
- * was originally requested, and — when those differ — why, in a
- * sentence fit for a report footnote ("pec/fixup unavailable: EACCES
- * after 1 attempt(s); using perf-syscall").
- */
-struct RosterRow
-{
-    SourceSpec spec;
-    std::string requested;
-    /** Degradation reason; empty when the request was satisfied. */
-    std::string reason;
-    /** Probe attempts consumed for the requested method. */
-    unsigned attempts = 1;
-
-    bool degraded() const { return spec.label != requested; }
-};
-
-/**
- * Probe the canonical roster against `env` and degrade each method
- * down its fallback chain instead of failing the run:
- *
- *   pec policies              -> perf-syscall -> rusage
- *   papi-like, perf-syscall   -> rusage
- *   rusage                    (always available)
- *
- * Transient probe errors are retried up to env.maxAttempts before the
- * method is declared unavailable. Every row is always returned — a
- * fully-degraded roster is all rusage — so comparison benches keep
- * their shape and report the degradation instead of crashing.
- */
-std::vector<RosterRow> probedSources(const ProbeEnv &env);
-
 } // namespace limit::baseline
 
 #endif // LIMIT_BASELINE_SOURCE_SET_HH

@@ -235,8 +235,6 @@ PlanController::note(sim::CoreId core, sim::Tick tick, sim::ThreadId tid,
     LIMIT_TRACE(machine_.tracer(), core,
                 trace::TraceEvent::FaultInjected, tick, tid,
                 static_cast<std::uint64_t>(site), arg);
-    // With LIMITPP_TRACE=OFF the macro expands to nothing.
-    (void)core, (void)tick, (void)tid, (void)arg;
 }
 
 void

@@ -50,10 +50,4 @@ Cache::fill(sim::Addr addr)
     return true;
 }
 
-void
-Cache::flush()
-{
-    std::fill(lines_.begin(), lines_.end(), emptyLine);
-}
-
 } // namespace limit::mem

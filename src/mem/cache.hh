@@ -110,9 +110,6 @@ class Cache
     /** Probe without changing replacement state (tests/inspection). */
     bool contains(sim::Addr addr) const;
 
-    /** Drop every line. */
-    void flush();
-
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
 

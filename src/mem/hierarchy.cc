@@ -97,19 +97,6 @@ CacheHierarchy::access(sim::CoreId core, sim::Addr addr, bool write,
     return latency;
 }
 
-void
-CacheHierarchy::flushAll()
-{
-    for (auto &c : l1d_)
-        c->flush();
-    for (auto &c : l2_)
-        c->flush();
-    llc_->flush();
-    for (auto &t : dtlb_)
-        t->flush();
-    lastAtomicWriter_.clear();
-}
-
 std::vector<std::pair<const char *, std::uint64_t>>
 configFields(const HierarchyConfig &config)
 {

@@ -139,9 +139,6 @@ class CacheHierarchy : public sim::MemoryIf
     Cache &llc() { return *llc_; }
     Tlb &dtlb(sim::CoreId core);
 
-    /** Drop all cached state (between experiment repetitions). */
-    void flushAll();
-
     /** Lines preloaded by the next-line prefetcher so far. */
     std::uint64_t prefetchesIssued() const { return prefetches_; }
 

@@ -83,12 +83,4 @@ Tlb::indexErase(std::uint64_t page)
     index_[hole].page = noPage;
 }
 
-void
-Tlb::flush()
-{
-    used_ = 0;
-    std::fill(index_.begin(), index_.end(), Bucket{noPage, 0});
-    lastPage_ = noPage;
-}
-
 } // namespace limit::mem

@@ -111,8 +111,6 @@ class Tlb
     unsigned pageShiftBits() const { return pageShift_; }
     /** @} */
 
-    void flush();
-
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
     unsigned pageBytes() const { return geometry_.pageBytes; }

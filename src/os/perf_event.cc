@@ -203,9 +203,8 @@ PerfSubsystem::onOverflow(sim::Cpu &cpu, sim::GuestContext *ctx,
         elapsed = std::min<std::uint64_t>(elapsed, 1024);
 
         cpu.kernelWork(cpu.costs().sampleRecordCost * elapsed);
-        if (!ctx) {
-            lostSamples_ += elapsed;
-        } else {
+        // With no thread running at PMI time the samples are lost.
+        if (ctx) {
             // Skid model: when the region changed within the skid
             // window before the PMI fired, the event that overflowed
             // the counter likely predates the change — attribute to

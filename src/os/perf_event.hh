@@ -101,8 +101,6 @@ class PerfSubsystem
     /** All samples recorded so far (global ring buffer). */
     const std::vector<SampleRecord> &samples() const { return samples_; }
     void clearSamples() { samples_.clear(); }
-    /** Samples dropped because no thread was running at PMI time. */
-    std::uint64_t lostSamples() const { return lostSamples_; }
 
   private:
     /** Counter preload value that overflows after `period` events. */
@@ -113,7 +111,6 @@ class PerfSubsystem
     std::array<PerfMode, sim::maxPmuCounters> modes_{};
     std::array<std::uint64_t, sim::maxPmuCounters> periods_{};
     std::vector<SampleRecord> samples_;
-    std::uint64_t lostSamples_ = 0;
     sim::Tick skid_ = 0;
 };
 

@@ -17,11 +17,4 @@ Scheduler::enqueue(sim::CoreId core, sim::ThreadId tid)
     ++queued_;
 }
 
-std::size_t
-Scheduler::queueLength(sim::CoreId core) const
-{
-    panic_if(core >= queues_.size(), "bad core id ", core);
-    return queues_[core].size();
-}
-
 } // namespace limit::os

@@ -86,9 +86,6 @@ class Scheduler
     /** Total queued (not running/blocked) threads. */
     std::size_t queued() const { return queued_; }
 
-    /** Queue length for one core. */
-    std::size_t queueLength(sim::CoreId core) const;
-
   private:
     std::vector<std::deque<sim::ThreadId>> queues_;
     std::size_t queued_ = 0;

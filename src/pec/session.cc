@@ -15,16 +15,11 @@ constexpr sim::Addr counterPageBase = 0x7f00'0000'0000ull;
 /**
  * Emit a tracepoint from guest (coroutine) context, where no Cpu
  * reference is at hand: the thread's last core supplies both the lane
- * and the clock. Parameters are deliberately [[maybe_unused]] so the
- * LIMITPP_TRACE=OFF build, where LIMIT_TRACE evaluates nothing, stays
- * warning-clean.
+ * and the clock.
  */
 void
-traceGuest([[maybe_unused]] os::Kernel &kernel,
-           [[maybe_unused]] sim::GuestContext &ctx,
-           [[maybe_unused]] trace::TraceEvent ev,
-           [[maybe_unused]] std::uint64_t a0,
-           [[maybe_unused]] std::uint64_t a1 = 0)
+traceGuest(os::Kernel &kernel, sim::GuestContext &ctx,
+           trace::TraceEvent ev, std::uint64_t a0, std::uint64_t a1 = 0)
 {
     LIMIT_TRACE(kernel.machine().tracer(), ctx.lastCore, ev,
                 kernel.machine().cpu(ctx.lastCore).now(), ctx.tid(), a0,

@@ -70,15 +70,6 @@ KernelProfile::kernelInstructions() const
 }
 
 std::uint64_t
-KernelProfile::contextSwitches() const
-{
-    std::uint64_t n = 0;
-    for (const auto &[t, s] : threads_)
-        n += s.voluntarySwitches + s.involuntarySwitches;
-    return n;
-}
-
-std::uint64_t
 KernelProfile::pmis() const
 {
     std::uint64_t n = 0;

@@ -12,8 +12,8 @@
  * issuing core), not wall-clock blocked time.
  *
  * Built host-side after the run; attaching one never perturbs the
- * simulation. With tracing compiled out (LIMITPP_TRACE=OFF) the
- * syscall histograms and PMI counts are empty — the ledger-based
+ * simulation. Without a tracer attached to the run the syscall
+ * histograms and PMI counts are empty — the ledger-based
  * decomposition and switch counts remain exact.
  */
 
@@ -86,7 +86,6 @@ class KernelProfile
     std::uint64_t kernelCycles() const;
     std::uint64_t userInstructions() const;
     std::uint64_t kernelInstructions() const;
-    std::uint64_t contextSwitches() const;
     std::uint64_t pmis() const;
     std::uint64_t syscallCount() const;
     /** @} */

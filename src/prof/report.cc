@@ -151,22 +151,6 @@ Report::addKernel(const std::string &name, const KernelProfile &profile,
 }
 
 void
-Report::addHistogram(const std::string &name,
-                     const stats::HdrHistogram &histogram)
-{
-    histograms_.emplace_back(name, histogram);
-}
-
-void
-Report::addOpenRegions(const pec::RegionProfiler &profiler,
-                       const sim::RegionTable &regions)
-{
-    for (const auto &v : profiler.openRegions())
-        openRegions_.push_back({regions.name(v.region), v.tid,
-                                v.enterTick});
-}
-
-void
 Report::addSensitivity(const SensitivitySection &section)
 {
     sensitivity_.push_back(section);
@@ -182,16 +166,6 @@ const Report::SyncSection *
 Report::sync(const std::string &name) const
 {
     for (const auto &s : sync_) {
-        if (s.name == name)
-            return &s;
-    }
-    return nullptr;
-}
-
-const Report::KernelSection *
-Report::kernel(const std::string &name) const
-{
-    for (const auto &s : kernel_) {
         if (s.name == name)
             return &s;
     }
@@ -679,25 +653,7 @@ Report::toJson() const
         os << (t.phases.empty() ? "" : "\n      ") << "]\n    }";
         first = false;
     }
-    os << (timeline_.empty() ? "" : "\n  ")
-       << "],\n  \"histograms\": {";
-
-    first = true;
-    for (const auto &[name, h] : histograms_) {
-        os << (first ? "" : ",") << "\n    " << quoted(name) << ": "
-           << h.toJson();
-        first = false;
-    }
-    os << (histograms_.empty() ? "" : "\n  ")
-       << "},\n  \"open_regions\": [";
-    first = true;
-    for (const auto &o : openRegions_) {
-        os << (first ? "" : ",") << "\n    {\"region\": "
-           << quoted(o.region) << ", \"tid\": " << o.tid
-           << ", \"enter_tick\": " << o.enterTick << "}";
-        first = false;
-    }
-    os << (openRegions_.empty() ? "" : "\n  ") << "]\n}\n";
+    os << (timeline_.empty() ? "" : "\n  ") << "]\n}\n";
     return os.str();
 }
 

@@ -2,9 +2,9 @@
  * @file
  * Report: the profile-to-output pipeline.
  *
- * Benches feed per-run profiles (sync, kernel, named histograms,
- * open-region diagnostics) into a Report; it renders the machine-
- * readable JSON artifact (--profile-out), the aligned-ASCII tables
+ * Benches feed per-run profiles (sync, kernel, sensitivity,
+ * timeline) into a Report; it renders the machine-readable JSON
+ * artifact (--profile-out), the aligned-ASCII tables
  * the benches print, and the markdown tables EXPERIMENTS.md embeds —
  * one aggregation path for all three, so the published numbers can
  * never drift from the profile data.
@@ -23,11 +23,9 @@
 #include <string>
 #include <vector>
 
-#include "pec/region.hh"
 #include "sim/types.hh"
 #include "prof/kernel_profile.hh"
 #include "prof/sync_profile.hh"
-#include "stats/hdr_histogram.hh"
 #include "stats/table.hh"
 
 namespace limit::prof {
@@ -154,18 +152,6 @@ class Report
                    std::uint64_t pec_user_instructions,
                    std::uint64_t pec_kernel_instructions);
 
-    /** Attach a standalone named histogram (e.g. read latencies). */
-    void addHistogram(const std::string &name,
-                      const stats::HdrHistogram &histogram);
-
-    /**
-     * Record `profiler`'s entered-never-exited visits (resolved to
-     * region names) so dangling measurements show up in the output,
-     * not just the diagnostic API.
-     */
-    void addOpenRegions(const pec::RegionProfiler &profiler,
-                        const sim::RegionTable &regions);
-
     /** Attach one scenario's ranked sensitivity analysis. */
     void addSensitivity(const SensitivitySection &section);
 
@@ -173,7 +159,6 @@ class Report
     void addTimeline(const TimelineSection &section);
 
     const SyncSection *sync(const std::string &name) const;
-    const KernelSection *kernel(const std::string &name) const;
     const std::vector<SyncSection> &syncSections() const
     {
         return sync_;
@@ -232,13 +217,6 @@ class Report
     /** @} */
 
   private:
-    struct OpenRegionEntry
-    {
-        std::string region;
-        sim::ThreadId tid = sim::invalidThread;
-        sim::Tick enterTick = 0;
-    };
-
     SyncSection &syncSection(const std::string &name);
     KernelSection &kernelSection(const std::string &name);
 
@@ -248,8 +226,6 @@ class Report
     std::vector<KernelSection> kernel_;
     std::vector<SensitivitySection> sensitivity_;
     std::vector<TimelineSection> timeline_;
-    std::vector<std::pair<std::string, stats::HdrHistogram>> histograms_;
-    std::vector<OpenRegionEntry> openRegions_;
 };
 
 } // namespace limit::prof

@@ -87,8 +87,8 @@ Machine::run()
 /**
  * Reference scheduler: one op per global round. Kept verbatim as the
  * bit-identity oracle for runBatched() (LIMITPP_FORCE_NO_BATCH, the
- * no-batch CI job, and the equivalence tests). It never reaches the
- * inline fast path, so it never replays a declared loop.
+ * per-op pass of the CI test job, and the equivalence tests). It never
+ * reaches the inline fast path, so it never replays a declared loop.
  */
 Tick
 Machine::runPerOp()

@@ -9,60 +9,6 @@
 
 namespace limit::stats {
 
-namespace {
-
-/**
- * Minimal cursor over the toJson() wire format: objects, arrays and
- * unsigned integers only, whitespace-tolerant. Enough for round-trip
- * without pulling in a JSON dependency.
- */
-struct Cursor
-{
-    std::string_view s;
-    std::size_t pos = 0;
-
-    void skipWs()
-    {
-        while (pos < s.size() && (s[pos] == ' ' || s[pos] == '\t' ||
-                                  s[pos] == '\n' || s[pos] == '\r'))
-            ++pos;
-    }
-
-    bool literal(std::string_view want)
-    {
-        skipWs();
-        if (s.compare(pos, want.size(), want) != 0)
-            return false;
-        pos += want.size();
-        return true;
-    }
-
-    bool uint(std::uint64_t &out)
-    {
-        skipWs();
-        if (pos >= s.size() || s[pos] < '0' || s[pos] > '9')
-            return false;
-        std::uint64_t v = 0;
-        while (pos < s.size() && s[pos] >= '0' && s[pos] <= '9') {
-            const std::uint64_t digit = s[pos] - '0';
-            if (v > (UINT64_MAX - digit) / 10)
-                return false; // overflow
-            v = v * 10 + digit;
-            ++pos;
-        }
-        out = v;
-        return true;
-    }
-
-    bool done()
-    {
-        skipWs();
-        return pos == s.size();
-    }
-};
-
-} // namespace
-
 HdrHistogram::HdrHistogram(unsigned bucket_bits)
     : bucketBits_(bucket_bits)
 {
@@ -167,13 +113,6 @@ HdrHistogram::quantile(double q) const
     return max_; // unreachable: total_ > 0 implies some bucket is non-empty
 }
 
-void
-HdrHistogram::clear()
-{
-    std::fill(counts_.begin(), counts_.end(), 0);
-    total_ = sum_ = min_ = max_ = 0;
-}
-
 std::string
 HdrHistogram::toJson() const
 {
@@ -192,65 +131,6 @@ HdrHistogram::toJson() const
     }
     os << "]}";
     return os.str();
-}
-
-bool
-HdrHistogram::fromJson(std::string_view text, HdrHistogram &out)
-{
-    Cursor c{text};
-    std::uint64_t bits = 0, count = 0, sum = 0, min = 0, max = 0;
-    if (!c.literal("{") || !c.literal("\"bucket_bits\"") || !c.literal(":") ||
-        !c.uint(bits) || !c.literal(",") || !c.literal("\"count\"") ||
-        !c.literal(":") || !c.uint(count) || !c.literal(",") ||
-        !c.literal("\"sum\"") || !c.literal(":") || !c.uint(sum) ||
-        !c.literal(",") || !c.literal("\"min\"") || !c.literal(":") ||
-        !c.uint(min) || !c.literal(",") || !c.literal("\"max\"") ||
-        !c.literal(":") || !c.uint(max) || !c.literal(",") ||
-        !c.literal("\"buckets\"") || !c.literal(":") || !c.literal("["))
-        return false;
-    if (bits < 1 || bits > 16)
-        return false;
-
-    HdrHistogram h(static_cast<unsigned>(bits));
-    std::uint64_t running = 0;
-    std::uint64_t first_idx = 0, last_idx = 0;
-    bool first = true;
-    if (!c.literal("]")) {
-        for (;;) {
-            std::uint64_t idx = 0, cnt = 0;
-            if (!c.literal("[") || !c.uint(idx) || !c.literal(",") ||
-                !c.uint(cnt) || !c.literal("]"))
-                return false;
-            if (idx >= h.counts_.size() || cnt == 0)
-                return false;
-            if (!first && idx <= last_idx)
-                return false; // buckets must be strictly ascending
-            if (first)
-                first_idx = idx;
-            first = false;
-            last_idx = idx;
-            h.counts_[static_cast<unsigned>(idx)] = cnt;
-            running += cnt;
-            if (c.literal("]"))
-                break;
-            if (!c.literal(","))
-                return false;
-        }
-    }
-    if (!c.literal("}") || !c.done())
-        return false;
-    if (running != count)
-        return false;
-    // min/max must be consistent with the bucket extremes they claim.
-    if (count > 0 && (min > max || h.indexFor(min) != first_idx ||
-                      h.indexFor(max) != last_idx))
-        return false;
-    h.total_ = count;
-    h.sum_ = sum;
-    h.min_ = min;
-    h.max_ = max;
-    out = std::move(h);
-    return true;
 }
 
 std::string

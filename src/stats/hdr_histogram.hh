@@ -6,10 +6,10 @@
  * 2^bucketBits get one bucket each (exact), larger values share
  * 2^bucketBits sub-buckets per power-of-two magnitude, giving a
  * bounded relative error of 2^-bucketBits on bucket boundaries while
- * counts stay simulator-exact. Unlike Log2Histogram this type is
- * serializable (JSON round-trip) and its quantiles are deterministic
- * integers — both required for bit-identical profile output merged
- * across parallel runner jobs.
+ * counts stay simulator-exact. Unlike Log2Histogram this type
+ * serializes to JSON and its quantiles are deterministic integers —
+ * both required for bit-identical profile output merged across
+ * parallel runner jobs.
  */
 
 #ifndef LIMIT_STATS_HDR_HISTOGRAM_HH
@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace limit::stats {
@@ -73,8 +72,6 @@ class HdrHistogram
      */
     std::uint64_t quantile(double q) const;
 
-    void clear();
-
     /**
      * Serialize to a single-line JSON object:
      *   {"bucket_bits":B,"count":N,"sum":S,"min":m,"max":M,
@@ -83,12 +80,6 @@ class HdrHistogram
      * equal histograms always serialize byte-identically.
      */
     std::string toJson() const;
-
-    /**
-     * Parse the toJson() format back. Returns false (leaving `out`
-     * unspecified) on malformed input or layout/total mismatches.
-     */
-    static bool fromJson(std::string_view text, HdrHistogram &out);
 
     /**
      * ASCII bar chart with buckets re-grouped per power of two —

@@ -57,24 +57,6 @@ Log2Histogram::add(std::uint64_t value, std::uint64_t weight)
     sum_ += value * weight;
 }
 
-void
-Log2Histogram::merge(const Log2Histogram &other)
-{
-    panic_if(other.counts_.size() != counts_.size(),
-             "merging Log2Histograms of different layout");
-    for (size_t i = 0; i < counts_.size(); ++i)
-        counts_[i] += other.counts_[i];
-    total_ += other.total_;
-    sum_ += other.sum_;
-}
-
-double
-Log2Histogram::mean() const
-{
-    return total_ ? static_cast<double>(sum_) / static_cast<double>(total_)
-                  : 0.0;
-}
-
 double
 Log2Histogram::quantile(double q) const
 {
@@ -93,14 +75,6 @@ Log2Histogram::quantile(double q) const
         }
     }
     return static_cast<double>(bucketLo(numBuckets() - 1));
-}
-
-void
-Log2Histogram::clear()
-{
-    std::fill(counts_.begin(), counts_.end(), 0);
-    total_ = 0;
-    sum_ = 0;
 }
 
 std::string

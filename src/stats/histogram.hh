@@ -28,9 +28,6 @@ class Log2Histogram
     /** Record a sample with a weight (e.g. pre-aggregated counts). */
     void add(std::uint64_t value, std::uint64_t weight);
 
-    /** Merge another histogram with identical layout. */
-    void merge(const Log2Histogram &other);
-
     /** Number of buckets (index b covers [2^b, 2^(b+1)), bucket 0 is {0,1}). */
     unsigned numBuckets() const { return static_cast<unsigned>(counts_.size()); }
 
@@ -43,20 +40,14 @@ class Log2Histogram
     /** Total weighted samples. */
     std::uint64_t totalCount() const { return total_; }
 
-    /** Sum of recorded values (weighted), for mean computation. */
+    /** Sum of recorded values (weighted). */
     std::uint64_t totalValue() const { return sum_; }
-
-    /** Weighted mean of samples; 0 when empty. */
-    double mean() const;
 
     /**
      * Approximate p-quantile (q in [0,1]) assuming samples sit at their
      * bucket's geometric midpoint.
      */
     double quantile(double q) const;
-
-    /** Reset to empty. */
-    void clear();
 
     /**
      * Render an ASCII bar chart, one row per non-empty bucket, at most

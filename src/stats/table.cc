@@ -1,7 +1,6 @@
 #include "stats/table.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <iomanip>
 #include <sstream>
 
@@ -143,24 +142,6 @@ Table::renderMarkdown() const
     }
     for (const auto &r : rows_)
         emit(r);
-    return os.str();
-}
-
-std::string
-Table::withUnit(double value, const std::string &unit, int precision)
-{
-    static const struct { double scale; const char *prefix; } scales[] = {
-        {1e9, "G"}, {1e6, "M"}, {1e3, "k"}, {1.0, ""},
-    };
-    std::ostringstream os;
-    os << std::fixed << std::setprecision(precision);
-    const double mag = std::fabs(value);
-    for (const auto &s : scales) {
-        if (mag >= s.scale || s.scale == 1.0) {
-            os << value / s.scale << ' ' << s.prefix << unit;
-            return os.str();
-        }
-    }
     return os.str();
 }
 

@@ -51,10 +51,6 @@ class Table
      */
     std::string renderMarkdown() const;
 
-    /** Format helper: engineering notation with unit suffix. */
-    static std::string withUnit(double value, const std::string &unit,
-                                int precision = 2);
-
   private:
     std::string title_;
     std::vector<std::string> header_;

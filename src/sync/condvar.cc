@@ -27,27 +27,4 @@ CondVar::broadcast(sim::Guest &g)
     co_await futexWake(g, &seq_, addr_, ~0ull);
 }
 
-sim::Task<void>
-Barrier::arrive(sim::Guest &g)
-{
-    // co_await results go through named locals (GCC 12; see task.hh).
-    const std::uint64_t gen =
-        co_await g.atomicLoad(&generation_, addr_ + 8);
-    const std::uint64_t prev =
-        co_await g.atomicFetchAdd(&count_, addr_, 1);
-    if (prev + 1 == parties_) {
-        co_await g.atomicStore(&count_, addr_, 0);
-        co_await g.atomicFetchAdd(&generation_, addr_ + 8, 1);
-        co_await futexWake(g, &generation_, addr_ + 8, ~0ull);
-        co_return;
-    }
-    for (;;) {
-        const std::uint64_t cur =
-            co_await g.atomicLoad(&generation_, addr_ + 8);
-        if (cur != gen)
-            break;
-        co_await futexWait(g, &generation_, addr_ + 8, gen);
-    }
-}
-
 } // namespace limit::sync

@@ -1,6 +1,6 @@
 /**
  * @file
- * Futex-based condition variable and barrier.
+ * Futex-based condition variable.
  */
 
 #ifndef LIMIT_SYNC_CONDVAR_HH
@@ -36,26 +36,6 @@ class CondVar
 
   private:
     std::uint64_t seq_ = 0;
-    sim::Addr addr_;
-};
-
-/** Sense-reversing counting barrier. */
-class Barrier
-{
-  public:
-    Barrier(unsigned parties, sim::Addr addr)
-        : parties_(parties), addr_(addr)
-    {}
-
-    /** Block until `parties` threads have arrived. */
-    sim::Task<void> arrive(sim::Guest &g);
-
-    unsigned parties() const { return parties_; }
-
-  private:
-    unsigned parties_;
-    std::uint64_t count_ = 0;
-    std::uint64_t generation_ = 0;
     sim::Addr addr_;
 };
 

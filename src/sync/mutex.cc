@@ -9,31 +9,6 @@
 
 namespace limit::sync {
 
-sim::Task<void>
-SpinLock::lock(sim::Guest &g)
-{
-    for (;;) {
-        // Test-and-set attempt.
-        const std::uint64_t old =
-            co_await g.atomicCas(&word_, addr_, 0, 1);
-        if (old == 0)
-            co_return;
-        // Test loop: spin on plain loads until the lock looks free.
-        for (;;) {
-            const std::uint64_t v = co_await g.atomicLoad(&word_, addr_);
-            if (v == 0)
-                break;
-            co_await g.compute(2); // pause
-        }
-    }
-}
-
-sim::Task<void>
-SpinLock::unlock(sim::Guest &g)
-{
-    co_await g.atomicStore(&word_, addr_, 0);
-}
-
 sim::Task<std::uint64_t>
 Mutex::lock(sim::Guest &g)
 {

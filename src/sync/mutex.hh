@@ -1,6 +1,6 @@
 /**
  * @file
- * Guest-level mutual exclusion: spinlock and futex mutex.
+ * Guest-level mutual exclusion: the futex mutex.
  *
  * The futex mutex follows the classic three-state protocol (Drepper,
  * "Futexes Are Tricky"): 0 = free, 1 = locked, 2 = locked with
@@ -19,29 +19,6 @@
 #include "sim/types.hh"
 
 namespace limit::sync {
-
-/** Test-and-test-and-set spinlock with pause backoff. */
-class SpinLock
-{
-  public:
-    /** @param addr simulated address of the lock word (cache model). */
-    explicit SpinLock(sim::Addr addr) : addr_(addr) {}
-
-    /** Acquire; spins in userspace until available. */
-    sim::Task<void> lock(sim::Guest &g);
-
-    /** Release. */
-    sim::Task<void> unlock(sim::Guest &g);
-
-    /** Host-side inspection (tests). */
-    bool lockedHost() const { return word_ != 0; }
-
-    sim::Addr addr() const { return addr_; }
-
-  private:
-    std::uint64_t word_ = 0;
-    sim::Addr addr_;
-};
 
 /** Three-state futex mutex (sleeps in the kernel under contention). */
 class Mutex

@@ -1,6 +1,5 @@
 #include "trace/metrics.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <sstream>
 
@@ -50,20 +49,6 @@ bool
 MetricsRegistry::hasGauge(std::string_view name) const
 {
     return gauges_.find(name) != gauges_.end();
-}
-
-void
-MetricsRegistry::merge(const MetricsRegistry &other)
-{
-    for (const auto &[name, value] : other.counters_)
-        add(name, value);
-    for (const auto &[name, value] : other.gauges_) {
-        auto it = gauges_.find(name);
-        if (it == gauges_.end())
-            gauges_.emplace(name, value);
-        else
-            it->second = std::max(it->second, value);
-    }
 }
 
 std::string

@@ -6,12 +6,11 @@
  * point-in-time gauges, filled after (not during) a simulation run —
  * typically from ledger totals, PEC session stats, and trace counts —
  * and rendered as one sorted JSON object so every bench's output
- * carries the same machine-readable health block. Registries from
- * ParallelRunner jobs merge deterministically: counters add, gauges
- * keep the maximum.
+ * carries the same machine-readable health block.
  *
- * Not thread-safe by design: each job owns its registry and the
- * merge happens on the coordinating thread after map() returns.
+ * Not thread-safe by design: each analysis::SimBundle owns one
+ * registry and fills it from its own run, on the thread that runs the
+ * bundle.
  */
 
 #ifndef LIMIT_TRACE_METRICS_HH
@@ -48,9 +47,6 @@ class MetricsRegistry
     {
         return counters_.empty() && gauges_.empty();
     }
-
-    /** Fold another registry in: counters sum, gauges take the max. */
-    void merge(const MetricsRegistry &other);
 
     /**
      * One JSON object, keys sorted, counters as integers and gauges

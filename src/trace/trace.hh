@@ -13,10 +13,7 @@
  * Recording costs one pointer test plus a handful of stores, and only
  * on already-expensive paths (context switches, syscalls, PMIs —
  * never the per-op hot path). With no tracer attached the pointer
- * test is all that remains; compiling with LIMITPP_TRACE=OFF removes
- * even that by expanding the LIMIT_TRACE macro to nothing. The class
- * definitions themselves are always compiled (keeping every TU's view
- * of the types identical); only emission is conditional.
+ * test is all that remains.
  */
 
 #ifndef LIMIT_TRACE_TRACE_HH
@@ -27,15 +24,6 @@
 #include <vector>
 
 #include "sim/types.hh"
-
-/**
- * Master switch for tracepoint emission. The build defines it to 0
- * via the LIMITPP_TRACE=OFF CMake option; a TU may also define it
- * before including this header (the OFF-expansion unit test does).
- */
-#ifndef LIMITPP_TRACE_ENABLED
-#define LIMITPP_TRACE_ENABLED 1
-#endif
 
 namespace limit::trace {
 
@@ -217,20 +205,13 @@ class Tracer
 } // namespace limit::trace
 
 /**
- * Emit a tracepoint iff tracing is compiled in and `tracer_expr`
- * yields a non-null Tracer*. With LIMITPP_TRACE_ENABLED == 0 the
- * macro expands to an empty statement and evaluates nothing.
+ * Emit a tracepoint iff `tracer_expr` yields a non-null Tracer*; the
+ * record arguments are evaluated only then.
  */
-#if LIMITPP_TRACE_ENABLED
 #define LIMIT_TRACE(tracer_expr, ...)                                   \
     do {                                                                \
         if (::limit::trace::Tracer *limit_tracer_ = (tracer_expr))      \
             limit_tracer_->record(__VA_ARGS__);                         \
     } while (0)
-#else
-#define LIMIT_TRACE(tracer_expr, ...)                                   \
-    do {                                                                \
-    } while (0)
-#endif
 
 #endif // LIMIT_TRACE_TRACE_HH

@@ -7,9 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
-#include <vector>
-
 #include "baseline/readers.hh"
 #include "baseline/sampler.hh"
 #include "baseline/source_set.hh"
@@ -141,6 +138,16 @@ TEST(Readers, NamesAreDistinct)
     EXPECT_NE(b.name(), c.name());
     EXPECT_NE(c.name(), d.name());
     EXPECT_EQ(a.name(), "pec/kernel-fixup");
+
+    // Every roster entry builds the reader its label names.
+    for (const baseline::SourceSpec &spec : baseline::standardSources()) {
+        Machine sm(cfg());
+        Kernel sk(sm);
+        const auto inst =
+            spec.make(sk, 0, EventType::Instructions, true, false);
+        ASSERT_NE(inst.source, nullptr) << spec.label;
+        EXPECT_EQ(inst.source->name(), spec.label);
+    }
 }
 
 TEST(Sampler, EstimateTracksGroundTruthForLongRegions)
@@ -164,7 +171,6 @@ TEST(Sampler, EstimateTracksGroundTruthForLongRegions)
                                        PrivMode::User));
     EXPECT_GT(prof.totalSamples(), 40u);
     EXPECT_NEAR(prof.estimate(region) / truth, 1.0, 0.05);
-    EXPECT_NEAR(prof.estimateThread(0) / truth, 1.0, 0.05);
 }
 
 TEST(Sampler, ShortRegionsGetZeroOrWildEstimates)
@@ -217,126 +223,6 @@ TEST(Sampler, PeriodControlsSampleDensity)
     const auto coarse = count_samples(50'000);
     EXPECT_NEAR(static_cast<double>(fine) / static_cast<double>(coarse),
                 10.0, 1.5);
-}
-
-// ---------------------------------------------------------------------
-// Probed roster: graceful degradation down the fallback chain
-// ---------------------------------------------------------------------
-
-std::vector<std::string>
-labelsOf(const std::vector<baseline::RosterRow> &rows)
-{
-    std::vector<std::string> out;
-    for (const auto &r : rows)
-        out.push_back(r.spec.label);
-    return out;
-}
-
-TEST(ProbedSources, NoProbesMeansTheFullRosterUndegraded)
-{
-    const auto rows = baseline::probedSources({});
-    ASSERT_EQ(rows.size(), baseline::standardSources().size());
-    for (const auto &r : rows) {
-        EXPECT_FALSE(r.degraded()) << r.requested;
-        EXPECT_TRUE(r.reason.empty()) << r.reason;
-        EXPECT_EQ(r.attempts, 1u);
-        EXPECT_EQ(r.spec.label, r.requested);
-        EXPECT_TRUE(static_cast<bool>(r.spec.make)) << r.requested;
-    }
-}
-
-TEST(ProbedSources, PecDenialDegradesToPerfSyscallWithReason)
-{
-    baseline::ProbeEnv env;
-    env.pecProbe = [](unsigned) { return baseline::probeEACCES; };
-    const auto rows = baseline::probedSources(env);
-
-    unsigned degraded_pec = 0;
-    for (const auto &r : rows) {
-        if (r.requested.rfind("pec/", 0) == 0) {
-            ++degraded_pec;
-            EXPECT_TRUE(r.degraded());
-            EXPECT_EQ(r.spec.label, "perf-syscall");
-            EXPECT_NE(r.reason.find(r.requested + " unavailable: EACCES "
-                                    "after 1 attempt(s)"),
-                      std::string::npos)
-                << r.reason;
-            EXPECT_NE(r.reason.find("using perf-syscall"),
-                      std::string::npos)
-                << r.reason;
-        } else {
-            EXPECT_FALSE(r.degraded()) << r.requested;
-        }
-    }
-    EXPECT_EQ(degraded_pec, 3u); // all three PEC policies
-}
-
-TEST(ProbedSources, TransientErrorsAreRetriedAndRecovered)
-{
-    // EINTR twice, then success: the roster must come back whole and
-    // report the attempts it took.
-    baseline::ProbeEnv env;
-    env.pecProbe = [](unsigned attempt) {
-        return attempt < 3 ? baseline::probeEINTR : baseline::probeOk;
-    };
-    const auto rows = baseline::probedSources(env);
-    for (const auto &r : rows) {
-        EXPECT_FALSE(r.degraded()) << r.requested << ": " << r.reason;
-        if (r.requested.rfind("pec/", 0) == 0) {
-            EXPECT_EQ(r.attempts, 3u);
-        }
-    }
-}
-
-TEST(ProbedSources, ExhaustedRetryBudgetDegrades)
-{
-    baseline::ProbeEnv env;
-    env.maxAttempts = 3;
-    env.pecProbe = [](unsigned) { return baseline::probeEAGAIN; };
-    const auto rows = baseline::probedSources(env);
-    for (const auto &r : rows) {
-        if (r.requested.rfind("pec/", 0) != 0)
-            continue;
-        EXPECT_TRUE(r.degraded());
-        EXPECT_EQ(r.attempts, 3u);
-        EXPECT_NE(r.reason.find("EAGAIN after 3 attempt(s)"),
-                  std::string::npos)
-            << r.reason;
-    }
-}
-
-TEST(ProbedSources, BothCapabilitiesFailingLandsEverythingOnRusage)
-{
-    baseline::ProbeEnv env;
-    env.pecProbe = [](unsigned) { return baseline::probeEACCES; };
-    env.perfProbe = [](unsigned) { return baseline::probeENOSYS; };
-    const auto rows = baseline::probedSources(env);
-    for (const std::string &label : labelsOf(rows))
-        EXPECT_EQ(label, "rusage");
-    // The pec rows walked the whole chain: both failures are named.
-    const auto &pec_row = rows.front();
-    EXPECT_NE(pec_row.reason.find("EACCES"), std::string::npos);
-    EXPECT_NE(pec_row.reason.find("perf-syscall unavailable: ENOSYS"),
-              std::string::npos)
-        << pec_row.reason;
-    EXPECT_NE(pec_row.reason.find("using rusage"), std::string::npos);
-}
-
-TEST(ProbedSources, DegradedSpecsStillBuildWorkingSources)
-{
-    // A degraded row's make() must be the fallback's: instantiate it
-    // on a live kernel and read through it.
-    baseline::ProbeEnv env;
-    env.pecProbe = [](unsigned) { return baseline::probeENOSYS; };
-    const auto rows = baseline::probedSources(env);
-    ASSERT_TRUE(rows.front().degraded());
-
-    Machine m(cfg());
-    Kernel k(m, {.virtualizeCounters = true});
-    auto inst = rows.front().spec.make(k, 0, EventType::Instructions,
-                                       true, false);
-    ASSERT_NE(inst.source, nullptr);
-    EXPECT_EQ(inst.source->name(), rows.front().spec.label);
 }
 
 } // namespace

@@ -63,14 +63,6 @@ TEST(Cache, ContainsDoesNotPerturbLru)
     EXPECT_TRUE(c.contains(b));
 }
 
-TEST(Cache, FlushEmpties)
-{
-    Cache c("t", {1024, 2, 64});
-    c.fill(0x40);
-    c.flush();
-    EXPECT_FALSE(c.contains(0x40));
-}
-
 TEST(Cache, WorkingSetLargerThanCacheAlwaysMisses)
 {
     Cache c("t", {1024, 4, 64}); // 16 lines
@@ -170,10 +162,6 @@ TEST_P(CacheDifferential, MatchesMoveToFrontReference)
                 const std::uint64_t l = fresh++;
                 ASSERT_EQ(c.access(l * 64), ref.access(l));
             }
-        } else if (step % 7000 == 3500) {
-            c.flush();
-            for (auto &set : ref.sets)
-                set.clear();
         } else if (pick < 15) {
             // The prefetcher's fill: installs absent lines only.
             const bool resident = ref.resident(line);

@@ -90,16 +90,6 @@ TEST(Hierarchy, AtomicLocalVsRemoteCost)
     EXPECT_EQ(back.latency, c.l1Latency + c.atomicRemoteExtra);
 }
 
-TEST(Hierarchy, FlushAllForgetsEverything)
-{
-    CacheHierarchy h(1, tinyConfig());
-    h.access(0, 0x1000, false, false);
-    h.flushAll();
-    auto r = h.access(0, 0x1000, false, false);
-    EXPECT_EQ(r.deltas[EventType::LLCMiss], 1u);
-    EXPECT_EQ(r.deltas[EventType::DTlbMiss], 1u);
-}
-
 TEST(Hierarchy, PerCoreCachesAreIndependent)
 {
     CacheHierarchy h(2, tinyConfig());

@@ -44,24 +44,7 @@ TEST(Log2Histogram, WeightedAddAndMean)
     h.add(8, 3);
     h.add(16, 1);
     EXPECT_EQ(h.totalCount(), 4u);
-    EXPECT_DOUBLE_EQ(h.mean(), (8.0 * 3 + 16.0) / 4.0);
-}
-
-TEST(Log2Histogram, Merge)
-{
-    Log2Histogram a(16), b(16);
-    a.add(4);
-    b.add(4);
-    b.add(100);
-    a.merge(b);
-    EXPECT_EQ(a.bucket(2), 2u);
-    EXPECT_EQ(a.totalCount(), 3u);
-}
-
-TEST(Log2HistogramDeathTest, MergeLayoutMismatch)
-{
-    Log2Histogram a(16), b(8);
-    EXPECT_DEATH(a.merge(b), "different layout");
+    EXPECT_EQ(h.totalValue(), 8u * 3 + 16u);
 }
 
 TEST(Log2Histogram, QuantileMonotone)
@@ -75,15 +58,6 @@ TEST(Log2Histogram, QuantileMonotone)
     EXPECT_LE(q10, q50);
     EXPECT_LE(q50, q90);
     EXPECT_GT(q90, 100.0);
-}
-
-TEST(Log2Histogram, ClearEmpties)
-{
-    Log2Histogram h(16);
-    h.add(5);
-    h.clear();
-    EXPECT_EQ(h.totalCount(), 0u);
-    EXPECT_EQ(h.render(), "(empty histogram)\n");
 }
 
 TEST(Log2Histogram, RenderShowsBars)
@@ -212,26 +186,28 @@ TEST(HdrHistogram, QuantileExactForSingleValuedBuckets)
     EXPECT_EQ(h.quantile(0.5), 3u); // 10th of 20 samples is still a 3
 }
 
+// The JSON pins below fix the wire format that profile artifacts
+// carry (docs/PROFILING.md): only non-empty buckets, ascending.
+
 TEST(HdrHistogram, JsonRoundTrip)
 {
     HdrHistogram h(7);
     h.add(0);
     h.add(1, 12);
-    h.add(12345, 3);
-    h.add(maxU64);
-    const std::string json = h.toJson();
-    HdrHistogram back;
-    ASSERT_TRUE(HdrHistogram::fromJson(json, back));
-    EXPECT_EQ(back, h);
-    EXPECT_EQ(back.toJson(), json); // byte-identical re-serialization
+    h.add(12345, 3); // 2^13 magnitude: 128 + 6 * 128 + (192 - 128)
+    h.add(maxU64);   // top bucket: 128 + 56 * 128 + 127
+    // The sum wraps modulo 2^64: 12 + 3 * 12345 + (2^64 - 1).
+    EXPECT_EQ(h.toJson(),
+              "{\"bucket_bits\":7,\"count\":17,\"sum\":37046,\"min\":0,"
+              "\"max\":18446744073709551615,"
+              "\"buckets\":[[0,1],[1,12],[960,3],[7423,1]]}");
 }
 
 TEST(HdrHistogram, JsonRoundTripEmpty)
 {
-    HdrHistogram h(5);
-    HdrHistogram back(9); // overwritten, layout included
-    ASSERT_TRUE(HdrHistogram::fromJson(h.toJson(), back));
-    EXPECT_EQ(back, h);
+    EXPECT_EQ(HdrHistogram(5).toJson(),
+              "{\"bucket_bits\":5,\"count\":0,\"sum\":0,\"min\":0,"
+              "\"max\":0,\"buckets\":[]}");
 }
 
 TEST(HdrHistogram, MergeFullyDisjointBucketRanges)
@@ -273,43 +249,12 @@ TEST(HdrHistogram, JsonRoundTripSingleBucket)
 {
     HdrHistogram h(5);
     h.add(42, 7); // one bucket, weighted
-    const std::string json = h.toJson();
-    HdrHistogram back;
-    ASSERT_TRUE(HdrHistogram::fromJson(json, back));
-    EXPECT_EQ(back, h);
-    EXPECT_EQ(back.toJson(), json);
-    EXPECT_EQ(back.totalCount(), 7u);
-    EXPECT_EQ(back.minValue(), 42u);
-    EXPECT_EQ(back.maxValue(), 42u);
-}
-
-TEST(HdrHistogram, FromJsonRejectsMalformed)
-{
-    HdrHistogram out;
-    const char *bad[] = {
-        "",
-        "{}",
-        "not json",
-        // bucket_bits out of range
-        "{\"bucket_bits\":0,\"count\":0,\"sum\":0,\"min\":0,\"max\":0,"
-        "\"buckets\":[]}",
-        "{\"bucket_bits\":17,\"count\":0,\"sum\":0,\"min\":0,\"max\":0,"
-        "\"buckets\":[]}",
-        // count does not match the bucket sum
-        "{\"bucket_bits\":5,\"count\":2,\"sum\":3,\"min\":3,\"max\":3,"
-        "\"buckets\":[[3,1]]}",
-        // buckets out of order
-        "{\"bucket_bits\":5,\"count\":2,\"sum\":5,\"min\":2,\"max\":3,"
-        "\"buckets\":[[3,1],[2,1]]}",
-        // min inconsistent with the first bucket
-        "{\"bucket_bits\":5,\"count\":1,\"sum\":3,\"min\":9,\"max\":3,"
-        "\"buckets\":[[3,1]]}",
-        // trailing garbage
-        "{\"bucket_bits\":5,\"count\":1,\"sum\":3,\"min\":3,\"max\":3,"
-        "\"buckets\":[[3,1]]}x",
-    };
-    for (const char *text : bad)
-        EXPECT_FALSE(HdrHistogram::fromJson(text, out)) << text;
+    EXPECT_EQ(h.toJson(),
+              "{\"bucket_bits\":5,\"count\":7,\"sum\":294,\"min\":42,"
+              "\"max\":42,\"buckets\":[[42,7]]}");
+    EXPECT_EQ(h.totalCount(), 7u);
+    EXPECT_EQ(h.minValue(), 42u);
+    EXPECT_EQ(h.maxValue(), 42u);
 }
 
 TEST(HdrHistogram, RenderLog2GroupsByMagnitude)

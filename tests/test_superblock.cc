@@ -69,8 +69,8 @@ builderFor(Mode mode)
 
 /**
  * Run one scenario both ways and demand identical state. Replay
- * assertions hold only while batching is on: the no-batch CI job
- * forces every run onto the per-op loop.
+ * assertions hold only while batching is on: the CI test job's per-op
+ * pass forces every run onto the per-op loop.
  */
 template <typename RunFn>
 void

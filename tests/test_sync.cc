@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests of the guest synchronization library: mutual exclusion,
- * contention paths, rwlock semantics, condvars, barriers.
+ * contention paths, rwlock semantics, condvars.
  */
 
 #include <gtest/gtest.h>
@@ -95,29 +95,6 @@ TEST(Sync, MutexContendedSleepsInKernel)
     });
     m.run();
     EXPECT_GE(waits, 1u); // took the futex slow path
-}
-
-TEST(Sync, SpinLockMutualExclusion)
-{
-    Machine m(cfg(2));
-    Kernel k(m);
-    sync::SpinLock sl(0x2000);
-    int inside = 0, max_inside = 0;
-    for (int i = 0; i < 2; ++i) {
-        k.spawn("t", [&](Guest &g) -> Task<void> {
-            for (int j = 0; j < 100; ++j) {
-                co_await sl.lock(g);
-                max_inside = std::max(max_inside, ++inside);
-                co_await g.compute(50);
-                --inside;
-                co_await sl.unlock(g);
-            }
-            co_return;
-        });
-    }
-    m.run();
-    EXPECT_EQ(max_inside, 1);
-    EXPECT_FALSE(sl.lockedHost());
 }
 
 TEST(Sync, RwLockAllowsConcurrentReaders)
@@ -241,48 +218,6 @@ TEST(Sync, CondVarBroadcastWakesAll)
     });
     m.run();
     EXPECT_EQ(released, 3u);
-}
-
-TEST(Sync, BarrierReleasesTogether)
-{
-    Machine m(cfg(4));
-    Kernel k(m);
-    sync::Barrier bar(4, 0x5000);
-    int arrived = 0;
-    int min_seen_at_release = 99;
-    for (int i = 0; i < 4; ++i) {
-        k.spawn("t" + std::to_string(i), [&, i](Guest &g) -> Task<void> {
-            co_await g.compute(1000 * (i + 1)); // staggered arrival
-            ++arrived;
-            co_await bar.arrive(g);
-            min_seen_at_release = std::min(min_seen_at_release, arrived);
-            co_return;
-        });
-    }
-    m.run();
-    // Nobody passed the barrier before all four arrived.
-    EXPECT_EQ(min_seen_at_release, 4);
-}
-
-TEST(Sync, BarrierReusableAcrossGenerations)
-{
-    Machine m(cfg(2));
-    Kernel k(m);
-    sync::Barrier bar(2, 0x5000);
-    std::uint64_t rounds_done[2] = {0, 0};
-    for (int i = 0; i < 2; ++i) {
-        k.spawn("t", [&, i](Guest &g) -> Task<void> {
-            for (int r = 0; r < 5; ++r) {
-                co_await g.compute(500 + 300 * i);
-                co_await bar.arrive(g);
-                ++rounds_done[i];
-            }
-            co_return;
-        });
-    }
-    m.run();
-    EXPECT_EQ(rounds_done[0], 5u);
-    EXPECT_EQ(rounds_done[1], 5u);
 }
 
 } // namespace

@@ -66,13 +66,6 @@ TEST(Table, MarkdownEscapesPipes)
     EXPECT_EQ(t.renderMarkdown(), "| x |\n|---|\n| a\\|b |\n");
 }
 
-TEST(Table, WithUnitScales)
-{
-    EXPECT_EQ(Table::withUnit(2'500'000'000.0, "Hz", 1), "2.5 GHz");
-    EXPECT_EQ(Table::withUnit(1500.0, "B", 1), "1.5 kB");
-    EXPECT_EQ(Table::withUnit(12.0, "ns", 0), "12 ns");
-}
-
 TEST(Table, ImplicitRowCompletion)
 {
     Table t("auto");

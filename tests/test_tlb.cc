@@ -47,14 +47,6 @@ TEST(Tlb, DoubleFillIsIdempotent)
     EXPECT_TRUE(t.access(0x2000));
 }
 
-TEST(Tlb, FlushEmpties)
-{
-    Tlb t({4, 4096});
-    t.access(0x1000);
-    t.flush();
-    EXPECT_FALSE(t.access(0x1000));
-}
-
 TEST(Tlb, HitMissCountsTrack)
 {
     Tlb t({4, 4096});
@@ -112,13 +104,6 @@ struct RefTlb
         pages.insert(pages.begin(), lastHit);
         hits += n;
     }
-
-    void
-    flush()
-    {
-        pages.clear();
-        lastHit = none;
-    }
 };
 
 class TlbDifferential : public ::testing::TestWithParam<unsigned>
@@ -148,9 +133,6 @@ TEST_P(TlbDifferential, MatchesMoveToFrontReference)
                 const std::uint64_t p = fresh++;
                 ASSERT_EQ(t.access(p * pageBytes), ref.access(p));
             }
-        } else if (step % 7000 == 3500) {
-            t.flush();
-            ref.flush();
         } else if (pick < 10 && ref.lastHit != RefTlb::none) {
             // The fast path's protocol: peek first, then credit.
             const sim::Addr addr = ref.lastHit * pageBytes + 8;

@@ -1,10 +1,8 @@
 /**
  * @file
  * Tests for the tracing and metrics subsystem: ring wrap-around,
- * per-core isolation, exporter JSON well-formedness, metrics merge
- * across ParallelRunner jobs, and the kernel/PEC tracepoints firing
- * end-to-end. Emission-dependent cases are guarded so the suite also
- * passes in a LIMITPP_TRACE=OFF build.
+ * per-core isolation, exporter JSON well-formedness, the metrics
+ * registry, and the kernel/PEC tracepoints firing end-to-end.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +13,6 @@
 #include <string_view>
 
 #include "analysis/bundle.hh"
-#include "analysis/runner.hh"
 #include "analysis/trace_report.hh"
 #include "os/sysno.hh"
 #include "pec/pec.hh"
@@ -279,11 +276,11 @@ TEST(Tracer, EventNamesAndCategoriesAreStable)
 TEST(Tracer, NullTracerExpressionIsSafe)
 {
     trace::Tracer *none = nullptr;
-    // Must not crash whether or not emission is compiled in.
-    LIMIT_TRACE(none, 0, TraceEvent::ContextSwitch, 1,
+    // Must not crash, and must not evaluate the record arguments.
+    int evaluated = 0;
+    LIMIT_TRACE(none, 0, TraceEvent::ContextSwitch, ++evaluated,
                 sim::invalidThread);
-    (void)none; // unreferenced when the macro compiles out
-    SUCCEED();
+    EXPECT_EQ(evaluated, 0);
 }
 
 // --- MetricsRegistry ---------------------------------------------------
@@ -302,43 +299,6 @@ TEST(Metrics, CountersAndGaugesRoundTrip)
     EXPECT_TRUE(m.hasGauge("ipc"));
     EXPECT_EQ(m.counter("never"), 0u);
     EXPECT_FALSE(m.empty());
-}
-
-TEST(Metrics, MergeSumsCountersAndMaxesGauges)
-{
-    trace::MetricsRegistry a, b;
-    a.add("n", 3);
-    a.set("peak", 2.0);
-    b.add("n", 4);
-    b.add("only_b", 1);
-    b.set("peak", 5.0);
-    a.merge(b);
-    EXPECT_EQ(a.counter("n"), 7u);
-    EXPECT_EQ(a.counter("only_b"), 1u);
-    EXPECT_DOUBLE_EQ(a.gauge("peak"), 5.0);
-}
-
-TEST(Metrics, MergeAcrossParallelRunnerJobs)
-{
-    // The intended usage: each job owns a registry, the coordinator
-    // folds them after map() returns. Result must be independent of
-    // worker count.
-    for (unsigned workers : {1u, 4u}) {
-        analysis::ParallelRunner pool(workers);
-        const auto regs = pool.map(8, [](std::size_t i) {
-            trace::MetricsRegistry m;
-            m.add("jobs.run");
-            m.add("work.items", i);
-            m.set("job.peak", static_cast<double>(i));
-            return m;
-        });
-        trace::MetricsRegistry total;
-        for (const auto &m : regs)
-            total.merge(m);
-        EXPECT_EQ(total.counter("jobs.run"), 8u);
-        EXPECT_EQ(total.counter("work.items"), 28u); // 0+1+..+7
-        EXPECT_DOUBLE_EQ(total.gauge("job.peak"), 7.0);
-    }
 }
 
 TEST(Metrics, ToJsonIsWellFormedAndSorted)
@@ -398,8 +358,6 @@ TEST(Exporter, AsciiSummaryListsCategoriesAndCounts)
 }
 
 // --- end-to-end through the simulator ---------------------------------
-
-#if LIMITPP_TRACE_ENABLED
 
 TEST(TraceIntegration, KernelTracepointsFire)
 {
@@ -472,8 +430,6 @@ TEST(TraceIntegration, UntracedBundleRecordsNothing)
     EXPECT_TRUE(b.metrics().hasCounter("ledger.instructions"));
     EXPECT_FALSE(b.metrics().hasCounter("trace.records"));
 }
-
-#endif // LIMITPP_TRACE_ENABLED
 
 } // namespace
 } // namespace limit
