@@ -15,10 +15,9 @@
 #include <vector>
 
 #include "analysis/args.hh"
+#include "analysis/artifacts.hh"
 #include "analysis/bundle.hh"
-#include "analysis/profile_report.hh"
 #include "analysis/runner.hh"
-#include "analysis/trace_report.hh"
 #include "baseline/source_set.hh"
 #include "stats/table.hh"
 
@@ -71,16 +70,14 @@ runMethod(const baseline::SourceSpec &spec, std::uint64_t seed,
         analysis::BundleOptions::builder()
             .cores(1)
             .seed(1 + seed)
-            .traceCapacity(trace ? trace->captureCap() : 0)
-            .timelineInterval(
-                trace ? trace->captureTimelineInterval() : 0)
+            .capture(trace)
             .build());
     baseline::SourceInstance inst =
         spec.make(b.kernel(), 0, sim::EventType::Instructions, true,
                   false);
     Row row{inst.source->name(), measure(*inst.source, b)};
     if (trace)
-        analysis::writeStandardArtifacts(b, *trace, "bench_e01_read_cost");
+        analysis::writeArtifacts(*trace, "bench_e01_read_cost", b);
     return row;
 }
 

@@ -16,10 +16,9 @@
 #include <vector>
 
 #include "analysis/args.hh"
+#include "analysis/artifacts.hh"
 #include "analysis/bundle.hh"
-#include "analysis/profile_report.hh"
 #include "analysis/runner.hh"
-#include "analysis/trace_report.hh"
 #include "base/logging.hh"
 #include "baseline/source_set.hh"
 #include "stats/table.hh"
@@ -45,9 +44,7 @@ runOnce(const baseline::SourceSpec *spec, unsigned read_every,
         analysis::BundleOptions::builder()
             .cores(4)
             .seed(1 + seed)
-            .traceCapacity(trace ? trace->captureCap() : 0)
-            .timelineInterval(
-                trace ? trace->captureTimelineInterval() : 0)
+            .capture(trace)
             .build());
 
     baseline::SourceInstance inst;
@@ -72,7 +69,7 @@ runOnce(const baseline::SourceSpec *spec, unsigned read_every,
     oltp.spawn();
     b.run(runTicks);
     if (trace)
-        analysis::writeStandardArtifacts(b, *trace, "bench_e03_overhead_scaling");
+        analysis::writeArtifacts(*trace, "bench_e03_overhead_scaling", b);
     return oltp.operations();
 }
 

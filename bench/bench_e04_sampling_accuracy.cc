@@ -17,10 +17,9 @@
 #include <vector>
 
 #include "analysis/args.hh"
+#include "analysis/artifacts.hh"
 #include "analysis/bundle.hh"
-#include "analysis/profile_report.hh"
 #include "analysis/runner.hh"
-#include "analysis/trace_report.hh"
 #include "baseline/sampler.hh"
 #include "pec/pec.hh"
 #include "stats/table.hh"
@@ -61,9 +60,7 @@ runSampled(std::uint64_t segment, std::uint64_t period,
             .cores(1)
             .pmuWidth(30)
             .seed(seed)
-            .traceCapacity(trace ? trace->captureCap() : 0)
-            .timelineInterval(
-                trace ? trace->captureTimelineInterval() : 0)
+            .capture(trace)
             .build());
     baseline::SamplingProfiler prof(b.kernel(), 0,
                                     sim::EventType::Instructions,
@@ -81,7 +78,7 @@ runSampled(std::uint64_t segment, std::uint64_t period,
     b.machine().run();
     prof.aggregate();
     if (trace)
-        analysis::writeStandardArtifacts(b, *trace, "bench_e04_sampling_accuracy");
+        analysis::writeArtifacts(*trace, "bench_e04_sampling_accuracy", b);
     return prof.estimate(region);
 }
 

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "analysis/args.hh"
-#include "analysis/profile_report.hh"
 #include "analysis/runner.hh"
 #include "prof/report.hh"
 #include "sync_common.hh"
@@ -38,7 +37,7 @@ main(int argc, char **argv)
     const std::vector<benchsync::SyncRunResult> runs = pool.map(
         apps.size() * args.seeds, [&](std::size_t i) {
             return runApp(apps[i / args.seeds], ticks, i % args.seeds,
-                          nullptr, &args);
+                          args);
         });
 
     prof::Report report;
@@ -74,17 +73,11 @@ main(int argc, char **argv)
         std::puts("");
     }
 
-    // One extra dedicated run with the tracer attached (and counters
-    // narrow enough to wrap, so overflow PMIs show up in the
-    // timeline); tables above stay bit-identical to untraced runs.
-    if (args.tracing() || args.timelineOn()) {
-        benchsync::TraceSpec tspec;
-        tspec.path = args.trace;
-        tspec.capacity = args.traceCap;
-        runApp(apps[0], ticks, 0, args.tracing() ? &tspec : nullptr,
-               &args, "bench_e05_sync_study");
-    }
-    analysis::writeProfile(report, args, "bench_e05_sync_study");
+    // One extra dedicated run for the artifacts (counters narrow
+    // enough to wrap when traced, so overflow PMIs show up); tables
+    // above stay bit-identical to uninstrumented runs.
+    if (args.instrumented())
+        runApp(apps[0], ticks, 0, args, &report, "bench_e05_sync_study");
 
     // The exact table EXPERIMENTS.md embeds — regenerate by pasting.
     std::puts("\nEXPERIMENTS.md (E5) markdown:");

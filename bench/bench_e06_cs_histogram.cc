@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "analysis/args.hh"
-#include "analysis/profile_report.hh"
 #include "analysis/runner.hh"
 #include "prof/report.hh"
 #include "sync_common.hh"
@@ -36,7 +35,7 @@ main(int argc, char **argv)
     const std::vector<benchsync::SyncRunResult> runs = pool.map(
         apps.size() * args.seeds, [&](std::size_t i) {
             return runApp(apps[i / args.seeds], ticks, i % args.seeds,
-                          nullptr, &args);
+                          args);
         });
 
     prof::Report report;
@@ -72,14 +71,8 @@ main(int argc, char **argv)
         }
         std::puts("");
     }
-    if (args.tracing() || args.timelineOn()) {
-        benchsync::TraceSpec tspec;
-        tspec.path = args.trace;
-        tspec.capacity = args.traceCap;
-        runApp(apps[0], ticks, 0, args.tracing() ? &tspec : nullptr,
-               &args, "bench_e06_cs_histogram");
-    }
-    analysis::writeProfile(report, args, "bench_e06_cs_histogram");
+    if (args.instrumented())
+        runApp(apps[0], ticks, 0, args, &report, "bench_e06_cs_histogram");
 
     std::puts("Shape check: every distribution peaks at short "
               "durations (2^7..2^12 cycles) with a thin long tail "

@@ -18,10 +18,9 @@
 #include <vector>
 
 #include "analysis/args.hh"
+#include "analysis/artifacts.hh"
 #include "analysis/bundle.hh"
-#include "analysis/profile_report.hh"
 #include "analysis/runner.hh"
-#include "analysis/trace_report.hh"
 #include "pec/pec.hh"
 #include "prof/kernel_profile.hh"
 #include "prof/report.hh"
@@ -43,23 +42,22 @@ struct Breakdown
 
 /**
  * Run `which` for `ticks`, measuring both modes via PEC counters.
- * `trace_cap` attaches a tracer (populating the profile's syscall
- * latency histograms); `artifacts`, when non-null, marks this the
- * dedicated representative run and writes the --trace / --timeline
- * files it requests.
+ * Under --profile every run is traced, so the profile's syscall
+ * latency histograms populate; tracing is passive, so the table stays
+ * bit-identical to untraced runs. A non-null `report` marks this the
+ * dedicated representative run: it records what `args` requests and
+ * writes the artifacts, with `report` as the profile.
  */
 Breakdown
 run(const std::string &which, sim::Tick ticks, std::uint64_t seed,
-    unsigned trace_cap = 0,
-    const analysis::BenchArgs *artifacts = nullptr)
+    const analysis::BenchArgs &args, prof::Report *report = nullptr)
 {
     analysis::SimBundle b(
         analysis::BundleOptions::builder()
             .cores(4)
             .seed(1 + seed)
-            .traceCapacity(trace_cap)
-            .timelineInterval(
-                artifacts ? artifacts->captureTimelineInterval() : 0)
+            .traceCapacity(args.profiling() ? args.traceCap : 0)
+            .capture(report ? &args : nullptr)
             .build());
     pec::PecSession session(b.kernel());
     session.addEvent(0, sim::EventType::Instructions, true, false);
@@ -108,14 +106,8 @@ run(const std::string &which, sim::Tick ticks, std::uint64_t seed,
                    : std::vector<trace::TraceRecord>{});
     out.pecUser = session.processTotal(0);
     out.pecKernel = session.processTotal(1);
-    if (artifacts) {
-        if (b.timeline() != nullptr)
-            b.timeline()->finalize(b.machine().maxTime());
-        if (artifacts->tracing())
-            analysis::writeTraceReport(b, artifacts->trace);
-        analysis::writeTimeline(b, *artifacts,
-                                "bench_e07_kernel_user");
-    }
+    if (report)
+        analysis::writeArtifacts(args, "bench_e07_kernel_user", *report, b);
     return out;
 }
 
@@ -133,15 +125,11 @@ main(int argc, char **argv)
         "oltp (MySQL-like)", "web (Apache-like)",
         "browser (Firefox-like)", "spec-like: matmul",
         "spec-like: ptrchase"};
-    // A profiled run attaches the tracer to every job so the syscall
-    // latency histograms populate; tracing is passive, so the table
-    // stays bit-identical to untraced runs.
-    const unsigned cap = args.captureCap();
     limit::analysis::ParallelRunner pool(args.jobs);
     const std::vector<Breakdown> runs = pool.map(
         workloads.size() * args.seeds, [&](std::size_t i) {
             return run(workloads[i / args.seeds], ticks,
-                       i % args.seeds, cap);
+                       i % args.seeds, args);
         });
 
     prof::Report report;
@@ -169,8 +157,7 @@ main(int argc, char **argv)
               "of server behaviour. Drift shows the virtualized "
               "counters track the exact ledger closely.");
 
-    if (args.tracing() || args.timelineOn())
-        run(workloads[0], ticks, 0, args.captureCap(), &args);
-    limit::analysis::writeProfile(report, args, "bench_e07_kernel_user");
+    if (args.instrumented())
+        run(workloads[0], ticks, 0, args, &report);
     return 0;
 }

@@ -16,10 +16,9 @@
 #include <vector>
 
 #include "analysis/args.hh"
+#include "analysis/artifacts.hh"
 #include "analysis/bundle.hh"
-#include "analysis/profile_report.hh"
 #include "analysis/runner.hh"
-#include "analysis/trace_report.hh"
 #include "pec/pec.hh"
 #include "stats/table.hh"
 
@@ -46,9 +45,7 @@ run(pec::OverflowPolicy policy, unsigned width, std::uint64_t seed,
             .cores(1)
             .pmuWidth(width)
             .seed(1 + seed)
-            .traceCapacity(trace ? trace->captureCap() : 0)
-            .timelineInterval(
-                trace ? trace->captureTimelineInterval() : 0)
+            .capture(trace)
             .build());
     pec::PecConfig pc;
     pc.policy = policy;
@@ -77,7 +74,7 @@ run(pec::OverflowPolicy policy, unsigned width, std::uint64_t seed,
     out.restarts = session.readRestarts();
     out.retries = session.doubleCheckRetries();
     if (trace)
-        analysis::writeStandardArtifacts(b, *trace, "bench_e08_overflow");
+        analysis::writeArtifacts(*trace, "bench_e08_overflow", b);
     return out;
 }
 

@@ -19,10 +19,9 @@
 #include <vector>
 
 #include "analysis/args.hh"
+#include "analysis/artifacts.hh"
 #include "analysis/bundle.hh"
-#include "analysis/profile_report.hh"
 #include "analysis/runner.hh"
-#include "analysis/trace_report.hh"
 #include "os/sysno.hh"
 #include "pec/pec.hh"
 #include "stats/table.hh"
@@ -108,9 +107,7 @@ switchCost(bool tagged, bool virtualized, std::uint64_t seed,
             .taggedVirtualization(tagged)
             .virtualizeCounters(virtualized)
             .seed(1 + seed)
-            .traceCapacity(trace ? trace->captureCap() : 0)
-            .timelineInterval(
-                trace ? trace->captureTimelineInterval() : 0)
+            .capture(trace)
             .build());
     pec::PecSession session(b.kernel());
     session.addEvent(0, sim::EventType::Cycles);
@@ -135,7 +132,7 @@ switchCost(bool tagged, bool virtualized, std::uint64_t seed,
     const std::uint64_t switches =
         b.kernel().totalContextSwitches();
     if (trace)
-        analysis::writeStandardArtifacts(b, *trace, "bench_e09_hw_enhancements");
+        analysis::writeArtifacts(*trace, "bench_e09_hw_enhancements", b);
     return static_cast<double>(kernel_cycles) /
            static_cast<double>(switches);
 }

@@ -17,10 +17,9 @@
 #include <vector>
 
 #include "analysis/args.hh"
+#include "analysis/artifacts.hh"
 #include "analysis/bundle.hh"
-#include "analysis/profile_report.hh"
 #include "analysis/runner.hh"
-#include "analysis/trace_report.hh"
 #include "os/sysno.hh"
 #include "pec/pec.hh"
 #include "stats/table.hh"
@@ -39,9 +38,7 @@ switchCostWithCounters(unsigned counters, std::uint64_t seed,
             .quantum(10'000'000)
             .pmuCounters(8)
             .seed(1 + seed)
-            .traceCapacity(trace ? trace->captureCap() : 0)
-            .timelineInterval(
-                trace ? trace->captureTimelineInterval() : 0)
+            .capture(trace)
             .build());
     pec::PecSession session(b.kernel());
     const sim::EventType evs[8] = {
@@ -65,7 +62,7 @@ switchCostWithCounters(unsigned counters, std::uint64_t seed,
     }
     b.machine().run();
     if (trace)
-        analysis::writeStandardArtifacts(b, *trace, "bench_e10_virtualization");
+        analysis::writeArtifacts(*trace, "bench_e10_virtualization", b);
     return static_cast<double>(analysis::totalEvent(
                b.kernel(), sim::EventType::Cycles,
                sim::PrivMode::Kernel)) /

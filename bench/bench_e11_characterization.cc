@@ -16,10 +16,9 @@
 #include <vector>
 
 #include "analysis/args.hh"
+#include "analysis/artifacts.hh"
 #include "analysis/bundle.hh"
-#include "analysis/profile_report.hh"
 #include "analysis/runner.hh"
-#include "analysis/trace_report.hh"
 #include "stats/table.hh"
 #include "workloads/browser.hh"
 #include "workloads/kernels.hh"
@@ -51,9 +50,7 @@ characterize(const std::string &which, std::uint64_t seed,
             .cores(4)
             .quantum(1'000'000)
             .seed(1 + seed)
-            .traceCapacity(trace ? trace->captureCap() : 0)
-            .timelineInterval(
-                trace ? trace->captureTimelineInterval() : 0)
+            .capture(trace)
             .build());
 
     std::unique_ptr<workloads::OltpServer> oltp;
@@ -129,7 +126,7 @@ characterize(const std::string &which, std::uint64_t seed,
         1e6 * static_cast<double>(k.totalContextSwitches()) /
         all_cycles;
     if (trace)
-        analysis::writeStandardArtifacts(b, *trace, "bench_e11_characterization");
+        analysis::writeArtifacts(*trace, "bench_e11_characterization", b);
     return r;
 }
 

@@ -20,10 +20,9 @@
 #include <vector>
 
 #include "analysis/args.hh"
+#include "analysis/artifacts.hh"
 #include "analysis/bundle.hh"
-#include "analysis/profile_report.hh"
 #include "analysis/runner.hh"
-#include "analysis/trace_report.hh"
 #include "baseline/sampler.hh"
 #include "baseline/source_set.hh"
 #include "pec/pec.hh"
@@ -51,9 +50,7 @@ runQuantum(sim::Tick quantum, std::uint64_t seed,
             .cores(2)
             .quantum(quantum)
             .seed(1 + seed)
-            .traceCapacity(trace ? trace->captureCap() : 0)
-            .timelineInterval(
-                trace ? trace->captureTimelineInterval() : 0)
+            .capture(trace)
             .build());
     pec::PecSession s(b.kernel());
     s.addEvent(0, sim::EventType::Cycles);
@@ -81,7 +78,7 @@ runQuantum(sim::Tick quantum, std::uint64_t seed,
     const double total = static_cast<double>(
         analysis::totalEvent(b.kernel(), sim::EventType::Cycles));
     if (trace)
-        analysis::writeStandardArtifacts(b, *trace, "bench_e12_ablations");
+        analysis::writeArtifacts(*trace, "bench_e12_ablations", b);
     return {switches, 100.0 * switch_cycles / total};
 }
 

@@ -32,10 +32,9 @@
 #include <vector>
 
 #include "analysis/args.hh"
+#include "analysis/artifacts.hh"
 #include "analysis/bundle.hh"
-#include "analysis/profile_report.hh"
 #include "analysis/runner.hh"
-#include "analysis/trace_report.hh"
 #include "fault/plan.hh"
 #include "pec/pec.hh"
 #include "stats/table.hh"
@@ -104,9 +103,7 @@ run(pec::OverflowPolicy policy, const fault::Plan &plan,
             .pmuWidth(kWidth)
             .quantum(kQuantum)
             .seed(1 + seed)
-            .traceCapacity(trace ? trace->captureCap() : 0)
-            .timelineInterval(
-                trace ? trace->captureTimelineInterval() : 0)
+            .capture(trace)
             .build());
     pec::PecConfig pc;
     pc.policy = policy;
@@ -156,7 +153,7 @@ run(pec::OverflowPolicy policy, const fault::Plan &plan,
     out.settledGap = total > truth ? total - truth : truth - total;
 
     if (trace)
-        analysis::writeStandardArtifacts(b, *trace, "bench_e13_fault_resilience");
+        analysis::writeArtifacts(*trace, "bench_e13_fault_resilience", b);
     return out;
 }
 

@@ -23,7 +23,7 @@
  *    replay.
  *
  * All lattice points fan through analysis::ParallelRunner, so the
- * report (and the --profile-out JSON, schema limitpp-sensitivity-v1)
+ * report (and the --profile JSON, schema limitpp-sensitivity-v1)
  * is bit-identical for any --jobs value and across the batched and
  * per-op execution modes.
  */
@@ -33,8 +33,8 @@
 #include <string>
 
 #include "analysis/args.hh"
+#include "analysis/artifacts.hh"
 #include "analysis/bundle.hh"
-#include "analysis/profile_report.hh"
 #include "analysis/runner.hh"
 #include "analysis/sensitivity/engine.hh"
 #include "analysis/sensitivity/param_space.hh"
@@ -90,12 +90,14 @@ class ScopedFaults
  * sweep is wrapped in a calibrated PEC region, so the lattice carries
  * exact per-sweep cycle attribution through Measurement::metrics —
  * the region instrumentation is identical at every lattice point, so
- * rankings are unperturbed. A non-null `artifacts` marks this the
- * dedicated representative run and writes the --timeline artifact.
+ * rankings are unperturbed. A non-null `report` marks this the
+ * dedicated representative run: it writes the artifacts `args`
+ * requests, with `report` as the profile.
  */
 Measurement
 streamWorkload(const BundleOptions &base, std::uint64_t seed,
-               const analysis::BenchArgs *artifacts = nullptr)
+               const analysis::BenchArgs *args = nullptr,
+               prof::Report *report = nullptr)
 {
     analysis::SimBundle b(
         BundleOptions::Builder::from(base).seed(seed).build());
@@ -150,9 +152,9 @@ streamWorkload(const BundleOptions &base, std::uint64_t seed,
     m.metrics["region.sweep.cycles_mean"] = rs.mean(0);
     m.metrics["region.sweep.open_visits"] =
         static_cast<double>(rprof.openRegions().size());
-    if (artifacts)
-        analysis::writeTimeline(b, *artifacts,
-                                "bench_e15_sensitivity");
+    if (report)
+        analysis::writeArtifacts(*args, "bench_e15_sensitivity", *report,
+                                 b);
     return m;
 }
 
@@ -333,19 +335,16 @@ main(int argc, char **argv)
     }
 
     // Dedicated instrumented run (stream scenario's planted-bottleneck
-    // baseline, lattice-independent seed) for the --timeline artifact;
-    // the tables above are untouched by it.
-    if (args.timelineOn()) {
-        const BundleOptions rep =
-            BundleOptions::builder()
-                .cores(1)
-                .l1Size(2 * 1024)
-                .timelineInterval(args.captureTimelineInterval())
-                .build();
-        streamWorkload(rep, 1, &args);
+    // baseline, lattice-independent seed) for the artifacts; the
+    // tables above are untouched by it.
+    if (args.instrumented()) {
+        const BundleOptions rep = BundleOptions::builder()
+                                      .cores(1)
+                                      .l1Size(2 * 1024)
+                                      .capture(&args)
+                                      .build();
+        streamWorkload(rep, 1, &args, &report);
     }
-
-    analysis::writeProfile(report, args, "bench_e15_sensitivity");
 
     std::puts("\nEXPERIMENTS.md (E15) markdown:");
     std::fputs(report.sensitivityMarkdown().c_str(), stdout);

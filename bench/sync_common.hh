@@ -18,31 +18,18 @@
 #include <vector>
 
 #include "analysis/args.hh"
+#include "analysis/artifacts.hh"
 #include "analysis/bundle.hh"
-#include "analysis/profile_report.hh"
-#include "analysis/trace_report.hh"
 #include "base/logging.hh"
 #include "fault/plan.hh"
 #include "pec/pec.hh"
+#include "prof/report.hh"
 #include "prof/sync_profile.hh"
 #include "workloads/browser.hh"
 #include "workloads/oltp.hh"
 #include "workloads/webserver.hh"
 
 namespace limit::benchsync {
-
-/**
- * Request for an instrumented (traced) run. The PMU counter width is
- * narrowed so the cycle counter actually wraps at bench scale and the
- * trace shows overflow PMIs alongside switches and futex traffic; the
- * published tables always come from untraced full-width runs.
- */
-struct TraceSpec
-{
-    std::string path;
-    unsigned capacity = 65536;
-    unsigned pmuWidth = 22; // wraps every ~4.2M cycles at 3 GHz
-};
 
 /** One instrumented application run. */
 struct SyncRunResult
@@ -56,39 +43,40 @@ struct SyncRunResult
 
 /**
  * Run one app with lock instrumentation for `ticks`. `seed` offsets
- * the workload RNG (0 reproduces the historical tables). A non-null
- * `tspec` attaches a tracer (and narrows the counters, see TraceSpec)
- * and writes the Chrome-trace JSON before returning. A non-null
- * `args` installs its --faults plan on the machine, so E5 and E6 run
- * the plan, as E13 and E15 do; the other simulated benches only
- * validate it. A non-null `artifact_bench` marks this the dedicated
- * representative run: the timeline recorder attaches when --timeline
- * was given and the artifact is written under that bench name before
- * returning (per-job runs pass nullptr so the fan-out stays
- * uninstrumented).
+ * the workload RNG (0 reproduces the historical tables). `args`
+ * installs its --faults plan on the machine, so E5 and E6 run the
+ * plan, as E13 and E15 do; the other simulated benches only validate
+ * it. A non-null `report` marks this the dedicated representative run
+ * of `bench`: it records what `args` requests and writes the
+ * artifacts, with `report` as the profile, before returning (fan-out
+ * jobs pass nullptr and stay uninstrumented). When it traces, the PMU
+ * counters narrow to 22 bits, so the cycle counter wraps every ~4.2M
+ * cycles and the trace shows overflow PMIs alongside switches and
+ * futex traffic; the published tables always come from full-width
+ * runs.
  */
 inline SyncRunResult
-runApp(const std::string &which, sim::Tick ticks, std::uint64_t seed = 0,
-       const TraceSpec *tspec = nullptr,
-       const analysis::BenchArgs *args = nullptr,
-       const char *artifact_bench = nullptr)
+runApp(const std::string &which, sim::Tick ticks, std::uint64_t seed,
+       const analysis::BenchArgs &args, prof::Report *report = nullptr,
+       const char *bench = nullptr)
 {
     auto ob = analysis::BundleOptions::builder().cores(4).seed(1 + seed);
-    if (tspec)
-        ob.traceCapacity(tspec->capacity).pmuWidth(tspec->pmuWidth);
-    if (artifact_bench && args)
-        ob.timelineInterval(args->captureTimelineInterval());
+    if (report) {
+        ob.capture(&args);
+        if (args.tracing())
+            ob.pmuWidth(22);
+    }
     analysis::SimBundle b(ob.build());
 
     // Deterministic fault injection from --faults. The controller
     // must outlive the run; detach before it goes out of scope.
     std::unique_ptr<fault::PlanController> fault_controller;
-    if (args && !args->faults.empty()) {
+    if (!args.faults.empty()) {
         fault::Plan plan;
         std::string err;
         // parseBenchArgs already validated the grammar up front.
-        fatal_if(!fault::Plan::parse(args->faults, plan, err),
-                 "bad --faults spec '", args->faults, "': ", err);
+        fatal_if(!fault::Plan::parse(args.faults, plan, err),
+                 "bad --faults spec '", args.faults, "': ", err);
         fault_controller = std::make_unique<fault::PlanController>(
             b.machine(), std::move(plan));
         b.machine().setFaults(fault_controller.get());
@@ -148,12 +136,8 @@ runApp(const std::string &which, sim::Tick ticks, std::uint64_t seed = 0,
         out.workItems = web->served();
     else
         out.workItems = browser->totalEvents();
-    if (b.timeline() != nullptr)
-        b.timeline()->finalize(b.machine().maxTime());
-    if (tspec)
-        analysis::writeTraceReport(b, tspec->path);
-    if (artifact_bench && args)
-        analysis::writeTimeline(b, *args, artifact_bench);
+    if (report)
+        analysis::writeArtifacts(args, bench, *report, b);
     if (fault_controller)
         b.machine().setFaults(nullptr);
     return out;

@@ -140,7 +140,7 @@ main()
             .cell(s.entries)
             .cell(s.mean(0), 0)
             .cell(s.mean(1), 2)
-            .cell(s.histogram.quantile(0.95), 0);
+            .cell(s.histogram.quantile(0.95));
     }
     std::fputs(t.render().c_str(), stdout);
     std::printf("\ninserted %llu items, drained %llu\n",

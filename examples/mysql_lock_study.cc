@@ -66,7 +66,7 @@ main()
             .cell(held.entries)
             .cell(acq.mean(0), 0)
             .cell(held.mean(0), 0)
-            .cell(held.histogram.quantile(0.99), 0);
+            .cell(held.histogram.quantile(0.99));
     }
     std::fputs(t.render().c_str(), stdout);
 
@@ -74,7 +74,7 @@ main()
         profiler.stats(regions.find("oltp.wal.held"));
     std::printf("\nWAL critical-section length distribution "
                 "(cycles):\n%s",
-                wal_held.histogram.render(40).c_str());
+                wal_held.histogram.renderLog2(40).c_str());
 
     std::puts("\nTakeaway (paper implication): the dominant "
               "synchronization cost is many *short* critical sections "

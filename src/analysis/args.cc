@@ -18,9 +18,8 @@ usage(const char *prog, const BenchDefaults &defaults,
     std::fprintf(
         out,
         "usage: %s [--seeds N] [--jobs N] [--trace FILE] "
-        "[--trace-cap N] [--faults SPEC] [--profile] "
-        "[--profile-out FILE] [--timeline FILE] "
-        "[--timeline-interval N]\n"
+        "[--trace-cap N] [--faults SPEC] [--profile FILE] "
+        "[--timeline FILE] [--timeline-interval N]\n"
         "  --seeds N      %s (default %u)\n"
         "  --jobs N       host threads for parallel experiment "
         "fan-out; 0 = all hardware threads (default %u)\n"
@@ -31,10 +30,9 @@ usage(const char *prog, const BenchDefaults &defaults,
         "  --faults SPEC  deterministic fault plan, e.g. "
         "'overflow-read:step=2;drop-pmi:nth=3' "
         "(see docs/FAULTS.md)\n"
-        "  --profile      write a profile JSON (per-call-site lock "
-        "stats, kernel decomposition; see docs/PROFILING.md)\n"
-        "  --profile-out FILE  profile path (default profile.json; "
-        "implies --profile)\n"
+        "  --profile FILE write a profile JSON (per-call-site lock "
+        "stats, kernel decomposition, run counters; see "
+        "docs/PROFILING.md)\n"
         "  --timeline FILE  write a limitpp-timeline-v1 JSON of one "
         "representative run: exact per-core PMU event deltas per "
         "guest-cycle interval (see docs/TIMELINE.md)\n"
@@ -79,6 +77,23 @@ parseUnsigned(const char *flag, const char *text, unsigned &out,
         return false;
     }
     out = static_cast<unsigned>(v);
+    return true;
+}
+
+/**
+ * Take `text` as the artifact path of `flag`. An empty operand, or one
+ * that starts with '-' (the next flag, as in `--trace --profile`), is
+ * not a file name.
+ */
+bool
+parsePath(const char *flag, const char *text, std::string &out,
+          std::string &error)
+{
+    if (*text == '\0' || *text == '-') {
+        error = std::string(flag) + " needs a file name";
+        return false;
+    }
+    out = text;
     return true;
 }
 
@@ -139,11 +154,8 @@ tryParseBenchArgs(int argc, char **argv, BenchDefaults defaults)
                 return p;
             }
         } else if ((value = flagValue("--trace", arg, argc, argv, i))) {
-            if (*value == '\0') {
-                p.error = "--trace needs a file name";
+            if (!parsePath("--trace", value, p.args.trace, p.error))
                 return p;
-            }
-            p.args.trace = value;
         } else if ((value = flagValue("--faults", arg, argc, argv, i))) {
             if (*value == '\0') {
                 p.error = "--faults needs a plan spec";
@@ -173,21 +185,14 @@ tryParseBenchArgs(int argc, char **argv, BenchDefaults defaults)
             }
         } else if ((value =
                         flagValue("--timeline", arg, argc, argv, i))) {
-            if (*value == '\0') {
-                p.error = "--timeline needs a file name";
+            if (!parsePath("--timeline", value, p.args.timeline,
+                           p.error)) {
                 return p;
             }
-            p.args.timeline = value;
-        } else if (std::strcmp(arg, "--profile") == 0) {
-            p.args.profile = true;
         } else if ((value =
-                        flagValue("--profile-out", arg, argc, argv, i))) {
-            if (*value == '\0') {
-                p.error = "--profile-out needs a file name";
+                        flagValue("--profile", arg, argc, argv, i))) {
+            if (!parsePath("--profile", value, p.args.profile, p.error))
                 return p;
-            }
-            p.args.profile = true;
-            p.args.profileOut = value;
         } else {
             p.error = std::string("unknown argument '") + arg + "'";
             return p;

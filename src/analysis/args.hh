@@ -16,9 +16,9 @@
  *                    support it (grammar in docs/FAULTS.md; validated
  *                    here so typos fail fast even in benches that
  *                    ignore the plan)
- *   --profile        emit a prof::Report JSON profile artifact
- *   --profile-out F  profile output path (default profile.json;
- *                    implies --profile)
+ *   --profile FILE   write the prof::Report JSON profile of the
+ *                    bench, with the representative run's counters
+ *                    as its meta (see docs/PROFILING.md)
  *   --timeline FILE  write a limitpp-timeline-v1 JSON of one
  *                    representative run: exact per-core PMU event
  *                    deltas per guest-cycle interval with phase
@@ -53,43 +53,22 @@ struct BenchArgs
     /** Fault-plan spec (--faults); empty = no injection. Already
         validated by fault::Plan::parse — benches re-parse to use it. */
     std::string faults;
-    /** Emit a prof::Report JSON artifact (--profile / --profile-out). */
-    bool profile = false;
-    /** Profile artifact path (setting it via --profile-out implies
-        --profile). */
-    std::string profileOut = "profile.json";
+    /** Profile artifact path (--profile); empty = off. */
+    std::string profile;
     /** Timeline artifact path (--timeline); empty = off. */
     std::string timeline;
     /** Timeline slice width in guest cycles (--timeline-interval). */
     unsigned timelineInterval = 65536;
 
     bool tracing() const { return !trace.empty(); }
+    bool profiling() const { return !profile.empty(); }
     bool timelineOn() const { return !timeline.empty(); }
 
     /** Any artifact that needs the dedicated representative run. */
     bool
     instrumented() const
     {
-        return tracing() || profile || timelineOn();
-    }
-
-    /**
-     * Trace-ring capacity for the instrumented representative run:
-     * nonzero when either a trace artifact or a profile (which pairs
-     * syscall enter/exit records) was requested.
-     */
-    unsigned captureCap() const
-    {
-        return tracing() || profile ? traceCap : 0;
-    }
-
-    /**
-     * Timeline slicing interval for the instrumented representative
-     * run; 0 (recorder off) unless --timeline was given.
-     */
-    unsigned captureTimelineInterval() const
-    {
-        return timelineOn() ? timelineInterval : 0;
+        return tracing() || profiling() || timelineOn();
     }
 };
 

@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "analysis/args.hh"
 #include "base/logging.hh"
 
 namespace limit::analysis {
@@ -36,6 +37,18 @@ checkCacheGeometry(const char *level, const mem::CacheGeometry &g)
 }
 
 } // namespace
+
+BundleOptions::Builder &
+BundleOptions::Builder::capture(const BenchArgs *args)
+{
+    if (args == nullptr)
+        return *this;
+    if (args->tracing() || args->profiling())
+        o_.traceCapacity = args->traceCap;
+    if (args->timelineOn())
+        o_.timelineInterval = args->timelineInterval;
+    return *this;
+}
 
 BundleOptions
 BundleOptions::Builder::build() const

@@ -13,10 +13,11 @@
 #include "mem/hierarchy.hh"
 #include "os/kernel.hh"
 #include "sim/machine.hh"
-#include "trace/metrics.hh"
 #include "trace/trace.hh"
 
 namespace limit::analysis {
+
+struct BenchArgs;
 
 /**
  * Options for building a standard experiment machine.
@@ -216,6 +217,14 @@ class BundleOptions::Builder
         o_.timelineInterval = ticks;
         return *this;
     }
+    /**
+     * Record what a bench's representative run needs for the
+     * artifacts `args` requests: a tracer of --trace-cap records per
+     * core for --trace or --profile (the profile pairs syscall
+     * records), a recorder of --timeline-interval slices for
+     * --timeline. nullptr, as a fan-out job passes, attaches nothing.
+     */
+    Builder &capture(const BenchArgs *args);
     /** Per-op reference scheduler instead of horizon batching. */
     Builder &batched(bool on)
     {
@@ -265,9 +274,6 @@ class SimBundle
     /** Timeline recorder (nullptr unless timelineInterval was set). */
     sim::TimelineRecorder *timeline() { return timeline_.get(); }
 
-    /** Per-bundle metrics, harvested into bench JSON output. */
-    trace::MetricsRegistry &metrics() { return metrics_; }
-
     /** Run with a stop request at `stop_at` ticks. */
     sim::Tick run(sim::Tick stop_at);
 
@@ -277,7 +283,6 @@ class SimBundle
     std::unique_ptr<os::Kernel> kernel_;
     std::unique_ptr<trace::Tracer> tracer_;
     std::unique_ptr<sim::TimelineRecorder> timeline_;
-    trace::MetricsRegistry metrics_;
 };
 
 /** Sum one event across every thread (one privilege mode). */

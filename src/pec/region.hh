@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "pec/session.hh"
-#include "stats/histogram.hh"
+#include "stats/hdr_histogram.hh"
 
 namespace limit::pec {
 
@@ -30,7 +30,7 @@ struct RegionStats
     /** Sum of per-visit deltas for each configured counter. */
     std::array<std::uint64_t, sim::maxPmuCounters> totals{};
     /** Distribution of the histogram counter's per-visit delta. */
-    stats::Log2Histogram histogram{48};
+    stats::HdrHistogram histogram;
 
     /** Mean per-visit delta of counter `ctr`. */
     double
@@ -109,8 +109,8 @@ class RegionProfiler
      * contributes nothing to stats() — it has no delta to fold — so
      * a non-empty result means the aggregates silently miss those
      * visits (typically a guest that hit the stop request
-     * mid-region). Surfacing beats dropping; prof::Report emits
-     * these as their own section.
+     * mid-region). Surfacing beats dropping: E15 exports the count
+     * as a lattice metric.
      */
     std::vector<OpenVisit> openRegions() const;
 

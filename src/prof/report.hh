@@ -4,7 +4,7 @@
  *
  * Benches feed per-run profiles (sync, kernel, sensitivity,
  * timeline) into a Report; it renders the machine-readable JSON
- * artifact (--profile-out), the aligned-ASCII tables
+ * artifact (--profile FILE), the aligned-ASCII tables
  * the benches print, and the markdown tables EXPERIMENTS.md embeds —
  * one aggregation path for all three, so the published numbers can
  * never drift from the profile data.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -64,7 +65,11 @@ HdrHistogram::add(std::uint64_t value, std::uint64_t weight)
         max_ = std::max(max_, value);
     }
     total_ += weight;
-    sum_ += value * weight;
+    std::uint64_t product = 0;
+    if (__builtin_mul_overflow(value, weight, &product) ||
+        __builtin_add_overflow(sum_, product, &sum_)) {
+        sum_ = std::numeric_limits<std::uint64_t>::max();
+    }
 }
 
 void
@@ -84,7 +89,8 @@ HdrHistogram::merge(const HdrHistogram &other)
         max_ = std::max(max_, other.max_);
     }
     total_ += other.total_;
-    sum_ += other.sum_;
+    if (__builtin_add_overflow(sum_, other.sum_, &sum_))
+        sum_ = std::numeric_limits<std::uint64_t>::max();
 }
 
 double

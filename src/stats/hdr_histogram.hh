@@ -6,10 +6,9 @@
  * 2^bucketBits get one bucket each (exact), larger values share
  * 2^bucketBits sub-buckets per power-of-two magnitude, giving a
  * bounded relative error of 2^-bucketBits on bucket boundaries while
- * counts stay simulator-exact. Unlike Log2Histogram this type
- * serializes to JSON and its quantiles are deterministic integers —
- * both required for bit-identical profile output merged across
- * parallel runner jobs.
+ * counts stay simulator-exact. It serializes to JSON and its
+ * quantiles are deterministic integers — both required for
+ * bit-identical profile output merged across parallel runner jobs.
  */
 
 #ifndef LIMIT_STATS_HDR_HISTOGRAM_HH
@@ -56,12 +55,19 @@ class HdrHistogram
     std::uint64_t bucketHi(unsigned idx) const;
 
     std::uint64_t totalCount() const { return total_; }
+
+    /**
+     * Weighted sum of the recorded values. It saturates at 2^64 - 1
+     * instead of wrapping, so a sum that passes the uint64 range
+     * reads as that ceiling, in toJson's "sum" too.
+     */
     std::uint64_t totalValue() const { return sum_; }
 
     /** Smallest / largest recorded value; 0 when empty. */
     std::uint64_t minValue() const { return total_ ? min_ : 0; }
     std::uint64_t maxValue() const { return total_ ? max_ : 0; }
 
+    /** totalValue() / totalCount(); a saturated sum gives a low bound. */
     double mean() const;
 
     /**

@@ -1,5 +1,6 @@
 #include "trace/exporter.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <ostream>
@@ -7,7 +8,6 @@
 #include <string>
 
 #include "sim/timeline.hh"
-#include "trace/metrics.hh"
 
 namespace limit::trace {
 
@@ -53,7 +53,7 @@ isSyscallEvent(TraceEvent e)
 
 void
 writeChromeTrace(std::ostream &os, const Tracer &tracer,
-                 const MetricsRegistry *metrics,
+                 const std::vector<RunCounter> &metrics,
                  const ExportOptions &options)
 {
     const std::vector<TraceRecord> records = tracer.merged();
@@ -121,32 +121,30 @@ writeChromeTrace(std::ostream &os, const Tracer &tracer,
         }
         os << "}}";
 
-        if (options.counterTracks) {
-            // Counter tracks are cumulative per core, so a viewer
-            // shows event *rates* as track slopes.
-            const char *track = nullptr;
-            switch (r.event) {
-              case TraceEvent::ContextSwitch:
-                track = "ctx-switches";
-                break;
-              case TraceEvent::SyscallEnter:
-                track = "syscalls";
-                break;
-              case TraceEvent::PmiDelivered:
-                track = "pmis";
-                break;
-              default:
-                break;
-            }
-            if (track) {
-                const std::uint64_t value =
-                    ++counter_track_state[{r.core, track}];
-                sep();
-                os << "    {\"name\": \"" << track
-                   << "\", \"ph\": \"C\", \"ts\": " << ts
-                   << ", \"pid\": " << r.core
-                   << ", \"args\": {\"value\": " << value << "}}";
-            }
+        // Counter tracks are cumulative per core, so a viewer
+        // shows event *rates* as track slopes.
+        const char *track = nullptr;
+        switch (r.event) {
+          case TraceEvent::ContextSwitch:
+            track = "ctx-switches";
+            break;
+          case TraceEvent::SyscallEnter:
+            track = "syscalls";
+            break;
+          case TraceEvent::PmiDelivered:
+            track = "pmis";
+            break;
+          default:
+            break;
+        }
+        if (track) {
+            const std::uint64_t value =
+                ++counter_track_state[{r.core, track}];
+            sep();
+            os << "    {\"name\": \"" << track
+               << "\", \"ph\": \"C\", \"ts\": " << ts
+               << ", \"pid\": " << r.core
+               << ", \"args\": {\"value\": " << value << "}}";
         }
     }
 
@@ -191,10 +189,28 @@ writeChromeTrace(std::ostream &os, const Tracer &tracer,
         os << (c == 0 ? "" : ", ") << "\"core" << c
            << "\": " << tracer.ring(c).dropped();
     }
-    os << "}";
-    if (metrics)
-        os << ",\n  \"metrics\": " << metrics->toJson(2);
-    os << "\n}\n";
+    os << "},\n  \"metrics\": {";
+    std::vector<const RunCounter *> sorted;
+    for (const RunCounter &c : metrics)
+        sorted.push_back(&c);
+    std::sort(sorted.begin(), sorted.end(),
+              [](const RunCounter *a, const RunCounter *b) {
+                  return a->key < b->key;
+              });
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+        os << (i == 0 ? "" : ",") << "\n    \"" << sorted[i]->key
+           << "\": ";
+        const auto &v = sorted[i]->value;
+        if (const auto *n = std::get_if<std::uint64_t>(&v)) {
+            os << *n;
+        } else {
+            char ratio[32];
+            std::snprintf(ratio, sizeof ratio, "%.6g",
+                          std::get<double>(v));
+            os << ratio;
+        }
+    }
+    os << (sorted.empty() ? "" : "\n  ") << "}\n}\n";
 }
 
 std::string

@@ -8,7 +8,9 @@
  * with the simulated core as the pid lane and the simulated thread as
  * the tid lane, timestamps in microseconds of simulated time at the
  * nominal clock. Extra top-level keys ("metrics", "dropped") ride
- * along; trace viewers ignore keys they do not know.
+ * along; trace viewers ignore keys they do not know. Per-core
+ * counter tracks ("ph": "C") step the cumulative context switches,
+ * syscalls and PMIs at every matching record.
  *
  * asciiSummary prints the per-category / per-event hit counts as a
  * terminal table — the quick look before reaching for the viewer.
@@ -20,6 +22,8 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <variant>
+#include <vector>
 
 #include "trace/trace.hh"
 
@@ -29,7 +33,12 @@ class TimelineRecorder;
 
 namespace limit::trace {
 
-class MetricsRegistry;
+/** One exported run counter: an exact count, or a ratio. */
+struct RunCounter
+{
+    std::string key;
+    std::variant<std::uint64_t, double> value;
+};
 
 /** Knobs for writeChromeTrace. */
 struct ExportOptions
@@ -43,14 +52,6 @@ struct ExportOptions
     const char *(*syscallName)(std::uint32_t nr) = nullptr;
 
     /**
-     * Also emit Perfetto counter tracks ("ph": "C"): per-core
-     * cumulative context switches, syscalls, and PMIs, stepped at
-     * every matching record. Off by default — it roughly doubles the
-     * event count for syscall-dense traces.
-     */
-    bool counterTracks = false;
-
-    /**
      * Optional finalized timeline recorder: emits one "tl-<event>"
      * counter track per core per PMU event (events with no hits
      * anywhere are skipped), valued at the event's exact per-slice
@@ -62,11 +63,12 @@ struct ExportOptions
 };
 
 /**
- * Write the full Chrome-trace JSON document to `os`. `metrics` (when
- * non-null) is embedded as a top-level "metrics" object.
+ * Write the full Chrome-trace JSON document to `os`. `metrics` is
+ * embedded as a flat top-level "metrics" object, keys sorted, counts
+ * as integers and ratios as "%.6g" doubles.
  */
 void writeChromeTrace(std::ostream &os, const Tracer &tracer,
-                      const MetricsRegistry *metrics = nullptr,
+                      const std::vector<RunCounter> &metrics,
                       const ExportOptions &options = {});
 
 /** Per-category and per-event hit counts as an ASCII table. */

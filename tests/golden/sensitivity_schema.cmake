@@ -12,7 +12,7 @@ function(fail)
 endfunction()
 
 foreach(jobs 1 4)
-    execute_process(COMMAND ${BENCH} --profile --profile-out e15-j${jobs}.json
+    execute_process(COMMAND ${BENCH} --profile e15-j${jobs}.json
                             --jobs ${jobs}
                     OUTPUT_QUIET
                     RESULT_VARIABLE rc)

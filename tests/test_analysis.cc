@@ -148,9 +148,6 @@ TEST(BundleBuilder, TraceCapacityCreatesTracer)
     ASSERT_NE(traced.tracer(), nullptr);
     EXPECT_EQ(traced.tracer()->numCores(), 2u);
     EXPECT_EQ(traced.tracer()->ring(0).capacity(), 128u);
-    // The per-bundle metrics registry is usable either way.
-    traced.metrics().add("probe");
-    EXPECT_EQ(traced.metrics().counter("probe"), 1u);
 }
 
 TEST(BundleBuilderDeathTest, RejectsInvalidCombinations)
@@ -317,7 +314,8 @@ TEST(BenchArgs, RejectsUnknownFlags)
           parseArgs({"--journal=e15.journal"}), parseArgs({"--resume"}),
           parseArgs({"--sentinel"}), parseArgs({"--sentinel-every", "4"}),
           parseArgs({"--status-file=hb.json"}), parseArgs({"--no-batch"}),
-          parseArgs({"--no-superblock"})}) {
+          parseArgs({"--no-superblock"}),
+          parseArgs({"--profile-out", "x"})}) {
         ASSERT_FALSE(q.ok());
         EXPECT_NE(q.error.find("unknown argument"), std::string::npos);
     }
@@ -371,13 +369,34 @@ TEST(BenchArgs, ParsesObservabilityFlags)
     EXPECT_EQ(p.args.timelineInterval, 4096u);
     EXPECT_TRUE(p.args.timelineOn());
     EXPECT_TRUE(p.args.instrumented());
-    EXPECT_EQ(p.args.captureTimelineInterval(), 4096u);
+    // The representative run records a timeline and, with no trace
+    // or profile requested, no trace.
+    const BundleOptions o =
+        BundleOptions::builder().capture(&p.args).build();
+    EXPECT_EQ(o.timelineInterval, 4096u);
+    EXPECT_EQ(o.traceCapacity, 0u);
     // --timeline-interval alone arms nothing: no file, no recorder.
     const auto q = parseArgs({"--timeline-interval", "8192"});
     ASSERT_TRUE(q.ok()) << q.error;
     EXPECT_FALSE(q.args.timelineOn());
     EXPECT_FALSE(q.args.instrumented());
-    EXPECT_EQ(q.args.captureTimelineInterval(), 0u);
+    EXPECT_EQ(BundleOptions::builder().capture(&q.args).build()
+                  .timelineInterval,
+              0u);
+    // --profile takes a file, as --trace and --timeline do, and its
+    // representative run is traced: the profile pairs syscall records.
+    const auto r = parseArgs({"--profile", "p.json", "--trace-cap=512"});
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_EQ(r.args.profile, "p.json");
+    EXPECT_TRUE(r.args.profiling());
+    EXPECT_TRUE(r.args.instrumented());
+    EXPECT_EQ(BundleOptions::builder().capture(&r.args).build()
+                  .traceCapacity,
+              512u);
+    // A fan-out job captures nothing.
+    EXPECT_EQ(BundleOptions::builder().capture(nullptr).build()
+                  .traceCapacity,
+              0u);
 }
 
 TEST(BenchArgs, RejectsDegenerateObservabilityValues)
@@ -392,9 +411,20 @@ TEST(BenchArgs, RejectsDegenerateObservabilityValues)
                   std::string::npos);
     }
     EXPECT_TRUE(parseArgs({"--timeline-interval", "256"}).ok());
-    // Empty artifact paths are configuration mistakes, not requests.
-    EXPECT_FALSE(parseArgs({"--timeline"}).ok());
-    EXPECT_FALSE(parseArgs({"--timeline="}).ok());
+    // Empty artifact paths are configuration mistakes, not requests,
+    // and an operand that starts with '-' is the next flag, not a file.
+    for (const auto &q :
+         {parseArgs({"--timeline"}), parseArgs({"--timeline="}),
+          parseArgs({"--profile"}), parseArgs({"--profile="}),
+          parseArgs({"--trace", "--profile"}),
+          parseArgs({"--trace", "--profile", "p.json"}),
+          parseArgs({"--profile", "--trace", "t.json"}),
+          parseArgs({"--timeline", "-"}),
+          parseArgs({"--profile=-p.json"})}) {
+        ASSERT_FALSE(q.ok());
+        EXPECT_NE(q.error.find("needs a file name"), std::string::npos)
+            << q.error;
+    }
 }
 
 } // namespace

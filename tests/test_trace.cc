@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the tracing and metrics subsystem: ring wrap-around,
- * per-core isolation, exporter JSON well-formedness, the metrics
- * registry, and the kernel/PEC tracepoints firing end-to-end.
+ * Tests for the tracing subsystem: ring wrap-around, per-core
+ * isolation, exporter JSON well-formedness, the exported run
+ * counters, and the kernel/PEC tracepoints firing end-to-end.
  */
 
 #include <gtest/gtest.h>
@@ -11,13 +11,13 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "analysis/artifacts.hh"
 #include "analysis/bundle.hh"
-#include "analysis/trace_report.hh"
 #include "os/sysno.hh"
 #include "pec/pec.hh"
 #include "trace/exporter.hh"
-#include "trace/metrics.hh"
 #include "trace/trace.hh"
 
 namespace limit {
@@ -283,36 +283,6 @@ TEST(Tracer, NullTracerExpressionIsSafe)
     EXPECT_EQ(evaluated, 0);
 }
 
-// --- MetricsRegistry ---------------------------------------------------
-
-TEST(Metrics, CountersAndGaugesRoundTrip)
-{
-    trace::MetricsRegistry m;
-    EXPECT_TRUE(m.empty());
-    m.add("reads");
-    m.add("reads", 4);
-    m.set("ipc", 1.25);
-    EXPECT_EQ(m.counter("reads"), 5u);
-    EXPECT_DOUBLE_EQ(m.gauge("ipc"), 1.25);
-    EXPECT_TRUE(m.hasCounter("reads"));
-    EXPECT_FALSE(m.hasCounter("ipc"));
-    EXPECT_TRUE(m.hasGauge("ipc"));
-    EXPECT_EQ(m.counter("never"), 0u);
-    EXPECT_FALSE(m.empty());
-}
-
-TEST(Metrics, ToJsonIsWellFormedAndSorted)
-{
-    trace::MetricsRegistry m;
-    m.add("b.count", 2);
-    m.add("a.count", 1);
-    m.set("c.gauge", 0.5);
-    const std::string json = m.toJson();
-    EXPECT_TRUE(jsonWellFormed(json)) << json;
-    EXPECT_LT(json.find("a.count"), json.find("b.count"));
-    EXPECT_LT(json.find("b.count"), json.find("c.gauge"));
-}
-
 // --- Exporter ----------------------------------------------------------
 
 TEST(Exporter, ChromeTraceJsonIsWellFormed)
@@ -325,14 +295,13 @@ TEST(Exporter, ChromeTraceJsonIsWellFormed)
     t.record(0, TraceEvent::PmiDelivered, 400, sim::invalidThread, 0,
              1);
 
-    trace::MetricsRegistry m;
-    m.add("x.count", 3);
-    m.set("y.gauge", 1.5);
+    const std::vector<trace::RunCounter> metrics = {
+        {"y.ratio", 1.5}, {"x.count", std::uint64_t{3}}};
 
     std::ostringstream out;
     trace::ExportOptions opts;
     opts.syscallName = os::sysName;
-    trace::writeChromeTrace(out, t, &m, opts);
+    trace::writeChromeTrace(out, t, metrics, opts);
     const std::string json = out.str();
 
     EXPECT_TRUE(jsonWellFormed(json)) << json;
@@ -342,7 +311,16 @@ TEST(Exporter, ChromeTraceJsonIsWellFormed)
     EXPECT_NE(json.find("\"yield\""), std::string::npos);
     // PMI from an idle core carries tid -1.
     EXPECT_NE(json.find("\"tid\": -1"), std::string::npos);
-    EXPECT_NE(json.find("\"metrics\""), std::string::npos);
+    // Each core's syscall and PMI counts step a counter track.
+    EXPECT_NE(json.find("\"name\": \"syscalls\", \"ph\": \"C\""),
+              std::string::npos);
+    EXPECT_NE(json.find("\"name\": \"pmis\", \"ph\": \"C\""),
+              std::string::npos);
+    // A flat metrics block, keys sorted, counts as integers.
+    EXPECT_NE(json.find("\"metrics\": {\n    \"x.count\": 3,\n"
+                        "    \"y.ratio\": 1.5\n  }"),
+              std::string::npos)
+        << json;
 }
 
 TEST(Exporter, AsciiSummaryListsCategoriesAndCounts)
@@ -425,10 +403,13 @@ TEST(TraceIntegration, UntracedBundleRecordsNothing)
         co_return;
     });
     b.machine().run();
-    // harvest on an untraced bundle is legal and fills ledger metrics.
-    analysis::harvestStandardMetrics(b);
-    EXPECT_TRUE(b.metrics().hasCounter("ledger.instructions"));
-    EXPECT_FALSE(b.metrics().hasCounter("trace.records"));
+    // An untraced run exports its ledger totals and no trace keys.
+    bool ledger = false;
+    for (const trace::RunCounter &c : analysis::runCounters(b)) {
+        ledger = ledger || c.key == "ledger.instructions";
+        EXPECT_FALSE(c.key.starts_with("trace.")) << c.key;
+    }
+    EXPECT_TRUE(ledger);
 }
 
 } // namespace

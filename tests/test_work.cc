@@ -19,12 +19,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <variant>
 
+#include "analysis/artifacts.hh"
 #include "analysis/bundle.hh"
-#include "analysis/trace_report.hh"
 #include "sim/machine.hh"
 #include "workloads/browser.hh"
 #include "workloads/kernels.hh"
@@ -222,17 +224,20 @@ TEST(WorkExport, MetricsUseLimitbenchNames)
             co_await g.load(0x8000 + (i % 64) * 8);
     });
     b.machine().run();
-    analysis::harvestStandardMetrics(b);
+    std::map<std::string, std::uint64_t> m;
+    for (const trace::RunCounter &c : analysis::runCounters(b)) {
+        if (const auto *n = std::get_if<std::uint64_t>(&c.value))
+            m[c.key] = *n;
+    }
     const sim::WorkStats &w = b.machine().work();
-    const trace::MetricsRegistry &m = b.metrics();
     EXPECT_GT(w.accessCalls, 0u);
     EXPECT_GT(w.fastHits, 0u);
-    EXPECT_EQ(m.counter("sim.rounds"), w.rounds);
-    EXPECT_EQ(m.counter("sim.guest_ops"), w.guestOps);
-    EXPECT_EQ(m.counter("os.polls"), w.polls);
-    EXPECT_EQ(m.counter("mem.access_calls"), w.accessCalls);
-    EXPECT_EQ(m.counter("mem.fast_tries"), w.fastTries);
-    EXPECT_EQ(m.counter("mem.fast_hits"), w.fastHits);
+    EXPECT_EQ(m.at("sim.rounds"), w.rounds);
+    EXPECT_EQ(m.at("sim.guest_ops"), w.guestOps);
+    EXPECT_EQ(m.at("os.polls"), w.polls);
+    EXPECT_EQ(m.at("mem.access_calls"), w.accessCalls);
+    EXPECT_EQ(m.at("mem.fast_tries"), w.fastTries);
+    EXPECT_EQ(m.at("mem.fast_hits"), w.fastHits);
 }
 
 } // namespace
