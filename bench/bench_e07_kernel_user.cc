@@ -56,7 +56,7 @@ run(const std::string &which, sim::Tick ticks, std::uint64_t seed,
         analysis::BundleOptions::builder()
             .cores(4)
             .seed(1 + seed)
-            .traceCapacity(args.profiling() ? args.traceCap : 0)
+            .trace(args.profiling())
             .capture(report ? &args : nullptr)
             .build());
     pec::PecSession session(b.kernel());

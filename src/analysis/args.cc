@@ -18,15 +18,13 @@ usage(const char *prog, const BenchDefaults &defaults,
     std::fprintf(
         out,
         "usage: %s [--seeds N] [--jobs N] [--trace FILE] "
-        "[--trace-cap N] [--faults SPEC] [--profile FILE] "
+        "[--faults SPEC] [--profile FILE] "
         "[--timeline FILE] [--timeline-interval N]\n"
         "  --seeds N      %s (default %u)\n"
         "  --jobs N       host threads for parallel experiment "
         "fan-out; 0 = all hardware threads (default %u)\n"
         "  --trace FILE   write a Chrome-trace JSON (Perfetto-"
         "loadable) of one representative run\n"
-        "  --trace-cap N  per-core trace ring capacity in records "
-        "(default %u)\n"
         "  --faults SPEC  deterministic fault plan, e.g. "
         "'overflow-read:step=2;drop-pmi:nth=3' "
         "(see docs/FAULTS.md)\n"
@@ -41,8 +39,7 @@ usage(const char *prog, const BenchDefaults &defaults,
         prog,
         what_seeds ? what_seeds
                    : "repetitions averaged per table point",
-        defaults.seeds, defaults.jobs, BenchArgs{}.traceCap,
-        BenchArgs{}.timelineInterval);
+        defaults.seeds, defaults.jobs, BenchArgs{}.timelineInterval);
     std::exit(exit_code);
 }
 
@@ -143,16 +140,6 @@ tryParseBenchArgs(int argc, char **argv, BenchDefaults defaults)
         } else if ((value = flagValue("--jobs", arg, argc, argv, i))) {
             if (!parseUnsigned("--jobs", value, p.args.jobs, p.error))
                 return p;
-        } else if ((value =
-                        flagValue("--trace-cap", arg, argc, argv, i))) {
-            if (!parseUnsigned("--trace-cap", value, p.args.traceCap,
-                               p.error)) {
-                return p;
-            }
-            if (p.args.traceCap == 0) {
-                p.error = "--trace-cap must be >= 1";
-                return p;
-            }
         } else if ((value = flagValue("--trace", arg, argc, argv, i))) {
             if (!parsePath("--trace", value, p.args.trace, p.error))
                 return p;
@@ -176,8 +163,8 @@ tryParseBenchArgs(int argc, char **argv, BenchDefaults defaults)
                 return p;
             }
             // A degenerate interval silently allocates one slice per
-            // few ops — gigabytes on a long run; reject like
-            // --trace-cap 0 rather than letting it limp.
+            // few ops — gigabytes on a long run; reject it rather
+            // than letting it limp.
             if (p.args.timelineInterval < 256) {
                 p.error = "--timeline-interval must be >= 256 "
                           "guest cycles";

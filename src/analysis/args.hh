@@ -11,7 +11,6 @@
  *                    (0 = one per hardware thread)
  *   --trace FILE     write a Chrome-trace JSON of one representative
  *                    run (Perfetto-loadable; see docs/TRACING.md)
- *   --trace-cap N    per-core trace ring capacity in records
  *   --faults SPEC    deterministic fault plan injected into runs that
  *                    support it (grammar in docs/FAULTS.md; validated
  *                    here so typos fail fast even in benches that
@@ -48,8 +47,6 @@ struct BenchArgs
     unsigned jobs = 1;
     /** Chrome-trace output path; empty = tracing off. */
     std::string trace;
-    /** Per-core trace ring capacity (records). */
-    unsigned traceCap = 65536;
     /** Fault-plan spec (--faults); empty = no injection. Already
         validated by fault::Plan::parse — benches re-parse to use it. */
     std::string faults;

@@ -36,16 +36,8 @@ exportTrace(SimBundle &rep, const std::vector<trace::RunCounter> &counters,
     out.close();
 
     std::fputs(trace::asciiSummary(*tracer).c_str(), stdout);
-    if (tracer->totalDropped() > 0) {
-        std::fprintf(
-            stderr,
-            "trace: %llu records overwritten in the per-core rings; "
-            "the exported trace is incomplete (raise --trace-cap)\n",
-            static_cast<unsigned long long>(tracer->totalDropped()));
-    }
     std::printf("wrote %s (%llu events)\n", path.c_str(),
-                static_cast<unsigned long long>(
-                    tracer->totalRecorded() - tracer->totalDropped()));
+                static_cast<unsigned long long>(tracer->totalRecorded()));
     return true;
 }
 
@@ -121,12 +113,6 @@ runCounters(SimBundle &bundle)
     };
     if (const trace::Tracer *tracer = bundle.tracer()) {
         out.push_back({"trace.records", tracer->totalRecorded()});
-        out.push_back({"trace.dropped", tracer->totalDropped()});
-        for (unsigned c = 0; c < tracer->numCores(); ++c) {
-            const std::uint64_t d = tracer->ring(c).dropped();
-            if (d > 0)
-                out.push_back({"trace.dropped.core" + std::to_string(c), d});
-        }
         for (unsigned c = 0; c < trace::numTraceCategories; ++c) {
             const auto cat = static_cast<trace::TraceCategory>(c);
             const std::string name(trace::traceCategoryName(cat));
@@ -137,7 +123,7 @@ runCounters(SimBundle &bundle)
     return out;
 }
 
-bool
+void
 writeArtifacts(const BenchArgs &args, const std::string &bench,
                prof::Report &report, SimBundle &rep)
 {
@@ -151,23 +137,24 @@ writeArtifacts(const BenchArgs &args, const std::string &bench,
         ok = exportTrace(rep, counters, args.trace) && ok;
     if (args.timelineOn())
         ok = exportTimeline(rep, bench, args.timeline) && ok;
-    if (!args.profiling())
-        return ok;
-    for (const trace::RunCounter &c : counters)
-        std::visit([&](auto v) { report.meta(c.key, v); }, c.value);
-    report.meta("bench", bench);
-    report.meta("seeds", static_cast<std::uint64_t>(args.seeds));
-    report.meta("jobs", static_cast<std::uint64_t>(args.jobs));
-    if (!report.writeJson(args.profile)) {
-        std::fprintf(stderr, "profile: cannot write %s\n",
-                     args.profile.c_str());
-        return false;
+    if (args.profiling()) {
+        for (const trace::RunCounter &c : counters)
+            std::visit([&](auto v) { report.meta(c.key, v); }, c.value);
+        report.meta("bench", bench);
+        report.meta("seeds", static_cast<std::uint64_t>(args.seeds));
+        report.meta("jobs", static_cast<std::uint64_t>(args.jobs));
+        if (report.writeJson(args.profile)) {
+            std::printf("wrote %s\n", args.profile.c_str());
+        } else {
+            std::fprintf(stderr, "profile: cannot write %s\n",
+                         args.profile.c_str());
+            ok = false;
+        }
     }
-    std::printf("wrote %s\n", args.profile.c_str());
-    return ok;
+    fatal_if(!ok, bench, ": an artifact could not be written");
 }
 
-bool
+void
 writeArtifacts(const BenchArgs &args, const std::string &bench,
                SimBundle &rep)
 {
@@ -181,7 +168,7 @@ writeArtifacts(const BenchArgs &args, const std::string &bench,
                              : std::vector<trace::TraceRecord>{}),
             0, 0); // no PEC cross-check counters in the generic path
     }
-    return writeArtifacts(args, bench, report, rep);
+    writeArtifacts(args, bench, report, rep);
 }
 
 } // namespace limit::analysis

@@ -38,8 +38,8 @@ namespace limit::analysis {
  * The counters every run artifact exports, named once here:
  * simulated end time, threads, context switches, ledger instruction
  * and cycle totals, host work (sim::WorkStats), superblock replay
- * stats and, when a tracer is attached, ring totals, per-core drops
- * and per-category record counts. Host-work counts depend on the
+ * stats and, when a tracer is attached, the record total and
+ * per-category record counts. Host-work counts depend on the
  * execution mode, so no table and no fingerprint reads them.
  */
 std::vector<trace::RunCounter> runCounters(SimBundle &bundle);
@@ -49,10 +49,11 @@ std::vector<trace::RunCounter> runCounters(SimBundle &bundle);
  * from the representative run `rep`; the trace carries the
  * timeline's counter tracks when both are given. --profile writes
  * `report`, with rep's runCounters and the bench/seeds/jobs stamp
- * added to its meta. Prints each path it writes. Returns false, with
- * a message on stderr, when a file could not be written.
+ * added to its meta. Prints each path it writes. Tries every
+ * requested file, then exits with status 1 (fatal) when any of them
+ * could not be written.
  */
-bool writeArtifacts(const BenchArgs &args, const std::string &bench,
+void writeArtifacts(const BenchArgs &args, const std::string &bench,
                     prof::Report &report, SimBundle &rep);
 
 /**
@@ -60,7 +61,7 @@ bool writeArtifacts(const BenchArgs &args, const std::string &bench,
  * rep's prof::KernelProfile (per-thread user/kernel decomposition and
  * syscall latencies).
  */
-bool writeArtifacts(const BenchArgs &args, const std::string &bench,
+void writeArtifacts(const BenchArgs &args, const std::string &bench,
                     SimBundle &rep);
 
 } // namespace limit::analysis

@@ -44,7 +44,7 @@ BundleOptions::Builder::capture(const BenchArgs *args)
     if (args == nullptr)
         return *this;
     if (args->tracing() || args->profiling())
-        o_.traceCapacity = args->traceCap;
+        o_.trace = true;
     if (args->timelineOn())
         o_.timelineInterval = args->timelineInterval;
     return *this;
@@ -116,9 +116,8 @@ SimBundle::SimBundle(const BundleOptions &options)
     kc.seed = options.seed ^ 0x5eed;
     kernel_ = std::make_unique<os::Kernel>(*machine_, kc);
 
-    if (options.traceCapacity > 0) {
-        tracer_ = std::make_unique<trace::Tracer>(options.cores,
-                                                  options.traceCapacity);
+    if (options.trace) {
+        tracer_ = std::make_unique<trace::Tracer>(options.cores);
         machine_->setTracer(tracer_.get());
     }
 

@@ -40,8 +40,8 @@ struct BundleOptions
     bool useCaches = true;
     mem::HierarchyConfig hierarchy{};
     os::KernelConfig kernelConfig{};
-    /** Per-core trace ring capacity in records; 0 builds no tracer. */
-    unsigned traceCapacity = 0;
+    /** Attach a trace::Tracer that keeps every record. */
+    bool trace = false;
     /**
      * Timeline slice width in guest cycles; 0 builds no recorder.
      * Nonzero attaches a sim::TimelineRecorder capturing every
@@ -158,29 +158,13 @@ class BundleOptions::Builder
     {
         return hierField().l1d.sizeBytes = bytes, *this;
     }
-    Builder &l1Ways(unsigned n)
-    {
-        return hierField().l1d.ways = n, *this;
-    }
     Builder &l1Latency(sim::Tick t)
     {
         return hierField().l1Latency = t, *this;
     }
-    Builder &l2Size(std::uint64_t bytes)
-    {
-        return hierField().l2.sizeBytes = bytes, *this;
-    }
     Builder &l2Latency(sim::Tick t)
     {
         return hierField().l2Latency = t, *this;
-    }
-    Builder &llcSize(std::uint64_t bytes)
-    {
-        return hierField().llc.sizeBytes = bytes, *this;
-    }
-    Builder &llcLatency(sim::Tick t)
-    {
-        return hierField().llcLatency = t, *this;
     }
     Builder &memLatency(sim::Tick t)
     {
@@ -189,10 +173,6 @@ class BundleOptions::Builder
     Builder &tlbEntries(unsigned n)
     {
         return hierField().dtlb.entries = n, *this;
-    }
-    Builder &tlbMissPenalty(sim::Tick t)
-    {
-        return hierField().tlbMissPenalty = t, *this;
     }
     Builder &nextLinePrefetch(bool on = true)
     {
@@ -206,9 +186,9 @@ class BundleOptions::Builder
         o_.kernelConfig.virtualizeCounters = on;
         return *this;
     }
-    Builder &traceCapacity(unsigned records)
+    Builder &trace(bool on = true)
     {
-        o_.traceCapacity = records;
+        o_.trace = on;
         return *this;
     }
     /** Timeline slice width in guest cycles (0 = no recorder). */
@@ -219,10 +199,10 @@ class BundleOptions::Builder
     }
     /**
      * Record what a bench's representative run needs for the
-     * artifacts `args` requests: a tracer of --trace-cap records per
-     * core for --trace or --profile (the profile pairs syscall
-     * records), a recorder of --timeline-interval slices for
-     * --timeline. nullptr, as a fan-out job passes, attaches nothing.
+     * artifacts `args` requests: a tracer for --trace or --profile
+     * (the profile pairs syscall records), a recorder of
+     * --timeline-interval slices for --timeline. nullptr, as a
+     * fan-out job passes, attaches nothing.
      */
     Builder &capture(const BenchArgs *args);
     /** Per-op reference scheduler instead of horizon batching. */
@@ -268,7 +248,7 @@ class SimBundle
     os::Kernel &kernel() { return *kernel_; }
     mem::CacheHierarchy *hierarchy() { return hierarchy_.get(); }
 
-    /** Trace sink (nullptr unless traceCapacity was set). */
+    /** Trace sink (nullptr unless trace was set). */
     trace::Tracer *tracer() { return tracer_.get(); }
 
     /** Timeline recorder (nullptr unless timelineInterval was set). */

@@ -155,18 +155,18 @@ class FaultController
     }
 
     /**
-     * Thread `tid` is about to block on the futex word `word`. A
-     * nonzero return schedules a spurious wakeup that many ticks from
-     * now: the thread is woken without a matching futexWake and, like a
-     * real spurious wakeup, observes a successful (0) wait result.
+     * Thread `tid` is about to block on the futex word at simulated
+     * address `addr`. A nonzero return schedules a spurious wakeup
+     * that many ticks from now: the thread is woken without a
+     * matching futexWake and, like a real spurious wakeup, observes a
+     * successful (0) wait result.
      */
     virtual sim::Tick
-    onFutexBlock(sim::Cpu &cpu, sim::ThreadId tid,
-                 const std::uint64_t *word)
+    onFutexBlock(sim::Cpu &cpu, sim::ThreadId tid, sim::Addr addr)
     {
         (void)cpu;
         (void)tid;
-        (void)word;
+        (void)addr;
         return 0;
     }
 };

@@ -365,7 +365,7 @@ PlanController::onSyscallEnter(sim::Cpu &cpu, sim::ThreadId tid,
 
 sim::Tick
 PlanController::onFutexBlock(sim::Cpu &cpu, sim::ThreadId tid,
-                             const std::uint64_t *word)
+                             sim::Addr addr)
 {
     for (Armed &a : armed_) {
         const FaultSpec &s = a.spec;
@@ -373,8 +373,7 @@ PlanController::onFutexBlock(sim::Cpu &cpu, sim::ThreadId tid,
             continue;
         if (!due(a))
             continue;
-        note(cpu.id(), cpu.now(), tid, s.site,
-             reinterpret_cast<std::uint64_t>(word));
+        note(cpu.id(), cpu.now(), tid, s.site, addr);
         return s.ticks;
     }
     return 0;

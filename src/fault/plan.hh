@@ -176,7 +176,7 @@ class PlanController : public FaultController
     sim::Tick onSyscallEnter(sim::Cpu &cpu, sim::ThreadId tid,
                              std::uint32_t nr) override;
     sim::Tick onFutexBlock(sim::Cpu &cpu, sim::ThreadId tid,
-                           const std::uint64_t *word) override;
+                           sim::Addr addr) override;
     /** @} */
 
   protected:

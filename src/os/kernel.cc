@@ -86,26 +86,6 @@ Kernel::configureCounter(unsigned idx, const sim::CounterConfig &cfg)
 }
 
 void
-Kernel::setCounterEnabled(unsigned idx, bool enabled)
-{
-    for (sim::CoreId c = 0; c < machine_.numCores(); ++c)
-        machine_.cpu(c).pmu().setEnabled(idx, enabled);
-}
-
-unsigned
-Kernel::numEnabledCounters() const
-{
-    const sim::Pmu &pmu =
-        const_cast<sim::Machine &>(machine_).cpu(0).pmu();
-    unsigned n = 0;
-    for (unsigned i = 0; i < pmu.numCounters(); ++i) {
-        if (pmu.config(i).enabled)
-            ++n;
-    }
-    return n;
-}
-
-void
 Kernel::setPmiHandler(unsigned idx, PmiHandler handler)
 {
     panic_if(idx >= sim::maxPmuCounters, "bad counter index ", idx);
@@ -387,7 +367,7 @@ Kernel::deliverSpuriousWake(Thread &t, sim::Tick at)
     // the waiter: same trace event, same success result.
     LIMIT_TRACE(machine_.tracer(), t.ctx.lastCore,
                 trace::TraceEvent::FutexWake, at, t.ctx.tid(),
-                reinterpret_cast<std::uint64_t>(t.futexWord), 1);
+                t.futexAddr, 1);
     wakeThread(t, at, 0);
 }
 
@@ -499,11 +479,6 @@ Kernel::syscallImpl(sim::Cpu &cpu, sim::GuestContext &ctx,
         return {perf_.readPapi(cpu, t, static_cast<unsigned>(args[0])),
                 false};
 
-      case sysPerfIoctl:
-        perf_.ioctl(cpu, t, static_cast<unsigned>(args[0]),
-                    static_cast<PerfIoctlOp>(args[1]));
-        return {0, false};
-
       case sysPmcConfig:
         cpu.kernelWork(costs.trapEntryCost / 2 +
                        2 * args[0] * costs.msrAccessCost);
@@ -559,7 +534,7 @@ Kernel::sysFutexWaitImpl(sim::Cpu &cpu, Thread &t,
 {
     cpu.kernelWork(cpu.costs().futexWaitKernelCost);
     const auto *word =
-        reinterpret_cast<const std::uint64_t *>(args[0]);
+        reinterpret_cast<const std::uint64_t *>(args[2]);
     panic_if(word == nullptr, "futex wait on null word");
     // The op-granular global serialization makes this check atomic
     // with respect to every guest store.
@@ -574,9 +549,10 @@ Kernel::sysFutexWaitImpl(sim::Cpu &cpu, Thread &t,
                 trace::TraceEvent::FutexWait, cpu.now(), t.ctx.tid(),
                 args[0], 0);
     t.futexWord = word;
+    t.futexAddr = args[0];
     futexQueues_[word].push_back(t.ctx.tid());
     if (fault::FaultController *f = machine_.faults()) {
-        const sim::Tick in = f->onFutexBlock(cpu, t.ctx.tid(), word);
+        const sim::Tick in = f->onFutexBlock(cpu, t.ctx.tid(), args[0]);
         if (in > 0) {
             spuriousWakes_.emplace(cpu.now() + in, t.ctx.tid());
             armPollHint();
@@ -595,7 +571,7 @@ Kernel::sysFutexWakeImpl(sim::Cpu &cpu, Thread &,
 {
     cpu.kernelWork(cpu.costs().futexWakeKernelCost);
     const auto *word =
-        reinterpret_cast<const std::uint64_t *>(args[0]);
+        reinterpret_cast<const std::uint64_t *>(args[2]);
     const std::uint64_t max_wake = args[1];
 
     auto it = futexQueues_.find(word);

@@ -80,12 +80,6 @@ class Kernel : public sim::KernelIf
     /** Program counter `idx` identically on every core's PMU. */
     void configureCounter(unsigned idx, const sim::CounterConfig &cfg);
 
-    /** Enable/disable counter `idx` on every core. */
-    void setCounterEnabled(unsigned idx, bool enabled);
-
-    /** Number of counters currently enabled (core 0's view). */
-    unsigned numEnabledCounters() const;
-
     /** Install/remove the PMI handler for counter `idx`. */
     void setPmiHandler(unsigned idx, PmiHandler handler);
     void clearPmiHandler(unsigned idx);

@@ -115,34 +115,6 @@ PerfSubsystem::readPapi(sim::Cpu &cpu, Thread &thread, unsigned ctr)
 }
 
 void
-PerfSubsystem::ioctl(sim::Cpu &cpu, Thread &, unsigned ctr,
-                     PerfIoctlOp op)
-{
-    cpu.kernelWork(cpu.costs().perfIoctlKernelCost);
-    switch (op) {
-      case PerfIoctlOp::Enable:
-        kernel_.setCounterEnabled(ctr, true);
-        break;
-      case PerfIoctlOp::Disable:
-        kernel_.setCounterEnabled(ctr, false);
-        break;
-      case PerfIoctlOp::Reset: {
-        const std::uint64_t value =
-            modes_[ctr] == PerfMode::Sampling ? reloadBase(ctr) : 0;
-        for (sim::CoreId c = 0; c < kernel_.machine_.numCores(); ++c)
-            kernel_.machine_.cpu(c).pmu().write(ctr, value);
-        for (auto &t : kernel_.threads_) {
-            t->savedCounters[ctr] = value;
-            t->perfAccum[ctr] = 0;
-        }
-        break;
-      }
-      default:
-        fatal("unknown perf ioctl op");
-    }
-}
-
-void
 PerfSubsystem::initThread(Thread &thread) const
 {
     for (unsigned i = 0; i < sim::maxPmuCounters; ++i) {

@@ -29,7 +29,6 @@ namespace limit::os {
 
 class Kernel;
 class Thread;
-enum class PerfIoctlOp : std::uint64_t;
 
 /** One PMU-overflow sample. */
 struct SampleRecord
@@ -62,8 +61,6 @@ class PerfSubsystem
     /** @name Syscall backends (invoked by the Kernel) @{ */
     std::uint64_t read(sim::Cpu &cpu, Thread &thread, unsigned ctr);
     std::uint64_t readPapi(sim::Cpu &cpu, Thread &thread, unsigned ctr);
-    void ioctl(sim::Cpu &cpu, Thread &thread, unsigned ctr,
-               PerfIoctlOp op);
     /** @} */
 
     /** PMI handler (registered with the Kernel per counter). */

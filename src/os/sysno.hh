@@ -10,57 +10,59 @@
 
 namespace limit::os {
 
-/** Syscall numbers (see Kernel::syscall for argument conventions). */
+/**
+ * Syscall numbers (see Kernel::syscall for argument conventions).
+ * Numbered explicitly: a retired number stays unused, so
+ * `--faults stall-syscall:nr=N` plans and trace `nr` values keep
+ * their meaning.
+ */
 enum Sys : std::uint32_t {
     /** No-op trap; measures bare kernel-crossing cost. */
     sysNop = 0,
     /** Voluntarily yield the core. */
-    sysYield,
+    sysYield = 1,
     /** Sleep: arg0 = duration in ticks. */
-    sysSleep,
+    sysSleep = 2,
     /**
-     * Futex wait: arg0 = host word pointer, arg1 = expected value,
-     * arg2 = simulated address. Returns 0 when woken, 1 (EAGAIN) when
-     * the value did not match.
+     * Futex wait: arg0 = simulated address, arg1 = expected value,
+     * arg2 = host word pointer. Returns 0 when woken, 1 (EAGAIN) when
+     * the value did not match. Trace records carry arg0, so a trace
+     * does not depend on where the host placed the word.
      */
-    sysFutexWait,
+    sysFutexWait = 3,
     /**
-     * Futex wake: arg0 = host word pointer, arg1 = max waiters to
-     * wake. Returns the number woken.
+     * Futex wake: arg0 = simulated address, arg1 = max waiters to
+     * wake, arg2 = host word pointer. Returns the number woken.
      */
-    sysFutexWake,
+    sysFutexWake = 4,
     /** perf_event-style counter read: arg0 = counter idx. */
-    sysPerfRead,
-    /**
-     * perf_event-style ioctl: arg0 = counter idx, arg1 = op
-     * (see PerfIoctlOp).
-     */
-    sysPerfIoctl,
+    sysPerfRead = 5,
     /** PAPI-class lighter-weight counter read: arg0 = counter idx. */
-    sysPapiRead,
+    sysPapiRead = 7,
     /**
      * rusage-style accounting read: arg0 = 0 for user jiffies-cycles,
      * 1 for system. Quantum resolution by construction.
      */
-    sysRusage,
+    sysRusage = 8,
     /**
      * Submit blocking I/O (network/disk): arg0 = device latency in
      * ticks. The thread sleeps until completion.
      */
-    sysIoSubmit,
+    sysIoSubmit = 9,
     /** Returns the calling thread id. */
-    sysGetTid,
+    sysGetTid = 10,
     /**
      * Reprogram PMU counters (multiplex rotation): arg0 = number of
      * counters rewritten. Charges the MSR write cost; the actual
      * reconfiguration is performed by the caller's host-side session.
      */
-    sysPmcConfig,
+    sysPmcConfig = 11,
 
-    sysCount, // must be last
+    /** One past the largest number; not a syscall. */
+    sysCount = 12,
 };
 
-/** Short syscall name (nullptr for out-of-range numbers). */
+/** Short syscall name (nullptr for unknown numbers). */
 constexpr const char *
 sysName(std::uint32_t nr)
 {
@@ -71,7 +73,6 @@ sysName(std::uint32_t nr)
       case sysFutexWait: return "futex-wait";
       case sysFutexWake: return "futex-wake";
       case sysPerfRead: return "perf-read";
-      case sysPerfIoctl: return "perf-ioctl";
       case sysPapiRead: return "papi-read";
       case sysRusage: return "rusage";
       case sysIoSubmit: return "io-submit";
@@ -80,13 +81,6 @@ sysName(std::uint32_t nr)
       default: return nullptr;
     }
 }
-
-/** Ops for sysPerfIoctl. */
-enum class PerfIoctlOp : std::uint64_t {
-    Enable = 0,
-    Disable = 1,
-    Reset = 2,
-};
 
 } // namespace limit::os
 

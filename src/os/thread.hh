@@ -66,6 +66,8 @@ class Thread
     sim::Tick wakeTick = 0;
     /** Host futex word the thread is blocked on. */
     const std::uint64_t *futexWord = nullptr;
+    /** Its simulated address, which trace records carry. */
+    sim::Addr futexAddr = 0;
     /** Value delivered as the blocking syscall's result at wake. */
     std::uint64_t wakeValue = 0;
 

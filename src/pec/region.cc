@@ -31,10 +31,10 @@ RegionProfiler::RegionProfiler(PecSession &session,
         fatal_if(!session_.eventActive(c),
                  "RegionProfiler counter ", c, " has no active event");
     }
-    bool hist_ok = false;
-    for (unsigned c : config_.counters)
-        hist_ok |= (c == config_.histogramCounter);
-    fatal_if(!hist_ok, "histogramCounter must be one of the counters");
+    fatal_if(std::find(config_.counters.begin(), config_.counters.end(),
+                       0u) == config_.counters.end(),
+             "RegionProfiler counters must include counter 0 (it feeds "
+             "the histogram)");
 }
 
 sim::Task<std::uint64_t>
@@ -139,7 +139,7 @@ RegionProfiler::exit(sim::Guest &g, sim::RegionId region)
         if (config_.subtractOverhead && calibrated_)
             d = d > overhead_[c] ? d - overhead_[c] : 0;
         rs.totals[c] += d;
-        if (c == config_.histogramCounter) {
+        if (c == 0) {
             rs.histogram.add(d);
             hist_delta = d;
         }

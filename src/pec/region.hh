@@ -29,7 +29,7 @@ struct RegionStats
     std::uint64_t entries = 0;
     /** Sum of per-visit deltas for each configured counter. */
     std::array<std::uint64_t, sim::maxPmuCounters> totals{};
-    /** Distribution of the histogram counter's per-visit delta. */
+    /** Distribution of counter 0's per-visit delta. */
     stats::HdrHistogram histogram;
 
     /** Mean per-visit delta of counter `ctr`. */
@@ -46,10 +46,11 @@ struct RegionStats
 /** Options for a RegionProfiler. */
 struct RegionProfilerConfig
 {
-    /** Which counters to snapshot at region boundaries. */
+    /**
+     * Which counters to snapshot at region boundaries. Must include
+     * counter 0, whose per-visit delta feeds the histogram.
+     */
     std::vector<unsigned> counters{0};
-    /** Counter whose per-visit delta feeds the histogram. */
-    unsigned histogramCounter = 0;
     /** Subtract the calibrated read overhead from each visit. */
     bool subtractOverhead = true;
     /**
@@ -78,7 +79,7 @@ class RegionProfiler
     /**
      * Finish the innermost open region (must be `region`) and fold
      * the deltas into its aggregates. Returns this visit's
-     * (overhead-subtracted) delta of the histogram counter, so
+     * (overhead-subtracted) delta of counter 0, so
      * callers can attribute the measurement further (e.g. per
      * call site) without a second read.
      */

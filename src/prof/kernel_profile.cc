@@ -121,7 +121,7 @@ buildKernelProfile(os::Kernel &kernel,
 
     // Pair syscall enter/exit per thread. Syscalls do not nest inside
     // one thread, so one open slot per tid suffices; a stale nr (the
-    // matching record fell out of the ring) just discards the pair.
+    // list lacks the matching record) just discards the pair.
     std::map<sim::ThreadId, std::pair<std::uint64_t, sim::Tick>> open;
     for (const trace::TraceRecord &r : records) {
         switch (r.event) {

@@ -39,7 +39,7 @@ namespace limit::prof {
 struct SyscallStats
 {
     std::uint64_t calls = 0;
-    stats::HdrHistogram latencyCycles{5};
+    stats::HdrHistogram latencyCycles;
 
     void merge(const SyscallStats &other);
 };
@@ -101,8 +101,8 @@ class KernelProfile
  * Harvest a KernelProfile from a finished run: exact ledger
  * decomposition and switch counts from `kernel`'s threads, syscall
  * latencies and PMI counts from `records` (a time-ordered trace
- * snapshot, e.g. Tracer::merged()). Enter records whose exit was
- * overwritten in the ring (and vice versa) are skipped.
+ * snapshot, e.g. Tracer::merged()). Enter and exit records that do
+ * not pair up, as in a list cut out of a longer run, are skipped.
  */
 KernelProfile buildKernelProfile(
     os::Kernel &kernel, const std::vector<trace::TraceRecord> &records);

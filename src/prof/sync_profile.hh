@@ -48,9 +48,9 @@ struct SyncSiteStats
     /** Total futexWait syscalls across all acquisitions. */
     std::uint64_t futexWaits = 0;
     /** Acquisition cost per visit (lock() entry to ownership). */
-    stats::HdrHistogram waitCycles{5};
+    stats::HdrHistogram waitCycles;
     /** Critical-section length per visit. */
-    stats::HdrHistogram holdCycles{5};
+    stats::HdrHistogram holdCycles;
 
     void merge(const SyncSiteStats &other);
 };

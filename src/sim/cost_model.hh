@@ -25,8 +25,6 @@ struct ComputeProfile
     double branchFrac = 0.18;
     /** Probability a branch mispredicts. */
     double mispredictRate = 0.03;
-    /** Cycles per (non-memory) instruction. */
-    double cpi = 1.0;
 };
 
 /** All non-memory cycle costs in one tweakable bundle. */
@@ -64,8 +62,6 @@ struct CostModel
     Tick counterSwitchCost = 2 * 110;
     /** Kernel work for a perf_event-style counter read syscall. */
     Tick perfReadKernelCost = 9900;
-    /** Kernel work for a perf_event-style ioctl (enable/disable/reset). */
-    Tick perfIoctlKernelCost = 2600;
     /** Userspace library work per PAPI-style read (caching layer). */
     Tick papiUserCost = 380;
     /** Kernel work for a PAPI-style read (one lighter-weight syscall). */

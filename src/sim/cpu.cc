@@ -1,7 +1,6 @@
 #include "sim/cpu.hh"
 
 #include <bit>
-#include <cmath>
 #include <cstddef>
 
 #include "fault/controller.hh"
@@ -18,6 +17,7 @@ Cpu::Cpu(CoreId id, Machine &machine, const CostModel &costs,
       pmu_(pmu_counters, pmu_features),
       sbStats_(machine.superblockStats()), work_(machine.work())
 {
+    pendingPmis_.reserve(2 * maxPmuCounters);
 }
 
 void
@@ -93,69 +93,57 @@ Cpu::runUntil(Tick bound, Tick poll_at, Tick hard_limit,
     batchPollAt_ = poll_at;
     batchHardLimit_ = hard_limit;
     batchOpsLeft_ = max_ops;
-    while (current_) {
-        panic_if(now_ > hard_limit,
-                 "runaway simulation: core ", id_,
-                 " passed the hard limit at tick ", now_);
-        GuestContext &ctx = *current_;
-        ctx.hasOp = false;
-        ctx.opConsumedInline = false;
-        // Let the guest's co_await points feed core-local ops straight
-        // into tryInlineOp while the budget lasts; the resume comes
-        // back only for an op that needs a scheduler round (published
-        // in ctx.op), a deferred epilogue, an ended batch, or exit.
-        ctx.inlineCpu = this;
-        ctx.resumeHandle().resume();
-        ctx.inlineCpu = nullptr;
+    panic_if(now_ > hard_limit,
+             "runaway simulation: core ", id_,
+             " passed the hard limit at tick ", now_);
+    GuestContext &ctx = *current_;
+    ctx.hasOp = false;
+    ctx.opConsumedInline = false;
+    // Let the guest's co_await points feed core-local ops straight
+    // into tryInlineOp while the budget lasts; the resume comes back
+    // only for an op that needs a scheduler round (published in
+    // ctx.op), a deferred epilogue, an ended batch, or exit.
+    ctx.inlineCpu = this;
+    ctx.resumeHandle().resume();
+    ctx.inlineCpu = nullptr;
 
-        if (!ctx.hasOp) {
-            if (ctx.finished()) {
-                if (ctx.sbr.cur != nullptr) {
-                    // The loop's last iterations replayed and then the
-                    // guest ran off the end: commit before the kernel
-                    // reads the exit ledger.
-                    sbCommitReplay(ctx, /*partial=*/true);
-                }
-                if (batchOpsLeft_ > 0)
-                    --batchOpsLeft_; // the exiting resume was a round
-                machine_.kernel()->threadExited(*this, ctx);
-                drainOverflows();
-                r.interacted = true;
-                break;
-            }
-            panic_if(!ctx.opConsumedInline,
-                     "guest thread '", ctx.name(),
-                     "' suspended without issuing an op");
-            ctx.opConsumedInline = false;
-            if (epiloguePending_) {
-                // tryInlineOp's last op queued a PMI or crossed the
-                // quantum; replay executeOp's epilogue now that the
-                // coroutine is suspended (it may context-switch).
-                epiloguePending_ = false;
-                kernelRound_ = false;
-                opEpilogue();
-                r.interacted = kernelRound_;
-            }
-            break; // horizon / poll deadline / budget reached
-        }
-
+    if (ctx.hasOp) {
+        // tryInlineOp handed the op back: it is cross-core visible, or
+        // the bound, poll deadline or budget was already reached. Run
+        // it as a classic round; either way the round ends with it.
         --batchOpsLeft_;
-        const bool local = opIsCoreLocal(ctx.op.kind);
         kernelRound_ = false;
         executeOp(ctx);
-        if (kernelRound_) {
-            // Timer tick, PMI, or syscall re-entered the kernel: the
-            // schedule (busy set, other cores' clocks, poll hint) may
-            // have changed under us.
-            r.interacted = true;
-            break;
+        // A timer tick, PMI, or syscall re-entered the kernel: the
+        // schedule (busy set, other cores' clocks, poll hint) may have
+        // changed under us.
+        r.interacted = kernelRound_;
+    } else if (ctx.finished()) {
+        if (ctx.sbr.cur != nullptr) {
+            // The loop's last iterations replayed and then the guest
+            // ran off the end: commit before the kernel reads the exit
+            // ledger.
+            sbCommitReplay(ctx, /*partial=*/true);
         }
-        if (!local)
-            break; // conservative: published cross-core-visible state
-        // The next op may only run here if this core would still win
-        // the global earliest-core pick and no poll is due.
-        if (now_ >= bound || now_ >= poll_at || batchOpsLeft_ == 0)
-            break;
+        if (batchOpsLeft_ > 0)
+            --batchOpsLeft_; // the exiting resume was a round
+        machine_.kernel()->threadExited(*this, ctx);
+        drainOverflows();
+        r.interacted = true;
+    } else {
+        panic_if(!ctx.opConsumedInline,
+                 "guest thread '", ctx.name(),
+                 "' suspended without issuing an op");
+        ctx.opConsumedInline = false;
+        if (epiloguePending_) {
+            // tryInlineOp's last op queued a PMI or crossed the
+            // quantum; replay executeOp's epilogue now that the
+            // coroutine is suspended (it may context-switch).
+            epiloguePending_ = false;
+            kernelRound_ = false;
+            opEpilogue();
+            r.interacted = kernelRound_;
+        }
     }
     r.ops = max_ops - batchOpsLeft_;
     batchOpsLeft_ = 0;
@@ -173,9 +161,10 @@ Cpu::tryInlineOp(GuestContext &ctx)
         sbCommitReplay(ctx, /*partial=*/true);
         flushed = true;
     }
-    // Pre-checks mirror runUntil's continue conditions: refusing sends
-    // the op down the suspend path, where runUntil either executes it
-    // as a classic round or ends the batch.
+    // Past the bound, the poll deadline or the budget, refuse: the op
+    // goes down the suspend path and runUntil executes it as the
+    // round's only op. (Only a round's first op can get here:
+    // continueInline ends the batch once any limit is reached.)
     if (batchOpsLeft_ == 0 || now_ >= batchBound_ || now_ >= batchPollAt_)
         return false;
     panic_if(now_ > batchHardLimit_,
@@ -314,13 +303,8 @@ Cpu::execCompute(GuestContext &ctx, const PendingOp &op)
         ctx.mispredictResidue = miss_f - static_cast<double>(misses);
     }
 
-    // cpi == 1.0 is exact in integers (instrs < 2^53 in any feasible
-    // run, so the double round-trip below would be lossless anyway).
-    const Tick base = p.cpi == 1.0
-        ? instrs
-        : static_cast<Tick>(
-              std::ceil(static_cast<double>(instrs) * p.cpi));
-    const Tick duration = base + misses * costs_.mispredictPenalty;
+    // One cycle per instruction, plus the mispredict penalties.
+    const Tick duration = instrs + misses * costs_.mispredictPenalty;
 
     const SparseDelta d[4] = {{EventType::Cycles, duration},
                               {EventType::Instructions, instrs},
@@ -524,30 +508,33 @@ Cpu::drainOverflowsSlow()
     // each delivery can queue new PMIs, so restart from 0 after one.
     std::size_t i = 0;
     while (i < pendingPmis_.size()) {
-        PendingPmi &pending = pendingPmis_[i];
-        if (!pending.vetted) {
-            pending.vetted = true;
+        // Indexed, never held across the fault hook: the vector may
+        // grow past its reservation and move.
+        if (!pendingPmis_[i].vetted) {
+            pendingPmis_[i].vetted = true;
             if (fault::FaultController *f = machine_.faults()) {
                 const fault::PmiAction act =
-                    f->onPmiDeliver(*this, pending.counter,
-                                    pending.wraps);
+                    f->onPmiDeliver(*this, pendingPmis_[i].counter,
+                                    pendingPmis_[i].wraps);
                 if (act.drop) {
-                    pendingPmis_.erase(i);
+                    pendingPmis_.erase(pendingPmis_.begin() +
+                                       static_cast<std::ptrdiff_t>(i));
                     continue;
                 }
                 if (act.delay > 0)
-                    pending.notBefore = now_ + act.delay;
+                    pendingPmis_[i].notBefore = now_ + act.delay;
             }
         }
-        if (pending.notBefore > now_) {
+        const PendingPmi pmi = pendingPmis_[i];
+        if (pmi.notBefore > now_) {
             ++i; // still held back; look at later arrivals
             continue;
         }
         panic_if(++guard > 256,
                  "PMI storm: overflow handler keeps re-overflowing "
                  "(counter width too small for the handler cost?)");
-        const PendingPmi pmi = pending;
-        pendingPmis_.erase(i);
+        pendingPmis_.erase(pendingPmis_.begin() +
+                           static_cast<std::ptrdiff_t>(i));
         LIMIT_TRACE(machine_.tracer(), id_,
                     trace::TraceEvent::CounterOverflow, now_,
                     current_ ? current_->tid() : invalidThread,

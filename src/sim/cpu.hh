@@ -6,8 +6,6 @@
 #ifndef LIMIT_SIM_CPU_HH
 #define LIMIT_SIM_CPU_HH
 
-#include <array>
-#include <cstddef>
 #include <vector>
 
 #include "sim/cost_model.hh"
@@ -81,16 +79,18 @@ class Cpu
     };
 
     /**
-     * Horizon-batched execution: run consecutive ops of the current
-     * thread while the core's clock stays strictly below `bound` and
-     * below `poll_at`, up to `max_ops` ops. The first op always
-     * executes (the caller has established this core is the global
-     * earliest); the batch ends early after any op that is not
-     * core-local (see sim::opIsCoreLocal) or that re-entered the
-     * kernel (PMI delivery, quantum expiry, thread exit). Executes
-     * the exact per-op sequence Machine's reference scheduler would:
-     * `bound` must be chosen so this core would win the global
-     * earliest-core pick for every tick below it.
+     * Horizon-batched execution: one scheduler round on this core.
+     * Resumes the current thread, whose co_await points run ops
+     * inline through tryInlineOp while the core's clock stays
+     * strictly below `bound` and below `poll_at`, up to `max_ops`
+     * ops. The first op always executes (the caller has established
+     * this core is the global earliest): when tryInlineOp hands an
+     * op back (a cross-core-visible op, or any op once the bound,
+     * poll deadline or budget is reached), runUntil executes that
+     * one op and the round ends. Executes the exact per-op sequence
+     * Machine's reference scheduler would: `bound` must be chosen so
+     * this core would win the global earliest-core pick for every
+     * tick below it.
      */
     BatchResult runUntil(Tick bound, Tick poll_at, Tick hard_limit,
                          unsigned max_ops);
@@ -98,15 +98,19 @@ class Cpu
     /**
      * OpAwaiter hook (horizon-batched mode only): execute `ctx.op`
      * right at the co_await point — without suspending the guest
-     * coroutine — when it is core-local and the batch budget set up by
-     * runUntil allows another op. Returns true when the op executed
-     * AND the guest may keep running; false when the guest must take
-     * the suspend path (op not executed — classic scheduler round — or
-     * executed with `ctx.opConsumedInline` set because the batch is
-     * over). Ops that queue a PMI or cross the quantum end are
-     * consumed but never continued: their drain/timer epilogue can
-     * context-switch, so runUntil replays it once the coroutine is
-     * safely suspended.
+     * coroutine — when it is core-local (compute, load, store or a
+     * region op: the issuing core's clock, PMU and ledger, plus
+     * memory-model state that only ever changes in global time order)
+     * and the batch budget set up by runUntil allows another op.
+     * Atomics, rdpmc and syscalls can release locks, deliver PMIs or
+     * wake threads, so they always go back to runUntil. Returns true
+     * when the op executed AND the guest may keep running; false when
+     * the guest must take the suspend path (op not executed — classic
+     * scheduler round — or executed with `ctx.opConsumedInline` set
+     * because the batch is over). Ops that queue a PMI or cross the
+     * quantum end are consumed but never continued: their drain/timer
+     * epilogue can context-switch, so runUntil replays it once the
+     * coroutine is safely suspended.
      */
     bool tryInlineOp(GuestContext &ctx);
 
@@ -287,80 +291,27 @@ class Cpu
         Tick notBefore = 0;
     };
 
-    /**
-     * Pending-PMI queue with inline storage. One op can wrap at most
-     * maxPmuCounters counters, and the queue drains at every op
-     * boundary, so the only way past the inline capacity is a fault
-     * plan holding deliveries back (notBefore in the future) across
-     * many ops — entries then spill to a heap vector. The common
-     * PMI path therefore never touches the allocator.
-     */
-    class PmiQueue
-    {
-      public:
-        bool empty() const { return inlineCount_ == 0; }
-
-        std::size_t
-        size() const
-        {
-            return inlineCount_ + spill_.size();
-        }
-
-        PendingPmi &
-        operator[](std::size_t i)
-        {
-            return i < inlineCount_ ? inline_[i]
-                                    : spill_[i - inlineCount_];
-        }
-
-        void
-        push_back(const PendingPmi &p)
-        {
-            if (inlineCount_ < inline_.size())
-                inline_[inlineCount_++] = p;
-            else
-                spill_.push_back(p);
-        }
-
-        void
-        erase(std::size_t i)
-        {
-            if (i < inlineCount_) {
-                for (std::size_t j = i; j + 1 < inlineCount_; ++j)
-                    inline_[j] = inline_[j + 1];
-                if (!spill_.empty()) {
-                    inline_[inlineCount_ - 1] = spill_.front();
-                    spill_.erase(spill_.begin());
-                } else {
-                    --inlineCount_;
-                }
-            } else {
-                spill_.erase(spill_.begin() +
-                             static_cast<std::ptrdiff_t>(i -
-                                                         inlineCount_));
-            }
-        }
-
-      private:
-        std::array<PendingPmi, 2 * maxPmuCounters> inline_{};
-        std::size_t inlineCount_ = 0;
-        std::vector<PendingPmi> spill_;
-    };
-
     CoreId id_;
     Machine &machine_;
     CostModel costs_;
     Pmu pmu_;
     Tick now_ = 0;
     GuestContext *current_ = nullptr;
-    PmiQueue pendingPmis_;
+    /**
+     * PMIs waiting for delivery, reserved to 2 * maxPmuCounters at
+     * construction. One op can wrap at most maxPmuCounters counters
+     * and the queue drains at every op boundary, so only a fault plan
+     * holding deliveries back (notBefore in the future) across many
+     * ops grows it past that; the common PMI path never allocates.
+     */
+    std::vector<PendingPmi> pendingPmis_;
     double kernelInstrResidue_ = 0.0;
     bool draining_ = false;
     /**
      * Set by any path that re-enters the kernel mid-op (timer tick,
      * PMI delivery, syscall): tells runUntil the global schedule may
-     * have changed and the batch must end. Cleared per op by
-     * runUntil; meaningless (and harmless) in per-op mode.
+     * have changed. Cleared by runUntil before the op or epilogue it
+     * runs; meaningless (and harmless) in per-op mode.
      */
     bool kernelRound_ = false;
 

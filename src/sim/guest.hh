@@ -53,35 +53,6 @@ enum class OpKind : std::uint8_t {
     RegionExit,     ///< pop attribution region
 };
 
-/**
- * True for ops whose execution touches only core-local state (the
- * issuing core's clock, PMU, and thread ledger — plus memory-model
- * state that is only ever mutated in global time order anyway).
- *
- * The horizon-batched run loop (Machine::run) keeps executing
- * consecutive core-local ops on the earliest core without returning
- * to the global scheduler; any op that can re-enter the kernel or
- * publish a value other threads may consume next (atomics release
- * locks, syscalls wake threads, PMC reads can deliver PMIs) ends the
- * batch so the scheduler can re-derive the global earliest core.
- * This is a conservative classification: batching never changes the
- * serialized op order, only how cheaply it is produced.
- */
-constexpr bool
-opIsCoreLocal(OpKind kind)
-{
-    switch (kind) {
-      case OpKind::Compute:
-      case OpKind::Load:
-      case OpKind::Store:
-      case OpKind::RegionEnter:
-      case OpKind::RegionExit:
-        return true;
-      default:
-        return false;
-    }
-}
-
 /** One suspended guest operation awaiting execution. */
 struct PendingOp
 {
@@ -274,9 +245,8 @@ GuestContext::sbStep() noexcept
             std::bit_cast<std::uint64_t>(o.profile.branchFrac) !=
                 std::bit_cast<std::uint64_t>(m.profile.branchFrac) ||
             std::bit_cast<std::uint64_t>(o.profile.mispredictRate) !=
-                std::bit_cast<std::uint64_t>(m.profile.mispredictRate) ||
-            std::bit_cast<std::uint64_t>(o.profile.cpi) !=
-                std::bit_cast<std::uint64_t>(m.profile.cpi)) [[unlikely]]
+                std::bit_cast<std::uint64_t>(m.profile.mispredictRate))
+            [[unlikely]]
             return false;
         // The branch/mispredict residues are genuinely dynamic state;
         // run the same recurrence execCompute runs, against the

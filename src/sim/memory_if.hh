@@ -138,21 +138,24 @@ class MemoryIf
 class FlatMemory : public MemoryIf
 {
   public:
-    explicit FlatMemory(Tick latency = 4) : latency_(latency) {}
+    /** Cycles of every plain access. */
+    static constexpr Tick latency = 4;
+    /** Extra cycles of an atomic access. */
+    static constexpr Tick atomicExtra = 12;
 
     using MemoryIf::access;
 
     Tick
     access(CoreId, Addr, bool, bool atomic, EventDeltas &) override
     {
-        return latency_ + (atomic ? atomicExtra_ : 0);
+        return latency + (atomic ? atomicExtra : 0);
     }
 
     /** Every plain access is a fixed-latency "hit" with no deltas. */
     Tick
     tryFastAccess(CoreId, Addr, bool) override
     {
-        return latency_;
+        return latency;
     }
 
     /**
@@ -163,17 +166,11 @@ class FlatMemory : public MemoryIf
     fastPeekView(CoreId) override
     {
         FastPeekView v;
-        if (latency_ == 0)
-            return v; // a 0-latency hit cannot signal "fast" upstream
-        v.latency = latency_;
-        v.maxLatency = latency_;
+        v.latency = latency;
+        v.maxLatency = latency;
         v.alwaysHit = true;
         return v;
     }
-
-  private:
-    Tick latency_;
-    Tick atomicExtra_ = 12;
 };
 
 } // namespace limit::sim

@@ -79,15 +79,6 @@ Pmu::readAndClear(unsigned idx)
     return v;
 }
 
-void
-Pmu::setEnabled(unsigned idx, bool enabled)
-{
-    panic_if(idx >= numCounters_, "PMU counter index ", idx,
-             " out of range");
-    configs_[idx].enabled = enabled;
-    rebuildActive();
-}
-
 OverflowSet
 Pmu::apply(PrivMode mode, const EventDeltas &deltas)
 {

@@ -94,9 +94,6 @@ class Pmu
      */
     std::uint64_t readAndClear(unsigned idx);
 
-    /** Enable/disable counting on counter `idx` without reprogramming. */
-    void setEnabled(unsigned idx, bool enabled);
-
     /**
      * Apply one op's event deltas in the given privilege mode,
      * honouring each counter's filters. Returns how many times each

@@ -1,7 +1,5 @@
 #include "sim/superblock.hh"
 
-#include <cmath>
-
 #include "sim/guest.hh"
 
 namespace limit::sim {
@@ -24,11 +22,8 @@ Superblock::Superblock(std::span<const LoopOp> body,
             m.profile = op.profile;
             m.branchStep =
                 static_cast<double>(op.instrs) * op.profile.branchFrac;
-            // Mirror of Cpu::execCompute's base-cost computation.
-            m.baseCost = op.profile.cpi == 1.0
-                ? op.instrs
-                : static_cast<Tick>(std::ceil(
-                      static_cast<double>(op.instrs) * op.profile.cpi));
+            // Mirror of Cpu::execCompute: one cycle per instruction.
+            m.baseCost = op.instrs;
             iterInstrs += op.instrs;
             if (op.profile.branchFrac != 0.0) {
                 // branches = floor(branchStep + residue), residue < 1.

@@ -6,26 +6,27 @@
 #include <limits>
 #include <sstream>
 
-#include "base/logging.hh"
-
 namespace limit::stats {
 
-HdrHistogram::HdrHistogram(unsigned bucket_bits)
-    : bucketBits_(bucket_bits)
+namespace {
+
+/** Sub-buckets per power-of-two magnitude. */
+constexpr unsigned sub = 1u << HdrHistogram::bucketBits;
+
+} // namespace
+
+HdrHistogram::HdrHistogram()
+    : counts_(sub + (64 - bucketBits) * sub, 0)
 {
-    panic_if(bucket_bits < 1 || bucket_bits > 16, "bad HdrHistogram bucketBits");
-    const unsigned sub = 1u << bucket_bits;
-    counts_.assign(sub + (64 - bucket_bits) * sub, 0);
 }
 
 unsigned
 HdrHistogram::indexFor(std::uint64_t value) const
 {
-    const unsigned sub = 1u << bucketBits_;
     if (value < sub)
         return static_cast<unsigned>(value);
     const unsigned exp = static_cast<unsigned>(std::bit_width(value)) - 1;
-    const unsigned shift = exp - bucketBits_;
+    const unsigned shift = exp - bucketBits;
     const auto mantissa = static_cast<unsigned>(value >> shift); // [sub, 2*sub)
     return sub + shift * sub + (mantissa - sub);
 }
@@ -33,7 +34,6 @@ HdrHistogram::indexFor(std::uint64_t value) const
 std::uint64_t
 HdrHistogram::bucketLo(unsigned idx) const
 {
-    const unsigned sub = 1u << bucketBits_;
     if (idx < sub)
         return idx;
     const unsigned shift = (idx - sub) / sub;
@@ -44,7 +44,6 @@ HdrHistogram::bucketLo(unsigned idx) const
 std::uint64_t
 HdrHistogram::bucketHi(unsigned idx) const
 {
-    const unsigned sub = 1u << bucketBits_;
     if (idx < sub)
         return idx;
     const unsigned shift = (idx - sub) / sub;
@@ -75,8 +74,6 @@ HdrHistogram::add(std::uint64_t value, std::uint64_t weight)
 void
 HdrHistogram::merge(const HdrHistogram &other)
 {
-    panic_if(other.bucketBits_ != bucketBits_,
-             "merging HdrHistograms of different layout");
     if (other.total_ == 0)
         return;
     for (std::size_t i = 0; i < counts_.size(); ++i)
@@ -123,7 +120,7 @@ std::string
 HdrHistogram::toJson() const
 {
     std::ostringstream os;
-    os << "{\"bucket_bits\":" << bucketBits_ << ",\"count\":" << total_
+    os << "{\"bucket_bits\":" << bucketBits << ",\"count\":" << total_
        << ",\"sum\":" << sum_ << ",\"min\":" << minValue()
        << ",\"max\":" << maxValue() << ",\"buckets\":[";
     bool first = true;

@@ -2,11 +2,11 @@
  * @file
  * HdrHistogram: exact log-bucketed histogram for profile attribution.
  *
- * Layout follows the HdrHistogram sub-bucket scheme: values below
- * 2^bucketBits get one bucket each (exact), larger values share
- * 2^bucketBits sub-buckets per power-of-two magnitude, giving a
- * bounded relative error of 2^-bucketBits on bucket boundaries while
- * counts stay simulator-exact. It serializes to JSON and its
+ * Layout follows the HdrHistogram sub-bucket scheme with bucketBits
+ * = 5: values below 2^5 get one bucket each (exact), larger values
+ * share 2^5 sub-buckets per power-of-two magnitude, giving a bounded
+ * relative error of 2^-5 on bucket boundaries while counts stay
+ * simulator-exact. It serializes to JSON and its
  * quantiles are deterministic integers — both required for
  * bit-identical profile output merged across parallel runner jobs.
  */
@@ -25,10 +25,13 @@ class HdrHistogram
 {
   public:
     /**
-     * bucket_bits B gives 2^B sub-buckets per power-of-two magnitude;
-     * values below 2^B are recorded exactly. B in [1, 16].
+     * 2^bucketBits sub-buckets per power-of-two magnitude; values
+     * below 2^bucketBits are recorded exactly. toJson writes it as
+     * "bucket_bits", the key profdiff recognises a histogram by.
      */
-    explicit HdrHistogram(unsigned bucket_bits = 5);
+    static constexpr unsigned bucketBits = 5;
+
+    HdrHistogram();
 
     /** Record one sample. */
     void add(std::uint64_t value) { add(value, 1); }
@@ -36,10 +39,9 @@ class HdrHistogram
     /** Record a sample with a weight (pre-aggregated counts). */
     void add(std::uint64_t value, std::uint64_t weight);
 
-    /** Merge another histogram; layouts must match. */
+    /** Merge another histogram. */
     void merge(const HdrHistogram &other);
 
-    unsigned bucketBits() const { return bucketBits_; }
     unsigned numBuckets() const { return static_cast<unsigned>(counts_.size()); }
 
     /** Weighted count in bucket idx. */
@@ -96,7 +98,6 @@ class HdrHistogram
     bool operator==(const HdrHistogram &other) const = default;
 
   private:
-    unsigned bucketBits_;
     std::vector<std::uint64_t> counts_;
     std::uint64_t total_ = 0;
     std::uint64_t sum_ = 0;

@@ -24,7 +24,7 @@ futexWait(sim::Guest &g, std::uint64_t *word, sim::Addr addr,
 {
     const std::uint64_t r = co_await g.syscall(
         os::sysFutexWait,
-        {reinterpret_cast<std::uint64_t>(word), expected, addr, 0});
+        {addr, expected, reinterpret_cast<std::uint64_t>(word), 0});
     co_return r;
 }
 
@@ -35,7 +35,7 @@ futexWake(sim::Guest &g, std::uint64_t *word, sim::Addr addr,
 {
     const std::uint64_t r = co_await g.syscall(
         os::sysFutexWake,
-        {reinterpret_cast<std::uint64_t>(word), count, addr, 0});
+        {addr, count, reinterpret_cast<std::uint64_t>(word), 0});
     co_return r;
 }
 

@@ -184,12 +184,7 @@ writeChromeTrace(std::ostream &os, const Tracer &tracer,
         }
     }
 
-    os << "\n  ],\n  \"dropped\": {";
-    for (unsigned c = 0; c < tracer.numCores(); ++c) {
-        os << (c == 0 ? "" : ", ") << "\"core" << c
-           << "\": " << tracer.ring(c).dropped();
-    }
-    os << "},\n  \"metrics\": {";
+    os << "\n  ],\n  \"metrics\": {";
     std::vector<const RunCounter *> sorted;
     for (const RunCounter &c : metrics)
         sorted.push_back(&c);
@@ -218,22 +213,9 @@ asciiSummary(const Tracer &tracer)
 {
     std::string out;
     char line[128];
-    std::snprintf(line, sizeof line,
-                  "trace summary: %llu records (%llu dropped)\n",
-                  static_cast<unsigned long long>(tracer.totalRecorded()),
-                  static_cast<unsigned long long>(tracer.totalDropped()));
+    std::snprintf(line, sizeof line, "trace summary: %llu records\n",
+                  static_cast<unsigned long long>(tracer.totalRecorded()));
     out += line;
-    for (unsigned c = 0; c < tracer.numCores(); ++c) {
-        const std::uint64_t d = tracer.ring(c).dropped();
-        if (d == 0)
-            continue;
-        std::snprintf(line, sizeof line,
-                      "  core%-4u dropped %10llu of %llu\n", c,
-                      static_cast<unsigned long long>(d),
-                      static_cast<unsigned long long>(
-                          tracer.ring(c).written()));
-        out += line;
-    }
     for (unsigned c = 0; c < numTraceCategories; ++c) {
         const auto cat = static_cast<TraceCategory>(c);
         if (tracer.categoryCount(cat) == 0)

@@ -7,8 +7,8 @@
  * and ui.perfetto.dev both load: one instant event per TraceRecord,
  * with the simulated core as the pid lane and the simulated thread as
  * the tid lane, timestamps in microseconds of simulated time at the
- * nominal clock. Extra top-level keys ("metrics", "dropped") ride
- * along; trace viewers ignore keys they do not know. Per-core
+ * nominal clock. An extra top-level "metrics" key rides along;
+ * trace viewers ignore keys they do not know. Per-core
  * counter tracks ("ph": "C") step the cumulative context switches,
  * syscalls and PMIs at every matching record.
  *

@@ -68,36 +68,9 @@ traceCategoryName(TraceCategory c)
     }
 }
 
-std::vector<TraceRecord>
-Ring::snapshot() const
-{
-    std::vector<TraceRecord> out;
-    const std::size_t n = size();
-    out.reserve(n);
-    // Oldest retained record first: when the ring has wrapped, that is
-    // the slot the next push would overwrite.
-    const std::size_t start =
-        written_ > buf_.size()
-            ? static_cast<std::size_t>(written_ % buf_.size())
-            : 0;
-    for (std::size_t i = 0; i < n; ++i)
-        out.push_back(buf_[(start + i) % buf_.size()]);
-    return out;
-}
-
-Tracer::Tracer(unsigned cores, std::size_t capacity_per_core)
+Tracer::Tracer(unsigned cores) : records_(cores)
 {
     fatal_if(cores == 0, "Tracer needs at least one core");
-    rings_.reserve(cores);
-    for (unsigned c = 0; c < cores; ++c)
-        rings_.emplace_back(capacity_per_core);
-}
-
-const Ring &
-Tracer::ring(unsigned core) const
-{
-    panic_if(core >= rings_.size(), "bad trace core ", core);
-    return rings_[core];
 }
 
 std::uint64_t
@@ -120,27 +93,16 @@ Tracer::totalRecorded() const
     return total;
 }
 
-std::uint64_t
-Tracer::totalDropped() const
-{
-    std::uint64_t total = 0;
-    for (const Ring &r : rings_)
-        total += r.dropped();
-    return total;
-}
-
 std::vector<TraceRecord>
 Tracer::merged() const
 {
     std::vector<TraceRecord> out;
     std::size_t n = 0;
-    for (const Ring &r : rings_)
-        n += r.size();
+    for (const std::vector<TraceRecord> &core : records_)
+        n += core.size();
     out.reserve(n);
-    for (const Ring &r : rings_) {
-        const std::vector<TraceRecord> s = r.snapshot();
-        out.insert(out.end(), s.begin(), s.end());
-    }
+    for (const std::vector<TraceRecord> &core : records_)
+        out.insert(out.end(), core.begin(), core.end());
     // stable_sort keeps each core's (already chronological) records in
     // emission order when ticks tie across cores.
     std::stable_sort(out.begin(), out.end(),

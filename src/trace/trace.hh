@@ -4,13 +4,13 @@
  *
  * Every other layer reports *aggregate* numbers; when a bench cell
  * looks wrong the question is always "what actually happened, in
- * order?". A Tracer answers it: per-core fixed-capacity ring buffers
- * of plain typed records (no allocation, no formatting, no locking on
- * the recording path), filled from tracepoints in the kernel, the
- * CPUs, and the PEC session, and rendered after the run by the
- * exporter (Chrome trace-event JSON plus an ASCII summary).
+ * order?". A Tracer answers it: per-core vectors of plain typed
+ * records (no formatting, no locking on the recording path), filled
+ * from tracepoints in the kernel, the CPUs, and the PEC session, and
+ * rendered after the run by the exporter (Chrome trace-event JSON
+ * plus an ASCII summary).
  *
- * Recording costs one pointer test plus a handful of stores, and only
+ * Recording costs one pointer test plus an append, and only
  * on already-expensive paths (context switches, syscalls, PMIs —
  * never the per-op hot path). With no tracer attached the pointer
  * test is all that remains.
@@ -34,8 +34,8 @@ enum class TraceEvent : std::uint8_t {
     SyscallEnter,      ///< a0 = syscall nr, a1 = first argument
     SyscallExit,       ///< a0 = syscall nr, a1 = result
     PmiDelivered,      ///< a0 = counter, a1 = wraps
-    FutexWait,         ///< a0 = futex word, a1 = 1 when EAGAIN
-    FutexWake,         ///< a0 = futex word, a1 = threads woken
+    FutexWait,         ///< a0 = word's simulated address, a1 = 1 when EAGAIN
+    FutexWake,         ///< a0 = word's simulated address, a1 = threads woken
     // sim::Cpu / counter virtualization.
     CounterOverflow,   ///< a0 = counter, a1 = wraps (hardware wrap)
     CounterSave,       ///< a0 = enabled counters saved at switch-out
@@ -94,74 +94,21 @@ struct TraceRecord
 };
 
 /**
- * Fixed-capacity overwrite-oldest ring of TraceRecords. Storage is
- * allocated once at construction; push never allocates.
- */
-class Ring
-{
-  public:
-    explicit Ring(std::size_t capacity)
-        : buf_(capacity > 0 ? capacity : 1)
-    {
-    }
-
-    void
-    push(const TraceRecord &r)
-    {
-        buf_[written_ % buf_.size()] = r;
-        ++written_;
-    }
-
-    std::size_t capacity() const { return buf_.size(); }
-
-    /** Records currently held (≤ capacity). */
-    std::size_t
-    size() const
-    {
-        return written_ < buf_.size()
-            ? static_cast<std::size_t>(written_)
-            : buf_.size();
-    }
-
-    /** Total records ever pushed. */
-    std::uint64_t written() const { return written_; }
-
-    /** Records overwritten because the ring was full. */
-    std::uint64_t
-    dropped() const
-    {
-        return written_ > buf_.size() ? written_ - buf_.size() : 0;
-    }
-
-    /** Retained records, oldest first. */
-    std::vector<TraceRecord> snapshot() const;
-
-  private:
-    std::vector<TraceRecord> buf_;
-    std::uint64_t written_ = 0;
-};
-
-/**
- * The per-run trace sink: one Ring per core plus aggregate per-event
- * counts (the counts see every record, including ones the rings later
- * overwrite). Attach to a sim::Machine with setTracer(); tracepoints
- * find it through the machine.
+ * The per-run trace sink: one growing record vector per core plus
+ * aggregate per-event counts. Every record is kept. Attach to a
+ * sim::Machine with setTracer(); tracepoints find it through the
+ * machine.
  */
 class Tracer
 {
   public:
-    /** Default ring capacity per core (records, 32 bytes each). */
-    static constexpr std::size_t defaultCapacity = 1 << 16;
-
-    Tracer(unsigned cores, std::size_t capacity_per_core);
+    explicit Tracer(unsigned cores);
 
     unsigned
     numCores() const
     {
-        return static_cast<unsigned>(rings_.size());
+        return static_cast<unsigned>(records_.size());
     }
-
-    const Ring &ring(unsigned core) const;
 
     void
     record(sim::CoreId core, TraceEvent ev, sim::Tick tick,
@@ -174,11 +121,11 @@ class Tracer
         r.tid = tid;
         r.core = static_cast<std::uint16_t>(core);
         r.event = ev;
-        rings_[core].push(r);
+        records_[core].push_back(r);
         ++counts_[static_cast<unsigned>(ev)];
     }
 
-    /** Hits of one tracepoint type (including overwritten records). */
+    /** Hits of one tracepoint type. */
     std::uint64_t
     count(TraceEvent e) const
     {
@@ -191,14 +138,11 @@ class Tracer
     /** All hits across all cores. */
     std::uint64_t totalRecorded() const;
 
-    /** Records lost to ring overwrite, all cores. */
-    std::uint64_t totalDropped() const;
-
-    /** Retained records from every core, merged in time order. */
+    /** Records from every core, merged in time order. */
     std::vector<TraceRecord> merged() const;
 
   private:
-    std::vector<Ring> rings_;
+    std::vector<std::vector<TraceRecord>> records_;
     std::uint64_t counts_[numTraceEvents] = {};
 };
 

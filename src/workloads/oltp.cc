@@ -142,12 +142,9 @@ OltpServer::runTransaction(sim::Guest &g)
 {
     Rng &rng = g.rng();
 
-    if (config_.networkIo) {
-        // Receive the client request.
-        co_await g.syscall(os::sysIoSubmit,
-                           {config_.netLatency, 0, 0, 0});
-        co_await g.compute(4200); // parse + plan the SQL-ish request
-    }
+    // Receive the client request.
+    co_await g.syscall(os::sysIoSubmit, {config_.netLatency, 0, 0, 0});
+    co_await g.compute(4200); // parse + plan the SQL-ish request
 
     const unsigned ops =
         static_cast<unsigned>(rng.range(config_.opsMin, config_.opsMax));
@@ -239,11 +236,8 @@ OltpServer::runTransaction(sim::Guest &g)
             co_await config_.opHook(g);
     }
 
-    if (config_.networkIo) {
-        co_await g.compute(2600); // serialize the response
-        co_await g.syscall(os::sysIoSubmit,
-                           {config_.netLatency, 0, 0, 0});
-    }
+    co_await g.compute(2600); // serialize the response
+    co_await g.syscall(os::sysIoSubmit, {config_.netLatency, 0, 0, 0});
 }
 
 } // namespace limit::workloads

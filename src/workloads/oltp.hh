@@ -49,9 +49,10 @@ struct OltpConfig
     /** Operations per transaction: uniform in [min, max]. */
     unsigned opsMin = 1;
     unsigned opsMax = 4;
-    /** Simulate client socket recv/send around each transaction. */
-    bool networkIo = true;
-    /** Device latency of one socket operation, in ticks. */
+    /**
+     * Device latency of one socket operation (client recv/send around
+     * each transaction), in ticks.
+     */
     sim::Tick netLatency = 20'000;
     /**
      * Optional per-operation instrumentation hook (e.g. a counter

@@ -143,11 +143,9 @@ TEST(BundleBuilder, TraceCapacityCreatesTracer)
     SimBundle untraced(BundleOptions::builder().cores(1).build());
     EXPECT_EQ(untraced.tracer(), nullptr);
 
-    SimBundle traced(
-        BundleOptions::builder().cores(2).traceCapacity(128).build());
+    SimBundle traced(BundleOptions::builder().cores(2).trace().build());
     ASSERT_NE(traced.tracer(), nullptr);
     EXPECT_EQ(traced.tracer()->numCores(), 2u);
-    EXPECT_EQ(traced.tracer()->ring(0).capacity(), 128u);
 }
 
 TEST(BundleBuilderDeathTest, RejectsInvalidCombinations)
@@ -196,10 +194,17 @@ TEST(BundleBuilderDeathTest, RejectsBadCacheGeometry)
     // 24 KiB / 64 B / 8 ways = 48 sets: not a power of two.
     EXPECT_DEATH(BundleOptions::builder().l1Size(24 * 1024).build(),
                  "power of two");
-    EXPECT_DEATH(BundleOptions::builder().l1Ways(0).build(),
+    mem::HierarchyConfig noWays;
+    noWays.l1d.ways = 0;
+    EXPECT_DEATH(BundleOptions::builder().hierarchy(noWays).build(),
                  "l1d needs ways");
-    EXPECT_DEATH(BundleOptions::builder().l2Size(0).build(), "l2");
-    EXPECT_DEATH(BundleOptions::builder().llcSize(0).build(), "llc");
+    mem::HierarchyConfig noL2;
+    noL2.l2.sizeBytes = 0;
+    EXPECT_DEATH(BundleOptions::builder().hierarchy(noL2).build(), "l2");
+    mem::HierarchyConfig noLlc;
+    noLlc.llc.sizeBytes = 0;
+    EXPECT_DEATH(BundleOptions::builder().hierarchy(noLlc).build(),
+                 "llc");
     EXPECT_DEATH(BundleOptions::builder().tlbEntries(0).build(),
                  "tlbEntries");
 }
@@ -210,24 +215,22 @@ TEST(BundleBuilder, PerFieldHierarchySettersTargetOneKnob)
                                 .l1Size(16 * 1024)
                                 .l1Latency(6)
                                 .l2Latency(20)
-                                .llcSize(4 * 1024 * 1024)
                                 .memLatency(300)
                                 .tlbEntries(32)
-                                .tlbMissPenalty(90)
                                 .nextLinePrefetch()
                                 .build();
     EXPECT_TRUE(o.useCaches);
     EXPECT_EQ(o.hierarchy.l1d.sizeBytes, 16u * 1024);
     EXPECT_EQ(o.hierarchy.l1Latency, 6u);
     EXPECT_EQ(o.hierarchy.l2Latency, 20u);
-    EXPECT_EQ(o.hierarchy.llc.sizeBytes, 4u * 1024 * 1024);
     EXPECT_EQ(o.hierarchy.memLatency, 300u);
     EXPECT_EQ(o.hierarchy.dtlb.entries, 32u);
-    EXPECT_EQ(o.hierarchy.tlbMissPenalty, 90u);
     EXPECT_TRUE(o.hierarchy.nextLinePrefetch);
     // Untouched knobs keep the Xeon-class defaults.
     EXPECT_EQ(o.hierarchy.l2.sizeBytes, 256u * 1024);
+    EXPECT_EQ(o.hierarchy.llc.sizeBytes, 8u * 1024 * 1024);
     EXPECT_EQ(o.hierarchy.llcLatency, 38u);
+    EXPECT_EQ(o.hierarchy.tlbMissPenalty, 60u);
 }
 
 TEST(BundleBuilder, FromDerivesVariantsWithoutDisturbingTheBase)
@@ -273,14 +276,13 @@ parseArgs(std::initializer_list<const char *> argv,
 TEST(BenchArgs, ParsesAllFlagsInBothSpellings)
 {
     const auto p = parseArgs({"--seeds", "5", "--jobs=3",
-                              "--trace", "out.json", "--trace-cap=128",
+                              "--trace", "out.json",
                               "--faults=overflow-read:step=2;drop-pmi"});
     ASSERT_TRUE(p.ok()) << p.error;
     EXPECT_FALSE(p.help);
     EXPECT_EQ(p.args.seeds, 5u);
     EXPECT_EQ(p.args.jobs, 3u);
     EXPECT_EQ(p.args.trace, "out.json");
-    EXPECT_EQ(p.args.traceCap, 128u);
     EXPECT_EQ(p.args.faults, "overflow-read:step=2;drop-pmi");
 }
 
@@ -315,7 +317,8 @@ TEST(BenchArgs, RejectsUnknownFlags)
           parseArgs({"--sentinel"}), parseArgs({"--sentinel-every", "4"}),
           parseArgs({"--status-file=hb.json"}), parseArgs({"--no-batch"}),
           parseArgs({"--no-superblock"}),
-          parseArgs({"--profile-out", "x"})}) {
+          parseArgs({"--profile-out", "x"}),
+          parseArgs({"--trace-cap", "64"})}) {
         ASSERT_FALSE(q.ok());
         EXPECT_NE(q.error.find("unknown argument"), std::string::npos);
     }
@@ -328,14 +331,14 @@ TEST(BenchArgs, RejectsNonNumericValues)
     EXPECT_NE(p.error.find("--seeds"), std::string::npos);
     EXPECT_NE(p.error.find("abc"), std::string::npos);
     EXPECT_FALSE(parseArgs({"--jobs=2x"}).ok());
-    EXPECT_FALSE(parseArgs({"--trace-cap", "1e6"}).ok());
+    EXPECT_FALSE(parseArgs({"--timeline-interval", "1e6"}).ok());
 }
 
 TEST(BenchArgs, RejectsNegativeValuesExplicitly)
 {
     // strtoul would wrap "-1" to a huge unsigned; the parser must
     // name the real problem instead.
-    const auto p = parseArgs({"--trace-cap=-1"});
+    const auto p = parseArgs({"--jobs=-1"});
     ASSERT_FALSE(p.ok());
     EXPECT_NE(p.error.find("negative"), std::string::npos);
     EXPECT_FALSE(parseArgs({"--seeds", "-5"}).ok());
@@ -347,7 +350,6 @@ TEST(BenchArgs, RejectsMissingAndOutOfRangeValues)
     EXPECT_FALSE(parseArgs({"--trace"}).ok());
     EXPECT_FALSE(parseArgs({"--faults"}).ok());
     EXPECT_FALSE(parseArgs({"--seeds", "0"}).ok());
-    EXPECT_FALSE(parseArgs({"--trace-cap", "0"}).ok());
     EXPECT_FALSE(parseArgs({"--jobs", "100000001"}).ok());
 }
 
@@ -374,7 +376,7 @@ TEST(BenchArgs, ParsesObservabilityFlags)
     const BundleOptions o =
         BundleOptions::builder().capture(&p.args).build();
     EXPECT_EQ(o.timelineInterval, 4096u);
-    EXPECT_EQ(o.traceCapacity, 0u);
+    EXPECT_FALSE(o.trace);
     // --timeline-interval alone arms nothing: no file, no recorder.
     const auto q = parseArgs({"--timeline-interval", "8192"});
     ASSERT_TRUE(q.ok()) << q.error;
@@ -385,24 +387,20 @@ TEST(BenchArgs, ParsesObservabilityFlags)
               0u);
     // --profile takes a file, as --trace and --timeline do, and its
     // representative run is traced: the profile pairs syscall records.
-    const auto r = parseArgs({"--profile", "p.json", "--trace-cap=512"});
+    const auto r = parseArgs({"--profile", "p.json"});
     ASSERT_TRUE(r.ok()) << r.error;
     EXPECT_EQ(r.args.profile, "p.json");
     EXPECT_TRUE(r.args.profiling());
     EXPECT_TRUE(r.args.instrumented());
-    EXPECT_EQ(BundleOptions::builder().capture(&r.args).build()
-                  .traceCapacity,
-              512u);
+    EXPECT_TRUE(BundleOptions::builder().capture(&r.args).build().trace);
     // A fan-out job captures nothing.
-    EXPECT_EQ(BundleOptions::builder().capture(nullptr).build()
-                  .traceCapacity,
-              0u);
+    EXPECT_FALSE(BundleOptions::builder().capture(nullptr).build().trace);
 }
 
 TEST(BenchArgs, RejectsDegenerateObservabilityValues)
 {
     // A sub-256-cycle slice allocates one full event-vector row per
-    // handful of ops; reject it like --trace-cap 0.
+    // handful of ops; reject it.
     for (const char *bad : {"0", "1", "255"}) {
         const auto p =
             parseArgs({"--timeline-interval", bad, "--timeline=t.json"});

@@ -152,7 +152,7 @@ runRegionsTrace(bool batched)
                               .cores(2)
                               .quantum(25'000)
                               .seed(5)
-                              .traceCapacity(1 << 14)
+                              .trace()
                               .batched(batched)
                               .build());
     const sim::RegionId hot = b.machine().regions().intern("hot");
@@ -244,7 +244,7 @@ runMigrationMix(bool batched)
                               .cores(3)
                               .quantum(8'000)
                               .seed(41)
-                              .traceCapacity(1 << 13)
+                              .trace()
                               .batched(batched)
                               .build());
 

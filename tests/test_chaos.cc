@@ -58,7 +58,7 @@ chaosActor(Guest &g, std::vector<std::unique_ptr<sync::Mutex>> &locks,
             std::uint64_t word = 1; // never matches: immediate EAGAIN
             const std::uint64_t r = co_await g.syscall(
                 os::sysFutexWait,
-                {reinterpret_cast<std::uint64_t>(&word), 0, 0x900, 0});
+                {0x900, 0, reinterpret_cast<std::uint64_t>(&word), 0});
             EXPECT_EQ(r, 1u);
         } else {
             co_await g.syscall(os::sysNop);

@@ -140,13 +140,13 @@ struct FaultRig
     explicit FaultRig(pec::OverflowPolicy policy,
                       unsigned counter_width = 48,
                       sim::Tick quantum = 50'000,
-                      unsigned trace_capacity = 0)
+                      bool traced = false)
         : bundle(analysis::BundleOptions::Builder()
                      .cores(1)
                      .quantum(quantum)
                      .pmuWidth(counter_width)
                      .seed(7)
-                     .traceCapacity(trace_capacity)
+                     .trace(traced)
                      .build()),
           session(bundle.kernel(), {.policy = policy})
     {
@@ -410,7 +410,7 @@ TEST(FaultSites, SpuriousWakeReleasesAFutexWaiterEarly)
     b.kernel().spawn("waiter", [&](Guest &g) -> Task<void> {
         const std::uint64_t r = co_await g.syscall(
             os::sysFutexWait,
-            {reinterpret_cast<std::uint64_t>(word.get()), 0, 0, 0});
+            {0, 0, reinterpret_cast<std::uint64_t>(word.get()), 0});
         waiter_result = r;
     });
     // No waker thread at all: without the injected spurious wake this
@@ -434,7 +434,7 @@ TEST(FaultSites, SpuriousWakeReleasesAFutexWaiterEarly)
 TEST(FaultSites, EveryInjectionEmitsATraceRecord)
 {
     FaultRig rig(pec::OverflowPolicy::DoubleCheck, 16, 50'000,
-                 /*trace_capacity=*/4096);
+                 /*traced=*/true);
     rig.bundle.kernel().spawn("victim", [&](Guest &g) -> Task<void> {
         co_await g.compute(500);
         const std::uint64_t v = co_await rig.session.read(g, 0);

@@ -35,7 +35,7 @@ TEST(HdrHistogram, ZeroAndMaxU64AreRepresentable)
 
 TEST(HdrHistogram, ValuesBelowSubBucketRangeAreExact)
 {
-    HdrHistogram h(5); // one bucket per value below 2^5
+    HdrHistogram h; // one bucket per value below 2^5
     for (std::uint64_t v = 0; v < 32; ++v) {
         const unsigned idx = h.indexFor(v);
         EXPECT_EQ(h.bucketLo(idx), v);
@@ -45,7 +45,7 @@ TEST(HdrHistogram, ValuesBelowSubBucketRangeAreExact)
 
 TEST(HdrHistogram, BucketBoundsConsistentAtPowerOfTwoBoundaries)
 {
-    HdrHistogram h(5);
+    HdrHistogram h;
     const std::uint64_t probes[] = {
         31,        32,         33,         63,         64,
         65,        1023,       1024,       1025,       (1ull << 32) - 1,
@@ -67,7 +67,7 @@ TEST(HdrHistogram, BucketBoundsConsistentAtPowerOfTwoBoundaries)
 
 TEST(HdrHistogram, MergeOfDisjointAndOverlappingEqualsSinglePassFill)
 {
-    HdrHistogram a(5), b(5), whole(5);
+    HdrHistogram a, b, whole;
     const std::uint64_t disjoint_a[] = {0, 7, 100, 1ull << 20};
     const std::uint64_t disjoint_b[] = {3, 999, 1ull << 40, maxU64};
     const std::uint64_t shared[] = {42, 42, 5000};
@@ -87,12 +87,12 @@ TEST(HdrHistogram, MergeOfDisjointAndOverlappingEqualsSinglePassFill)
     a.merge(b);
     EXPECT_EQ(a, whole); // bucket-exact, including min/max/sum
     // Merging an empty histogram is a no-op.
-    a.merge(HdrHistogram(5));
+    a.merge(HdrHistogram());
     EXPECT_EQ(a, whole);
 
     // Two sums below 2^64 whose total passes it: the merged sum
     // saturates, as the single-pass fill's does.
-    HdrHistogram lo(5), hi(5), both(5);
+    HdrHistogram lo, hi, both;
     lo.add(std::uint64_t{1} << 63, 1);
     hi.add(3, std::uint64_t{1} << 62); // 3 * 2^62 < 2^64
     both.add(std::uint64_t{1} << 63, 1);
@@ -100,12 +100,6 @@ TEST(HdrHistogram, MergeOfDisjointAndOverlappingEqualsSinglePassFill)
     lo.merge(hi);
     EXPECT_EQ(lo, both);
     EXPECT_EQ(lo.totalValue(), maxU64);
-}
-
-TEST(HdrHistogramDeathTest, MergeLayoutMismatch)
-{
-    HdrHistogram a(5), b(6);
-    EXPECT_DEATH(a.merge(b), "different layout");
 }
 
 TEST(HdrHistogram, PercentileMonotonicityAndRangeClamp)
@@ -130,7 +124,7 @@ TEST(HdrHistogram, PercentileMonotonicityAndRangeClamp)
 
 TEST(HdrHistogram, QuantileExactForSingleValuedBuckets)
 {
-    HdrHistogram h(5);
+    HdrHistogram h;
     h.add(3, 10);
     h.add(7, 10);
     EXPECT_EQ(h.quantile(0.25), 3u);
@@ -143,22 +137,22 @@ TEST(HdrHistogram, QuantileExactForSingleValuedBuckets)
 
 TEST(HdrHistogram, JsonRoundTrip)
 {
-    HdrHistogram h(7);
+    HdrHistogram h;
     h.add(0);
     h.add(1, 12);
-    h.add(12345, 3); // 2^13 magnitude: 128 + 6 * 128 + (192 - 128)
-    h.add(maxU64);   // top bucket: 128 + 56 * 128 + 127
+    h.add(12345, 3); // 2^13 magnitude: 32 + 8 * 32 + (48 - 32)
+    h.add(maxU64);   // top bucket: 32 + 58 * 32 + 31
     // 12 + 3 * 12345 + (2^64 - 1) passes 2^64: the sum saturates.
     EXPECT_EQ(h.toJson(),
-              "{\"bucket_bits\":7,\"count\":17,"
+              "{\"bucket_bits\":5,\"count\":17,"
               "\"sum\":18446744073709551615,\"min\":0,"
               "\"max\":18446744073709551615,"
-              "\"buckets\":[[0,1],[1,12],[960,3],[7423,1]]}");
+              "\"buckets\":[[0,1],[1,12],[304,3],[1919,1]]}");
 }
 
 TEST(HdrHistogram, JsonRoundTripEmpty)
 {
-    EXPECT_EQ(HdrHistogram(5).toJson(),
+    EXPECT_EQ(HdrHistogram().toJson(),
               "{\"bucket_bits\":5,\"count\":0,\"sum\":0,\"min\":0,"
               "\"max\":0,\"buckets\":[]}");
 }
@@ -168,7 +162,7 @@ TEST(HdrHistogram, MergeFullyDisjointBucketRanges)
     // a's values all land in sub-bucket-exact low buckets, b's in the
     // scaled top decades — no bucket index is shared, so the merge
     // must interleave two runs rather than add overlapping counts.
-    HdrHistogram a(5), b(5), whole(5);
+    HdrHistogram a, b, whole;
     for (std::uint64_t v : {0ull, 1ull, 7ull, 31ull}) {
         a.add(v, 2);
         whole.add(v, 2);
@@ -190,7 +184,7 @@ TEST(HdrHistogram, MergeFullyDisjointBucketRanges)
 
 TEST(HdrHistogram, MergeIntoEmptyAdoptsOther)
 {
-    HdrHistogram empty(6), full(6);
+    HdrHistogram empty, full;
     full.add(17, 4);
     full.add(1 << 20);
     empty.merge(full);
@@ -200,7 +194,7 @@ TEST(HdrHistogram, MergeIntoEmptyAdoptsOther)
 
 TEST(HdrHistogram, JsonRoundTripSingleBucket)
 {
-    HdrHistogram h(5);
+    HdrHistogram h;
     h.add(42, 7); // one bucket, weighted
     EXPECT_EQ(h.toJson(),
               "{\"bucket_bits\":5,\"count\":7,\"sum\":294,\"min\":42,"

@@ -107,7 +107,7 @@ TEST(Kernel, FutexWakeMovesBlockedThread)
     k.spawn("waiter", [&](Guest &g) -> Task<void> {
         waiter_result = co_await g.syscall(
             os::sysFutexWait,
-            {reinterpret_cast<std::uint64_t>(&word), 0, 0x100, 0});
+            {0x100, 0, reinterpret_cast<std::uint64_t>(&word), 0});
         co_return;
     });
     k.spawn("waker", [&](Guest &g) -> Task<void> {
@@ -115,7 +115,7 @@ TEST(Kernel, FutexWakeMovesBlockedThread)
         co_await g.atomicStore(&word, 0x100, 1);
         woken = co_await g.syscall(
             os::sysFutexWake,
-            {reinterpret_cast<std::uint64_t>(&word), 1, 0x100, 0});
+            {0x100, 1, reinterpret_cast<std::uint64_t>(&word), 0});
         co_return;
     });
     m.run();
@@ -133,7 +133,7 @@ TEST(Kernel, FutexWaitValueMismatchReturnsEagain)
     k.spawn("t", [&](Guest &g) -> Task<void> {
         r = co_await g.syscall(
             os::sysFutexWait,
-            {reinterpret_cast<std::uint64_t>(&word), 0, 0x100, 0});
+            {0x100, 0, reinterpret_cast<std::uint64_t>(&word), 0});
         co_return;
     });
     m.run();
@@ -150,7 +150,7 @@ TEST(Kernel, FutexWakeWithNoWaiters)
     k.spawn("t", [&](Guest &g) -> Task<void> {
         woken = co_await g.syscall(
             os::sysFutexWake,
-            {reinterpret_cast<std::uint64_t>(&word), 10, 0x100, 0});
+            {0x100, 10, reinterpret_cast<std::uint64_t>(&word), 0});
         co_return;
     });
     m.run();

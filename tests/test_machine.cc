@@ -274,7 +274,7 @@ TEST(MachineDeathTest, DeadlockPanics)
             k.spawn("stuck", [](Guest &g) -> Task<void> {
                 co_await g.syscall(
                     os::sysFutexWait,
-                    {reinterpret_cast<std::uint64_t>(&word), 0, 0x100, 0});
+                    {0x100, 0, reinterpret_cast<std::uint64_t>(&word), 0});
                 co_return;
             });
             m.run();

@@ -103,7 +103,7 @@ TEST(OsEdge, FutexWakeHonoursCount)
         k.spawn("w" + std::to_string(i), [&](Guest &g) -> Task<void> {
             const std::uint64_t r = co_await g.syscall(
                 os::sysFutexWait,
-                {reinterpret_cast<std::uint64_t>(&word), 0, 0x100, 0});
+                {0x100, 0, reinterpret_cast<std::uint64_t>(&word), 0});
             EXPECT_EQ(r, 0u);
             ++woken_early;
             co_return;
@@ -114,11 +114,11 @@ TEST(OsEdge, FutexWakeHonoursCount)
         co_await g.compute(200'000); // everyone parks
         first_wake = co_await g.syscall(
             os::sysFutexWake,
-            {reinterpret_cast<std::uint64_t>(&word), 2, 0x100, 0});
+            {0x100, 2, reinterpret_cast<std::uint64_t>(&word), 0});
         co_await g.compute(200'000);
         second_wake = co_await g.syscall(
             os::sysFutexWake,
-            {reinterpret_cast<std::uint64_t>(&word), 10, 0x100, 0});
+            {0x100, 10, reinterpret_cast<std::uint64_t>(&word), 0});
         co_return;
     });
     m.run();

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the perf_event-style kernel counter subsystem: counting
- * mode exactness, sampling cadence, ioctls, and loss accounting.
+ * mode exactness, sampling cadence, teardown, and loss accounting.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@ namespace limit {
 namespace {
 
 using os::Kernel;
-using os::PerfIoctlOp;
 using sim::EventType;
 using sim::Guest;
 using sim::Machine;
@@ -154,46 +153,6 @@ TEST(PerfEvent, SamplesCarryRegionAttribution)
     }
 }
 
-TEST(PerfEvent, IoctlResetZeroesCount)
-{
-    Machine m(cfg());
-    Kernel k(m);
-    k.perf().setupCounting(0, EventType::Instructions, true, false);
-    std::uint64_t after_reset = 99;
-    k.spawn("t", [&](Guest &g) -> Task<void> {
-        co_await g.compute(10'000);
-        co_await g.syscall(
-            os::sysPerfIoctl,
-            {0, static_cast<std::uint64_t>(PerfIoctlOp::Reset), 0, 0});
-        after_reset = co_await g.syscall(os::sysPerfRead, {0, 0, 0, 0});
-        co_return;
-    });
-    m.run();
-    // Only the read-trap's own user instruction since the reset.
-    EXPECT_LE(after_reset, 2u);
-}
-
-TEST(PerfEvent, IoctlDisableStopsCounting)
-{
-    Machine m(cfg());
-    Kernel k(m);
-    k.perf().setupCounting(0, EventType::Instructions, true, false);
-    std::uint64_t during_disable = 99;
-    k.spawn("t", [&](Guest &g) -> Task<void> {
-        co_await g.syscall(
-            os::sysPerfIoctl,
-            {0, static_cast<std::uint64_t>(PerfIoctlOp::Disable), 0, 0});
-        const std::uint64_t b =
-            co_await g.syscall(os::sysPerfRead, {0, 0, 0, 0});
-        co_await g.compute(10'000);
-        during_disable =
-            co_await g.syscall(os::sysPerfRead, {0, 0, 0, 0}) - b;
-        co_return;
-    });
-    m.run();
-    EXPECT_EQ(during_disable, 0u);
-}
-
 TEST(PerfEvent, TeardownClearsMode)
 {
     Machine m(cfg());
@@ -202,7 +161,9 @@ TEST(PerfEvent, TeardownClearsMode)
     EXPECT_EQ(k.perf().mode(1), os::PerfMode::Counting);
     k.perf().teardown(1);
     EXPECT_EQ(k.perf().mode(1), os::PerfMode::Off);
-    EXPECT_EQ(k.numEnabledCounters(), 0u);
+    const sim::Pmu &pmu = m.cpu(0).pmu();
+    for (unsigned i = 0; i < pmu.numCounters(); ++i)
+        EXPECT_FALSE(pmu.config(i).enabled) << "counter " << i;
 }
 
 } // namespace

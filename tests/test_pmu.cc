@@ -73,7 +73,8 @@ TEST(Pmu, DisabledCounterDoesNotCount)
     pmu.configure(0, cfg);
     pmu.apply(PrivMode::User, deltas(EventType::Cycles, 10));
     EXPECT_EQ(pmu.read(0), 0u);
-    pmu.setEnabled(0, true);
+    cfg.enabled = true;
+    pmu.configure(0, cfg);
     pmu.apply(PrivMode::User, deltas(EventType::Cycles, 10));
     EXPECT_EQ(pmu.read(0), 10u);
 }

@@ -268,7 +268,7 @@ TEST(KernelProfile, SyscallPairingDiscardsUnmatchedRecords)
     // A matched pair: latency 350.
     recs.push_back(rec(trace::TraceEvent::SyscallEnter, 100, 3, probe));
     recs.push_back(rec(trace::TraceEvent::SyscallExit, 450, 3, probe));
-    // Enter whose exit carries a different nr (ring overwrote the
+    // Enter whose exit carries a different nr (the list lacks the
     // matching record): both discarded.
     recs.push_back(rec(trace::TraceEvent::SyscallEnter, 500, 5, probe));
     recs.push_back(rec(trace::TraceEvent::SyscallExit, 600, 9, probe));

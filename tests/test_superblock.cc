@@ -192,7 +192,7 @@ runMissStorm(Mode mode)
                               .cores(1)
                               .quantum(200'000)
                               .pmuWidth(10) // wraps every 1,024 misses
-                              .traceCapacity(1 << 14)
+                              .trace()
                               .seed(37)
                               .build());
     pec::PecSession session(b.kernel());
@@ -386,7 +386,7 @@ TEST(SuperblockReplay, CommittedDeltaSumsMatchClosedForm)
     constexpr unsigned iters = 20'000;
     constexpr std::uint64_t computeInstrs = 8;
     // Flat memory: every access hits the fast path at a fixed latency,
-    // so a branch-free cpi-1 loop has an exact closed-form ledger and
+    // so a branch-free loop has an exact closed-form ledger and
     // nothing can end a replay early except the horizon checks.
     analysis::SimBundle b(analysis::BundleOptions::Builder()
                               .cores(1)
@@ -394,8 +394,8 @@ TEST(SuperblockReplay, CommittedDeltaSumsMatchClosedForm)
                               .flatMemory()
                               .build());
     b.kernel().spawn("pin", [](Guest &g) -> Task<void> {
-        const sim::ComputeProfile p{
-            .branchFrac = 0.0, .mispredictRate = 0.0, .cpi = 1.0};
+        const sim::ComputeProfile p{.branchFrac = 0.0,
+                                    .mispredictRate = 0.0};
         g.declareLoop({{OpKind::Load},
                        {OpKind::Store},
                        {OpKind::Compute, computeInstrs, p}});

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the tracing subsystem: ring wrap-around, per-core
- * isolation, exporter JSON well-formedness, the exported run
- * counters, and the kernel/PEC tracepoints firing end-to-end.
+ * Tests for the tracing subsystem: per-core isolation, every record
+ * kept, exporter JSON well-formedness, the exported run counters,
+ * and the kernel/PEC tracepoints firing end-to-end.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include "analysis/bundle.hh"
 #include "os/sysno.hh"
 #include "pec/pec.hh"
+#include "sync/mutex.hh"
 #include "trace/exporter.hh"
 #include "trace/trace.hh"
 
@@ -24,7 +25,6 @@ namespace limit {
 namespace {
 
 using trace::TraceEvent;
-using trace::TraceRecord;
 
 // --- minimal JSON well-formedness checker ------------------------------
 //
@@ -177,86 +177,51 @@ jsonWellFormed(std::string_view s)
     return pos == s.size();
 }
 
-TraceRecord
-makeRecord(sim::Tick tick, std::uint64_t a0)
-{
-    TraceRecord r;
-    r.tick = tick;
-    r.a0 = a0;
-    r.event = TraceEvent::ContextSwitch;
-    return r;
-}
-
-// --- Ring --------------------------------------------------------------
-
-TEST(TraceRing, FillsWithoutDropsUpToCapacity)
-{
-    trace::Ring ring(4);
-    EXPECT_EQ(ring.capacity(), 4u);
-    EXPECT_EQ(ring.size(), 0u);
-    ring.push(makeRecord(1, 0));
-    ring.push(makeRecord(2, 1));
-    EXPECT_EQ(ring.size(), 2u);
-    EXPECT_EQ(ring.written(), 2u);
-    EXPECT_EQ(ring.dropped(), 0u);
-    const auto snap = ring.snapshot();
-    ASSERT_EQ(snap.size(), 2u);
-    EXPECT_EQ(snap[0].a0, 0u);
-    EXPECT_EQ(snap[1].a0, 1u);
-}
-
-TEST(TraceRing, WrapAroundKeepsNewestOldestFirst)
-{
-    trace::Ring ring(4);
-    for (std::uint64_t i = 0; i < 6; ++i)
-        ring.push(makeRecord(10 * i, i));
-    EXPECT_EQ(ring.size(), 4u);
-    EXPECT_EQ(ring.written(), 6u);
-    EXPECT_EQ(ring.dropped(), 2u);
-    const auto snap = ring.snapshot();
-    ASSERT_EQ(snap.size(), 4u);
-    // Oldest two records (a0 = 0, 1) were overwritten.
-    for (std::size_t i = 0; i < snap.size(); ++i)
-        EXPECT_EQ(snap[i].a0, i + 2);
-}
-
 // --- Tracer ------------------------------------------------------------
 
 TEST(Tracer, PerCoreRingsAreIsolated)
 {
-    trace::Tracer t(2, 8);
+    trace::Tracer t(2);
     t.record(0, TraceEvent::ContextSwitch, 10, 1);
     t.record(1, TraceEvent::SyscallEnter, 5, 2, os::sysYield);
     t.record(0, TraceEvent::ContextSwitch, 20, 1);
     t.record(1, TraceEvent::SyscallExit, 15, 2, os::sysYield);
 
-    EXPECT_EQ(t.ring(0).written(), 2u);
-    EXPECT_EQ(t.ring(1).written(), 2u);
     EXPECT_EQ(t.totalRecorded(), 4u);
-    EXPECT_EQ(t.totalDropped(), 0u);
-    for (const auto &r : t.ring(0).snapshot())
-        EXPECT_EQ(r.core, 0u);
-    for (const auto &r : t.ring(1).snapshot())
-        EXPECT_EQ(r.core, 1u);
+    // Each core's records keep their core and their emission order.
+    const auto merged = t.merged();
+    ASSERT_EQ(merged.size(), 4u);
+    EXPECT_EQ(merged[0].core, 1u);
+    EXPECT_EQ(merged[0].event, TraceEvent::SyscallEnter);
+    EXPECT_EQ(merged[1].core, 0u);
+    EXPECT_EQ(merged[2].core, 1u);
+    EXPECT_EQ(merged[2].event, TraceEvent::SyscallExit);
+    EXPECT_EQ(merged[3].core, 0u);
 }
 
-TEST(Tracer, CountsSurviveRingOverwriteAndMergeIsTimeOrdered)
+TEST(Tracer, KeepsEveryRecordAndMergeIsTimeOrdered)
 {
-    trace::Tracer t(2, 2);
-    // Core 0 sees 5 switches into a 2-slot ring; counts keep all 5.
-    for (sim::Tick tick = 0; tick < 5; ++tick)
-        t.record(0, TraceEvent::ContextSwitch, 100 - 10 * tick, 1);
+    // Well past 2^16 records on one core: merged() hands every one
+    // back.
+    constexpr std::uint64_t n = 100'000;
+    trace::Tracer t(2);
+    for (std::uint64_t i = 0; i < n; ++i)
+        t.record(0, TraceEvent::ContextSwitch, 2 * i, 1, i);
     t.record(1, TraceEvent::FutexWake, 75, 2, 0xbeef, 1);
 
-    EXPECT_EQ(t.count(TraceEvent::ContextSwitch), 5u);
-    EXPECT_EQ(t.categoryCount(trace::TraceCategory::Sched), 5u);
+    EXPECT_EQ(t.count(TraceEvent::ContextSwitch), n);
+    EXPECT_EQ(t.categoryCount(trace::TraceCategory::Sched), n);
     EXPECT_EQ(t.categoryCount(trace::TraceCategory::Futex), 1u);
-    EXPECT_EQ(t.totalDropped(), 3u);
 
     const auto merged = t.merged();
-    ASSERT_EQ(merged.size(), 3u); // 2 retained + 1 futex
+    ASSERT_EQ(merged.size(), n + 1);
     for (std::size_t i = 1; i < merged.size(); ++i)
         EXPECT_LE(merged[i - 1].tick, merged[i].tick);
+    // The oldest record is still there, and the futex record sits
+    // between the switches at ticks 74 and 76.
+    EXPECT_EQ(merged.front().a0, 0u);
+    EXPECT_EQ(merged[38].event, TraceEvent::FutexWake);
+    EXPECT_EQ(merged.back().a0, n - 1);
 }
 
 TEST(Tracer, EventNamesAndCategoriesAreStable)
@@ -287,7 +252,7 @@ TEST(Tracer, NullTracerExpressionIsSafe)
 
 TEST(Exporter, ChromeTraceJsonIsWellFormed)
 {
-    trace::Tracer t(2, 16);
+    trace::Tracer t(2);
     t.record(0, TraceEvent::ContextSwitch, 100, 1, 2, 1);
     t.record(1, TraceEvent::SyscallEnter, 200, 2, os::sysYield, 0);
     t.record(1, TraceEvent::SyscallExit, 230, 2, os::sysYield, 0);
@@ -325,7 +290,7 @@ TEST(Exporter, ChromeTraceJsonIsWellFormed)
 
 TEST(Exporter, AsciiSummaryListsCategoriesAndCounts)
 {
-    trace::Tracer t(1, 8);
+    trace::Tracer t(1);
     t.record(0, TraceEvent::ContextSwitch, 10, 1);
     t.record(0, TraceEvent::ContextSwitch, 20, 2);
     t.record(0, TraceEvent::FutexWait, 30, 1, 0xcafe, 0);
@@ -341,7 +306,7 @@ TEST(TraceIntegration, KernelTracepointsFire)
 {
     analysis::SimBundle b(analysis::BundleOptions::builder()
                               .cores(1)
-                              .traceCapacity(4096)
+                              .trace()
                               .build());
     for (int i = 0; i < 2; ++i) {
         b.kernel().spawn("t" + std::to_string(i),
@@ -371,7 +336,7 @@ TEST(TraceIntegration, PecTracepointsFireUnderNarrowCounters)
     analysis::SimBundle b(analysis::BundleOptions::builder()
                               .cores(1)
                               .pmuWidth(16)
-                              .traceCapacity(4096)
+                              .trace()
                               .build());
     pec::PecSession session(b.kernel());
     session.addEvent(0, sim::EventType::Cycles);
@@ -391,6 +356,46 @@ TEST(TraceIntegration, PecTracepointsFireUnderNarrowCounters)
     EXPECT_GT(t->count(TraceEvent::CounterOverflow), 0u);
     EXPECT_GT(t->count(TraceEvent::PmiDelivered), 0u);
     EXPECT_GT(t->count(TraceEvent::PecOverflowFixup), 0u);
+}
+
+TEST(TraceIntegration, IdenticalRunsWriteIdenticalTraces)
+{
+    // Two same-seed runs of a contended mutex, both alive at once, so
+    // their futex words sit at different host addresses. Futex
+    // records carry the word's simulated address, so every record
+    // matches.
+    const analysis::BundleOptions opts =
+        analysis::BundleOptions::builder().cores(2).seed(9).trace().build();
+    analysis::SimBundle first(opts), second(opts);
+    sync::Mutex firstMutex(0x4000), secondMutex(0x4000);
+    const auto contend = [](analysis::SimBundle &b, sync::Mutex &mu) {
+        for (int i = 0; i < 4; ++i) {
+            b.kernel().spawn("t" + std::to_string(i),
+                             [&mu](sim::Guest &g) -> sim::Task<void> {
+                                 for (int j = 0; j < 30; ++j) {
+                                     co_await mu.lock(g);
+                                     co_await g.compute(2'000);
+                                     co_await mu.unlock(g);
+                                     co_await g.compute(500);
+                                 }
+                             });
+        }
+        b.machine().run();
+    };
+    contend(first, firstMutex);
+    contend(second, secondMutex);
+
+    ASSERT_GT(first.tracer()->count(TraceEvent::FutexWait), 0u);
+    const std::vector<trace::TraceRecord> a = first.tracer()->merged();
+    const std::vector<trace::TraceRecord> b = second.tracer()->merged();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        ASSERT_TRUE(a[i].tick == b[i].tick && a[i].event == b[i].event &&
+                    a[i].a0 == b[i].a0 && a[i].a1 == b[i].a1 &&
+                    a[i].tid == b[i].tid && a[i].core == b[i].core)
+            << "record " << i << " ("
+            << trace::traceEventName(a[i].event) << ") differs";
+    }
 }
 
 TEST(TraceIntegration, UntracedBundleRecordsNothing)
