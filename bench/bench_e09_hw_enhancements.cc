@@ -30,14 +30,13 @@ namespace {
 
 using namespace limit;
 
-/** Cost of one plain read under a feature set / policy. */
+/** Cost of one plain read with `width`-bit counters under a policy. */
 double
-readCost(const sim::PmuFeatures &features, pec::OverflowPolicy policy,
-         std::uint64_t seed)
+readCost(unsigned width, pec::OverflowPolicy policy, std::uint64_t seed)
 {
     analysis::SimBundle b(analysis::BundleOptions::builder()
                               .cores(1)
-                              .pmuFeatures(features)
+                              .pmuWidth(width)
                               .seed(1 + seed)
                               .build());
     pec::PecConfig pc;
@@ -151,9 +150,7 @@ main(int argc, char **argv)
     // Every table cell is an independent closure over (seed); the
     // whole bench fans out as cells x seeds and each cell reports the
     // mean across seeds.
-    sim::PmuFeatures base;
-    sim::PmuFeatures wide;
-    wide.counterWidth = 64;
+    const unsigned base = sim::PmuFeatures{}.counterWidth;
     const std::vector<std::function<double(std::uint64_t)>> cells = {
         [&](std::uint64_t s) {
             return readCost(base, pec::OverflowPolicy::KernelFixup, s);
@@ -161,8 +158,8 @@ main(int argc, char **argv)
         [&](std::uint64_t s) {
             return readCost(base, pec::OverflowPolicy::DoubleCheck, s);
         },
-        [&](std::uint64_t s) {
-            return readCost(wide, pec::OverflowPolicy::None, s);
+        [](std::uint64_t s) {
+            return readCost(64, pec::OverflowPolicy::None, s);
         },
         [](std::uint64_t s) { return segmentCost(false, s); },
         [](std::uint64_t s) { return segmentCost(true, s); },

@@ -26,6 +26,7 @@
 #include "baseline/sampler.hh"
 #include "baseline/source_set.hh"
 #include "pec/pec.hh"
+#include "sim/cost_model.hh"
 #include "stats/table.hh"
 #include "workloads/oltp.hh"
 
@@ -69,12 +70,11 @@ runQuantum(sim::Tick quantum, std::uint64_t seed,
     }
     b.run(20'000'000);
 
-    const auto &costs = b.machine().cpu(0).costs();
     const std::uint64_t switches = b.kernel().totalContextSwitches();
     // Per switch: base cost + 4 counters saved+restored.
     const double switch_cycles = static_cast<double>(switches) *
-        static_cast<double>(costs.contextSwitchCost +
-                            4 * costs.counterSwitchCost);
+        static_cast<double>(sim::contextSwitchCost +
+                            4 * sim::counterSwitchCost);
     const double total = static_cast<double>(
         analysis::totalEvent(b.kernel(), sim::EventType::Cycles));
     if (trace)
@@ -131,11 +131,9 @@ struct PrefetchResult
 PrefetchResult
 runPrefetch(bool enabled, std::uint64_t seed)
 {
-    mem::HierarchyConfig h;
-    h.nextLinePrefetch = enabled;
     analysis::SimBundle b(analysis::BundleOptions::builder()
                               .cores(4)
-                              .hierarchy(h)
+                              .nextLinePrefetch(enabled)
                               .seed(1 + seed)
                               .build());
     workloads::OltpConfig cfg;

@@ -100,10 +100,9 @@ SimBundle::SimBundle(const BundleOptions &options)
     mc.numCores = options.cores;
     mc.pmuCounters = options.pmuCounters;
     mc.pmuFeatures = options.pmuFeatures;
-    mc.seed = options.seed;
     mc.batched = options.batched;
     if (options.quantum != 0)
-        mc.costs.quantum = options.quantum;
+        mc.quantum = options.quantum;
     machine_ = std::make_unique<sim::Machine>(mc);
 
     if (options.useCaches) {

@@ -33,7 +33,7 @@ struct BundleOptions
     unsigned cores = 4;
     unsigned pmuCounters = 4;
     sim::PmuFeatures pmuFeatures{};
-    /** 0 keeps the CostModel default quantum. */
+    /** 0 keeps the sim::MachineConfig default quantum. */
     sim::Tick quantum = 0;
     std::uint64_t seed = 1;
     /** Attach the Xeon-class cache hierarchy (vs. flat memory). */
@@ -105,12 +105,6 @@ class BundleOptions::Builder
 
     Builder &cores(unsigned n) { o_.cores = n; return *this; }
     Builder &pmuCounters(unsigned n) { o_.pmuCounters = n; return *this; }
-    /** Replace the whole PMU feature set (still validated by build()). */
-    Builder &pmuFeatures(const sim::PmuFeatures &f)
-    {
-        o_.pmuFeatures = f;
-        return *this;
-    }
     /** Hardware counter width in bits (paper enhancement #1 at 64). */
     Builder &pmuWidth(unsigned bits)
     {

@@ -80,8 +80,7 @@ runOne(const ExplorerOptions &opts, const Plan &plan)
     mc.numCores = 1; // a forced switch needs a competitor on the core
     mc.pmuCounters = 4;
     mc.pmuFeatures.counterWidth = opts.counterWidth;
-    mc.costs.quantum = opts.quantum;
-    mc.seed = opts.seed;
+    mc.quantum = opts.quantum;
     sim::Machine machine(mc);
     os::Kernel kernel(machine, {.virtualizeCounters = true,
                                 .seed = opts.seed});

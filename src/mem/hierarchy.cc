@@ -52,7 +52,7 @@ CacheHierarchy::access(sim::CoreId core, sim::Addr addr, bool write,
     // Address translation first. Each level's access() also installs
     // the line on a miss, so the walk down is the fill on the way back.
     if (!dtlb_[core]->access(addr)) {
-        latency += config_.tlbMissPenalty;
+        latency += HierarchyConfig::tlbMissPenalty;
         deltas[sim::EventType::DTlbMiss] += 1;
     }
 
@@ -66,7 +66,7 @@ CacheHierarchy::access(sim::CoreId core, sim::Addr addr, bool write,
         } else {
             deltas[sim::EventType::L2Miss] += 1;
             if (llc_->access(addr)) {
-                latency += config_.llcLatency;
+                latency += HierarchyConfig::llcLatency;
             } else {
                 deltas[sim::EventType::LLCMiss] += 1;
                 latency += config_.memLatency;
@@ -87,8 +87,8 @@ CacheHierarchy::access(sim::CoreId core, sim::Addr addr, bool write,
         auto it = lastAtomicWriter_.find(line);
         const bool remote =
             it != lastAtomicWriter_.end() && it->second != core;
-        latency += remote ? config_.atomicRemoteExtra
-                          : config_.atomicLocalExtra;
+        latency += remote ? HierarchyConfig::atomicRemoteExtra
+                          : HierarchyConfig::atomicLocalExtra;
         if (write)
             lastAtomicWriter_[line] = core;
     }
@@ -114,11 +114,11 @@ configFields(const HierarchyConfig &config)
         {"dtlb_page_bytes", config.dtlb.pageBytes},
         {"l1_latency", config.l1Latency},
         {"l2_latency", config.l2Latency},
-        {"llc_latency", config.llcLatency},
+        {"llc_latency", HierarchyConfig::llcLatency},
         {"mem_latency", config.memLatency},
-        {"tlb_miss_penalty", config.tlbMissPenalty},
-        {"atomic_local_extra", config.atomicLocalExtra},
-        {"atomic_remote_extra", config.atomicRemoteExtra},
+        {"tlb_miss_penalty", HierarchyConfig::tlbMissPenalty},
+        {"atomic_local_extra", HierarchyConfig::atomicLocalExtra},
+        {"atomic_remote_extra", HierarchyConfig::atomicRemoteExtra},
         {"next_line_prefetch", config.nextLinePrefetch ? 1u : 0u},
     };
 }

@@ -36,13 +36,15 @@ struct HierarchyConfig
 
     sim::Tick l1Latency = 4;
     sim::Tick l2Latency = 12;
-    sim::Tick llcLatency = 38;
     sim::Tick memLatency = 220;
-    sim::Tick tlbMissPenalty = 60;
+    /** @name Fixed by the model (configFields still reports them) @{ */
+    static constexpr sim::Tick llcLatency = 38;
+    static constexpr sim::Tick tlbMissPenalty = 60;
     /** Extra cycles for a locked RMW on a locally owned line. */
-    sim::Tick atomicLocalExtra = 16;
+    static constexpr sim::Tick atomicLocalExtra = 16;
     /** Extra cycles when the line was last written by another core. */
-    sim::Tick atomicRemoteExtra = 72;
+    static constexpr sim::Tick atomicRemoteExtra = 72;
+    /** @} */
     /**
      * Next-line prefetcher at L2: every demand L2 lookup preloads the
      * successor line into L2 (zero-latency model; fills count in the
@@ -52,8 +54,8 @@ struct HierarchyConfig
 };
 
 /**
- * Named enumeration of every HierarchyConfig knob, in declaration
- * order: ("l1d_size_bytes", 32768), ("l1_latency", 4), ... Report
+ * Named enumeration of every HierarchyConfig value, the fixed ones
+ * included: ("l1d_size_bytes", 32768), ("l1_latency", 4), ... Report
  * writers stamp this into experiment metadata so a result always
  * carries the exact machine it was measured on, and the sensitivity
  * engine uses it to label the base point of a parameter lattice.
@@ -113,9 +115,10 @@ class CacheHierarchy : public sim::MemoryIf
             return v;
         const HotPath &h = hot_[core];
         v.latency = config_.l1Latency;
-        v.maxLatency = config_.tlbMissPenalty +
+        v.maxLatency = HierarchyConfig::tlbMissPenalty +
                        std::max({config_.l1Latency, config_.l2Latency,
-                                 config_.llcLatency, config_.memLatency});
+                                 HierarchyConfig::llcLatency,
+                                 config_.memLatency});
         v.lastPage = h.tlb->lastPagePtr();
         v.pageShift = h.tlb->pageShiftBits();
         v.mruTags = h.l1->tagArrayPtr();

@@ -6,6 +6,7 @@
 #include "base/logging.hh"
 #include "fault/controller.hh"
 #include "os/sysno.hh"
+#include "sim/cost_model.hh"
 #include "sim/cpu.hh"
 #include "trace/trace.hh"
 
@@ -126,7 +127,7 @@ Kernel::deschedule(sim::Cpu &cpu, Thread &t, ThreadState to,
     sim::EventDeltas d;
     d[sim::EventType::ContextSwitches] = 1;
     cpu.applyEvents(sim::PrivMode::Kernel, d);
-    cpu.kernelWork(cpu.costs().contextSwitchCost);
+    cpu.kernelWork(sim::contextSwitchCost);
 
     if (config_.virtualizeCounters) {
         sim::Pmu &pmu = cpu.pmu();
@@ -150,7 +151,7 @@ Kernel::deschedule(sim::Cpu &cpu, Thread &t, ThreadState to,
         // Tagged virtualization (hardware enhancement #3) swaps the
         // counter set in hardware: no per-counter MSR cost.
         if (!pmu.features().taggedVirtualization && enabled > 0) {
-            cpu.kernelWork(enabled * cpu.costs().counterSwitchCost / 2);
+            cpu.kernelWork(enabled * sim::counterSwitchCost / 2);
         }
         if (enabled > 0) {
             LIMIT_TRACE(machine_.tracer(), cpu.id(),
@@ -192,7 +193,7 @@ Kernel::installThread(sim::Cpu &cpu, Thread &t)
                 ++enabled;
         }
         if (!pmu.features().taggedVirtualization && enabled > 0)
-            cpu.kernelWork(enabled * cpu.costs().counterSwitchCost / 2);
+            cpu.kernelWork(enabled * sim::counterSwitchCost / 2);
         // Hardware restore happens at the end of the switch path; the
         // restore's own kernel cycles are not visible in the restored
         // values (modelled measurement fuzz for kernel-mode counters).
@@ -217,7 +218,7 @@ Kernel::installThread(sim::Cpu &cpu, Thread &t)
         }
     }
 
-    cpu.quantumEnd = cpu.now() + cpu.costs().quantum;
+    cpu.quantumEnd = cpu.now() + machine_.config().quantum;
 }
 
 void
@@ -250,7 +251,7 @@ Kernel::wakeThread(Thread &t, sim::Tick earliest, std::uint64_t wake_value)
         // charged after install so it is attributed to the incoming
         // thread's ledger and counters.
         installThread(*target, t);
-        target->kernelWork(target->costs().contextSwitchCost);
+        target->kernelWork(sim::contextSwitchCost);
     } else {
         scheduler_.enqueue(t.homeCore, t.ctx.tid());
     }
@@ -261,14 +262,14 @@ Kernel::timerTick(sim::Cpu &cpu)
 {
     panic_if(cpu.idle(), "timer tick on an idle core");
     Thread &t = threadOf(*cpu.current());
-    cpu.kernelWork(cpu.costs().timerIrqCost);
+    cpu.kernelWork(sim::timerIrqCost);
     // Tick-based accounting: the whole jiffy goes to whichever mode
     // dominated it — the coarse attribution real tick-based kernels
     // perform, and exactly the imprecision rusage readers inherit.
     const std::uint64_t kcycles =
         t.ctx.ledger().count(sim::EventType::Cycles,
                              sim::PrivMode::Kernel);
-    if (kcycles - t.kernelCyclesAtTick > cpu.costs().quantum / 2)
+    if (kcycles - t.kernelCyclesAtTick > machine_.config().quantum / 2)
         ++t.kernelJiffies;
     else
         ++t.userJiffies;
@@ -280,7 +281,7 @@ Kernel::timerTick(sim::Cpu &cpu)
         scheduler_.enqueue(cpu.id(), t.ctx.tid());
         installThread(cpu, *next);
     } else {
-        cpu.quantumEnd = cpu.now() + cpu.costs().quantum;
+        cpu.quantumEnd = cpu.now() + machine_.config().quantum;
     }
 }
 
@@ -288,7 +289,7 @@ void
 Kernel::threadExited(sim::Cpu &cpu, sim::GuestContext &ctx)
 {
     Thread &t = threadOf(ctx);
-    cpu.kernelWork(cpu.costs().exitKernelCost);
+    cpu.kernelWork(sim::exitKernelCost);
     t.exitedAt = cpu.now();
     deschedule(cpu, t, ThreadState::Done, /*voluntary=*/true);
     panic_if(liveThreads_ == 0, "thread exit underflow");
@@ -407,7 +408,7 @@ Kernel::pmuOverflow(sim::Cpu &cpu, unsigned counter, std::uint32_t wraps)
     // the same thread immediately after.
     if (pmiHandlers_[counter])
         pmiHandlers_[counter](cpu, cpu.current(), counter, wraps);
-    cpu.kernelWork(cpu.costs().pmiCost);
+    cpu.kernelWork(sim::pmiCost);
 }
 
 // ---------------------------------------------------------------------
@@ -437,7 +438,6 @@ Kernel::syscallImpl(sim::Cpu &cpu, sim::GuestContext &ctx,
                     const std::array<std::uint64_t, 4> &args)
 {
     Thread &t = threadOf(ctx);
-    const sim::CostModel &costs = cpu.costs();
 
     if (fault::FaultController *f = machine_.faults()) {
         // Injected slow-path stall: extra kernel work charged to the
@@ -449,21 +449,21 @@ Kernel::syscallImpl(sim::Cpu &cpu, sim::GuestContext &ctx,
 
     switch (static_cast<Sys>(nr)) {
       case sysNop:
-        cpu.kernelWork(costs.trivialSyscallCost);
+        cpu.kernelWork(sim::trivialSyscallCost);
         return {0, false};
 
       case sysGetTid:
-        cpu.kernelWork(costs.trivialSyscallCost);
+        cpu.kernelWork(sim::trivialSyscallCost);
         return {t.ctx.tid(), false};
 
       case sysYield:
         return sysYieldImpl(cpu, t);
 
       case sysSleep:
-        return sysSleepImpl(cpu, t, args[0], costs.trivialSyscallCost);
+        return sysSleepImpl(cpu, t, args[0], sim::trivialSyscallCost);
 
       case sysIoSubmit:
-        return sysSleepImpl(cpu, t, args[0], costs.ioSyscallCost);
+        return sysSleepImpl(cpu, t, args[0], sim::ioSyscallCost);
 
       case sysFutexWait:
         return sysFutexWaitImpl(cpu, t, args);
@@ -480,15 +480,15 @@ Kernel::syscallImpl(sim::Cpu &cpu, sim::GuestContext &ctx,
                 false};
 
       case sysPmcConfig:
-        cpu.kernelWork(costs.trapEntryCost / 2 +
-                       2 * args[0] * costs.msrAccessCost);
+        cpu.kernelWork(sim::trapEntryCost / 2 +
+                       2 * args[0] * sim::msrAccessCost);
         return {0, false};
 
       case sysRusage: {
-        cpu.kernelWork(costs.rusageKernelCost);
+        cpu.kernelWork(sim::rusageKernelCost);
         const std::uint64_t jiffies =
             args[0] == 0 ? t.userJiffies : t.kernelJiffies;
-        return {jiffies * costs.quantum, false};
+        return {jiffies * machine_.config().quantum, false};
       }
 
       default:
@@ -499,10 +499,10 @@ Kernel::syscallImpl(sim::Cpu &cpu, sim::GuestContext &ctx,
 sim::SyscallOutcome
 Kernel::sysYieldImpl(sim::Cpu &cpu, Thread &t)
 {
-    cpu.kernelWork(cpu.costs().yieldKernelCost);
+    cpu.kernelWork(sim::yieldKernelCost);
     Thread *next = pickNext(cpu.id());
     if (!next) {
-        cpu.quantumEnd = cpu.now() + cpu.costs().quantum;
+        cpu.quantumEnd = cpu.now() + machine_.config().quantum;
         return {0, false};
     }
     deschedule(cpu, t, ThreadState::Runnable, /*voluntary=*/true);
@@ -532,7 +532,7 @@ sim::SyscallOutcome
 Kernel::sysFutexWaitImpl(sim::Cpu &cpu, Thread &t,
                          const std::array<std::uint64_t, 4> &args)
 {
-    cpu.kernelWork(cpu.costs().futexWaitKernelCost);
+    cpu.kernelWork(sim::futexWaitKernelCost);
     const auto *word =
         reinterpret_cast<const std::uint64_t *>(args[2]);
     panic_if(word == nullptr, "futex wait on null word");
@@ -569,7 +569,7 @@ sim::SyscallOutcome
 Kernel::sysFutexWakeImpl(sim::Cpu &cpu, Thread &,
                          const std::array<std::uint64_t, 4> &args)
 {
-    cpu.kernelWork(cpu.costs().futexWakeKernelCost);
+    cpu.kernelWork(sim::futexWakeKernelCost);
     const auto *word =
         reinterpret_cast<const std::uint64_t *>(args[2]);
     const std::uint64_t max_wake = args[1];

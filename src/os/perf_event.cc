@@ -5,6 +5,7 @@
 #include "base/logging.hh"
 #include "os/kernel.hh"
 #include "os/sysno.hh"
+#include "sim/cost_model.hh"
 #include "sim/cpu.hh"
 
 namespace limit::os {
@@ -101,7 +102,7 @@ PerfSubsystem::read(sim::Cpu &cpu, Thread &thread, unsigned ctr)
 {
     panic_if(modes_[ctr] != PerfMode::Counting,
              "perf read of a counter not in counting mode");
-    cpu.kernelWork(cpu.costs().perfReadKernelCost);
+    cpu.kernelWork(sim::perfReadKernelCost);
     return readValue(cpu, thread, ctr);
 }
 
@@ -110,7 +111,7 @@ PerfSubsystem::readPapi(sim::Cpu &cpu, Thread &thread, unsigned ctr)
 {
     panic_if(modes_[ctr] != PerfMode::Counting,
              "papi read of a counter not in counting mode");
-    cpu.kernelWork(cpu.costs().papiKernelCost);
+    cpu.kernelWork(sim::papiKernelCost);
     return readValue(cpu, thread, ctr);
 }
 
@@ -174,7 +175,7 @@ PerfSubsystem::onOverflow(sim::Cpu &cpu, sim::GuestContext *ctx,
         }
         elapsed = std::min<std::uint64_t>(elapsed, 1024);
 
-        cpu.kernelWork(cpu.costs().sampleRecordCost * elapsed);
+        cpu.kernelWork(sim::sampleRecordCost * elapsed);
         // With no thread running at PMI time the samples are lost.
         if (ctx) {
             // Skid model: when the region changed within the skid

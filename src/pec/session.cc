@@ -2,6 +2,7 @@
 
 #include "base/logging.hh"
 #include "fault/controller.hh"
+#include "sim/cost_model.hh"
 #include "sim/cpu.hh"
 #include "trace/trace.hh"
 
@@ -146,7 +147,7 @@ PecSession::onOverflow(sim::Cpu &cpu, sim::GuestContext *ctx,
         return;
     }
     PecThreadState &st = threadState(*ctx);
-    cpu.kernelWork(cpu.costs().overflowVirtCost);
+    cpu.kernelWork(sim::overflowVirtCost);
     st.ovfAccum[ctr] +=
         static_cast<std::uint64_t>(wraps) * cpu.pmu().wrapModulus();
     ++fixups_;

@@ -4,6 +4,7 @@
 #include <cstddef>
 
 #include "fault/controller.hh"
+#include "sim/cost_model.hh"
 #include "sim/kernel_if.hh"
 #include "sim/machine.hh"
 #include "sim/memory_if.hh"
@@ -11,10 +12,9 @@
 
 namespace limit::sim {
 
-Cpu::Cpu(CoreId id, Machine &machine, const CostModel &costs,
-         unsigned pmu_counters, const PmuFeatures &pmu_features)
-    : id_(id), machine_(machine), costs_(costs),
-      pmu_(pmu_counters, pmu_features),
+Cpu::Cpu(CoreId id, Machine &machine, unsigned pmu_counters,
+         const PmuFeatures &pmu_features)
+    : id_(id), machine_(machine), pmu_(pmu_counters, pmu_features),
       sbStats_(machine.superblockStats()), work_(machine.work())
 {
     pendingPmis_.reserve(2 * maxPmuCounters);
@@ -304,7 +304,7 @@ Cpu::execCompute(GuestContext &ctx, const PendingOp &op)
     }
 
     // One cycle per instruction, plus the mispredict penalties.
-    const Tick duration = instrs + misses * costs_.mispredictPenalty;
+    const Tick duration = instrs + misses * mispredictPenalty;
 
     const SparseDelta d[4] = {{EventType::Cycles, duration},
                               {EventType::Instructions, instrs},
@@ -419,10 +419,10 @@ Cpu::execPmcRead(GuestContext &ctx, const PendingOp &op)
     // ordering is what makes the accumulate-then-rdpmc race of naive
     // userspace reads reproducible (see pec/).
     EventDeltas d;
-    d[EventType::Cycles] = costs_.rdpmcCost;
+    d[EventType::Cycles] = rdpmcCost;
     d[EventType::Instructions] = 1;
     applyEvents(PrivMode::User, d);
-    now_ += costs_.rdpmcCost;
+    now_ += rdpmcCost;
 
     // Deliver any overflow the read itself produced before the value
     // is observed, mirroring a PMI that hits during the instruction.
@@ -448,7 +448,7 @@ Cpu::execSyscall(GuestContext &ctx, const PendingOp &op)
     // Trap entry + eventual return are charged up front to keep the
     // accounting attached to the calling thread even when the handler
     // blocks it and switches away (see DESIGN.md).
-    kernelWork(costs_.trapEntryCost + costs_.trapExitCost);
+    kernelWork(trapEntryCost + trapExitCost);
 
     SyscallOutcome out = machine_.kernel()->syscall(*this, ctx, nr, args);
     if (!out.blocked)
@@ -483,7 +483,7 @@ Cpu::kernelWork(Tick cycles)
     if (cycles == 0)
         return;
     const double instr_f =
-        static_cast<double>(cycles) * costs_.kernelIpc +
+        static_cast<double>(cycles) * kernelIpc +
         kernelInstrResidue_;
     const auto instrs = static_cast<std::uint64_t>(instr_f);
     kernelInstrResidue_ = instr_f - static_cast<double>(instrs);
@@ -659,7 +659,6 @@ Cpu::sbTryEnter(GuestContext &ctx, const Superblock &block)
     r.cur = r.opsBegin;
     r.itersTotal = iters;
     r.itersLeft = iters;
-    r.mispredictPenalty = costs_.mispredictPenalty;
     r.accBranches = 0;
     r.accMisses = 0;
     r.fullOps = 0;

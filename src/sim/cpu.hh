@@ -8,7 +8,6 @@
 
 #include <vector>
 
-#include "sim/cost_model.hh"
 #include "sim/guest.hh"
 #include "sim/memory_if.hh"
 #include "sim/pmu.hh"
@@ -34,14 +33,13 @@ struct WorkStats;
 class Cpu
 {
   public:
-    Cpu(CoreId id, Machine &machine, const CostModel &costs,
-        unsigned pmu_counters, const PmuFeatures &pmu_features);
+    Cpu(CoreId id, Machine &machine, unsigned pmu_counters,
+        const PmuFeatures &pmu_features);
 
     CoreId id() const { return id_; }
     Tick now() const { return now_; }
     Pmu &pmu() { return pmu_; }
     const Pmu &pmu() const { return pmu_; }
-    const CostModel &costs() const { return costs_; }
     Machine &machine() { return machine_; }
 
     /** Thread currently installed on this core (nullptr when idle). */
@@ -293,7 +291,6 @@ class Cpu
 
     CoreId id_;
     Machine &machine_;
-    CostModel costs_;
     Pmu pmu_;
     Tick now_ = 0;
     GuestContext *current_ = nullptr;

@@ -43,11 +43,9 @@ Guest::declareLoop(std::initializer_list<LoopOp> body)
                  "' declared an op that cannot replay (only compute, "
                  "load and store can)");
     }
-    Machine &m = c.machine();
     auto block = std::make_unique<const Superblock>(
         std::span<const LoopOp>(body.begin(), body.size()),
-        m.memory()->fastPeekView(c.lastCore),
-        m.config().costs.mispredictPenalty);
+        c.machine().memory()->fastPeekView(c.lastCore));
     if (c.sbr.block != nullptr && c.sbr.block == c.loop.get())
         c.retiredLoop = std::move(c.loop);
     // A body that costs nothing could not be bounded by any horizon,

@@ -309,7 +309,7 @@ GuestContext::sbPendingTicks() const noexcept
     // including the full accesses, so the subtraction cannot wrap.
     return fullIters * r.block->iterBase + r.cur->prefixBase -
            r.fullOps * r.block->memLat + r.fullTicks +
-           r.accMisses * r.mispredictPenalty;
+           r.accMisses * mispredictPenalty;
 }
 
 /**

@@ -33,8 +33,7 @@ Machine::Machine(const MachineConfig &config)
     cpus_.reserve(config.numCores);
     for (CoreId i = 0; i < config.numCores; ++i) {
         cpus_.push_back(std::make_unique<Cpu>(
-            i, *this, config.costs, config.pmuCounters,
-            config.pmuFeatures));
+            i, *this, config.pmuCounters, config.pmuFeatures));
     }
 }
 

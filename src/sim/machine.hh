@@ -10,7 +10,6 @@
 #include <memory>
 #include <vector>
 
-#include "sim/cost_model.hh"
 #include "sim/cpu.hh"
 #include "sim/memory_if.hh"
 #include "sim/pmu.hh"
@@ -35,8 +34,8 @@ struct MachineConfig
     unsigned numCores = 4;
     unsigned pmuCounters = 4;
     PmuFeatures pmuFeatures{};
-    CostModel costs{};
-    std::uint64_t seed = 1;
+    /** Scheduler time slice in cycles (4 ms at 3 GHz). */
+    Tick quantum = 12'000'000;
     /**
      * Hard wall: a core whose local clock passes this tick indicates a
      * runaway simulation (guests ignoring the stop request).

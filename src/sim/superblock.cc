@@ -5,7 +5,7 @@
 namespace limit::sim {
 
 Superblock::Superblock(std::span<const LoopOp> body,
-                       const FastPeekView &mem, Tick mispredict_penalty)
+                       const FastPeekView &mem)
     : ops(body.size()), memLat(mem.latency), memMaxLat(mem.maxLatency)
 {
     std::uint64_t branchesUb = 0;
@@ -43,7 +43,7 @@ Superblock::Superblock(std::span<const LoopOp> body,
     panic_if(numMemOps > 0 && memMaxLat < memLat,
              "memory model's worst-case latency is below its fast path");
     maxIterCycles = iterBase - numMemOps * memLat + numMemOps * memMaxLat +
-                    branchesUb * mispredict_penalty;
+                    branchesUb * mispredictPenalty;
     using E = EventType;
     iterUb[static_cast<unsigned>(E::Cycles)] = maxIterCycles;
     iterUb[static_cast<unsigned>(E::Instructions)] = iterInstrs;

@@ -99,8 +99,7 @@ struct Superblock
      * memory op at its fast-path latency, the upper bounds at its
      * worst plain access.
      */
-    Superblock(std::span<const LoopOp> body, const FastPeekView &mem,
-               Tick mispredict_penalty);
+    Superblock(std::span<const LoopOp> body, const FastPeekView &mem);
 
     std::vector<MicroOp> ops;
 
@@ -217,8 +216,6 @@ struct SbReplay
     std::uint64_t lastGoodLine = ~0ull;
     /** @} */
 
-    /** For sbPendingTicks: the mid-replay exact-time reconstruction. */
-    Tick mispredictPenalty = 0;
     /** @name Residue-driven accumulators (everything else is prefix) @{ */
     std::uint64_t accBranches = 0;
     std::uint64_t accMisses = 0;

@@ -9,10 +9,12 @@ BrowserLoop::BrowserLoop(sim::Machine &machine, os::Kernel &kernel,
                          const BrowserConfig &config, std::uint64_t seed)
     : machine_(machine), kernel_(kernel), config_(config), rng_(seed)
 {
-    domRegion_ = {addressSpace_.allocate(config.domNodes * 64, 4096),
-                  config.domNodes * 64};
-    nurseryRegion_ = {addressSpace_.allocate(config.nurseryBytes, 4096),
-                      config.nurseryBytes};
+    domRegion_ = {
+        addressSpace_.allocate(BrowserConfig::domNodes * 64, 4096),
+        BrowserConfig::domNodes * 64};
+    nurseryRegion_ = {
+        addressSpace_.allocate(BrowserConfig::nurseryBytes, 4096),
+        BrowserConfig::nurseryBytes};
     framebufferRegion_ = {addressSpace_.allocate(2 * 1024 * 1024, 4096),
                           2 * 1024 * 1024};
     imageRegion_ = {addressSpace_.allocate(1 * 1024 * 1024, 4096),
@@ -54,7 +56,7 @@ BrowserLoop::spawn()
         "browser-main", [this](sim::Guest &g) -> sim::Task<void> {
             co_await mainBody(g);
         });
-    for (unsigned i = 0; i < config_.helpers; ++i) {
+    for (unsigned i = 0; i < BrowserConfig::helpers; ++i) {
         tids_.push_back(kernel_.spawn(
             "browser-decode" + std::to_string(i),
             [this](sim::Guest &g) -> sim::Task<void> {
@@ -76,13 +78,13 @@ BrowserEvent
 BrowserLoop::pickEvent(Rng &rng) const
 {
     unsigned total = 0;
-    for (auto w : config_.weights)
+    for (auto w : BrowserConfig::weights)
         total += w;
     std::uint64_t draw = rng.below(total);
     for (unsigned i = 0; i < numBrowserEvents; ++i) {
-        if (draw < config_.weights[i])
+        if (draw < BrowserConfig::weights[i])
             return static_cast<BrowserEvent>(i);
-        draw -= config_.weights[i];
+        draw -= BrowserConfig::weights[i];
     }
     return BrowserEvent::Input;
 }
@@ -93,7 +95,7 @@ BrowserLoop::mainBody(sim::Guest &g)
     while (!g.shouldStop()) {
         // Idle until work arrives, then drain the burst that has
         // accumulated (browsers process batches per wakeup).
-        co_await g.syscall(os::sysSleep, {config_.idleGap, 0, 0, 0});
+        co_await g.syscall(os::sysSleep, {BrowserConfig::idleGap, 0, 0, 0});
         const unsigned burst =
             6 + static_cast<unsigned>(g.rng().below(20));
         for (unsigned i = 0; i < burst; ++i) {
@@ -126,7 +128,7 @@ BrowserLoop::handleEvent(sim::Guest &g, BrowserEvent e)
         // Hit-test a handful of DOM nodes, update focus state.
         Rng &rng = g.rng();
         for (int i = 0; i < 3; ++i) {
-            const std::uint64_t node = rng.below(config_.domNodes);
+            const std::uint64_t node = rng.below(BrowserConfig::domNodes);
             co_await g.load(domRegion_.base + node * 64);
         }
         co_await g.compute(180);
@@ -167,7 +169,7 @@ BrowserLoop::scriptHandler(sim::Guest &g)
             (nurseryFill_ * 64) % nurseryRegion_.bytes;
         ++nurseryFill_;
         co_await g.store(obj);
-        if (nurseryFill_ % config_.allocsPerGc == 0) {
+        if (nurseryFill_ % BrowserConfig::allocsPerGc == 0) {
             // Minor GC: trace the live nursery (dependent walk).
             ++gcs_;
             mem::PointerChaseStream chase(nurseryRegion_,
@@ -188,10 +190,10 @@ BrowserLoop::layoutHandler(sim::Guest &g)
 {
     Rng &rng = g.rng();
     // Reflow a subtree: walk 64-256 DOM nodes with sibling locality.
-    const std::uint64_t start = rng.below(config_.domNodes);
+    const std::uint64_t start = rng.below(BrowserConfig::domNodes);
     const unsigned span = 64 + static_cast<unsigned>(rng.below(192));
     for (unsigned i = 0; i < span; ++i) {
-        const std::uint64_t node = (start + i) % config_.domNodes;
+        const std::uint64_t node = (start + i) % BrowserConfig::domNodes;
         co_await g.load(domRegion_.base + node * 64);
         co_await g.compute(22); // style resolution + box math
     }
@@ -210,7 +212,7 @@ BrowserLoop::paintHandler(sim::Guest &g)
         co_await g.store(px);
         co_await g.compute(8);
     }
-    if (g.rng().chance(config_.decodeProb)) {
+    if (g.rng().chance(BrowserConfig::decodeProb)) {
         // Queue an image decode for the helper pool.
         co_await queueMutex_->lock(g);
         decodeQueue_.push_back(++queued_);

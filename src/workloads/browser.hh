@@ -57,24 +57,28 @@ browserEventName(BrowserEvent e)
 /** Browser parameters. */
 struct BrowserConfig
 {
-    unsigned helpers = 2;
-    /** Relative weights of the event mix (index = BrowserEvent). */
-    std::array<unsigned, numBrowserEvents> weights{30, 20, 25, 15, 10};
-    /** DOM size in nodes (layout working set). */
-    std::uint64_t domNodes = 1 << 14;
-    /** Nursery (young generation) size in bytes. */
-    std::uint64_t nurseryBytes = 512 * 1024;
-    /** Script handler allocations before a minor GC. */
-    unsigned allocsPerGc = 4096;
-    /** Probability a paint event also queues an image decode. */
-    double decodeProb = 0.25;
-    /** Pause between main-loop events (idle waiting), in ticks. */
-    sim::Tick idleGap = 2'000;
     /**
      * Push/pop handler regions even without an attached profiler so a
      * sampling profiler can attribute to them (comparison studies).
      */
     bool markRegions = false;
+
+    /** @name Fixed by the model @{ */
+    static constexpr unsigned helpers = 2;
+    /** Relative weights of the event mix (index = BrowserEvent). */
+    static constexpr std::array<unsigned, numBrowserEvents> weights{
+        30, 20, 25, 15, 10};
+    /** DOM size in nodes (layout working set). */
+    static constexpr std::uint64_t domNodes = 1 << 14;
+    /** Nursery (young generation) size in bytes. */
+    static constexpr std::uint64_t nurseryBytes = 512 * 1024;
+    /** Script handler allocations before a minor GC. */
+    static constexpr unsigned allocsPerGc = 4096;
+    /** Probability a paint event also queues an image decode. */
+    static constexpr double decodeProb = 0.25;
+    /** Pause between main-loop events (idle waiting), in ticks. */
+    static constexpr sim::Tick idleGap = 2'000;
+    /** @} */
 };
 
 /** The browser: main loop + decode helpers. */

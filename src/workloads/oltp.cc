@@ -28,14 +28,10 @@ OltpServer::OltpServer(sim::Machine &machine, os::Kernel &kernel,
                        const OltpConfig &config, std::uint64_t seed)
     : machine_(machine), kernel_(kernel), config_(config), rng_(seed)
 {
+    static_assert(OltpConfig::scanSpan < btreeFanout,
+                  "a range scan must fit in the smallest table");
     fatal_if(config.clients == 0, "OLTP with no clients");
-    fatal_if(config.tables == 0, "OLTP with no tables");
     fatal_if(config.rowsPerTable < btreeFanout, "table too small");
-    fatal_if(config.opsMin == 0 || config.opsMin > config.opsMax,
-             "bad ops range");
-    fatal_if(config.scanSpan == 0 ||
-                 config.scanSpan >= config.rowsPerTable,
-             "scan span must be in [1, rowsPerTable)");
 
     // Index depth: levels needed at fan-out 64.
     indexDepth_ = 1;
@@ -45,7 +41,7 @@ OltpServer::OltpServer(sim::Machine &machine, os::Kernel &kernel,
         ++indexDepth_;
     }
 
-    for (unsigned t = 0; t < config.tables; ++t) {
+    for (unsigned t = 0; t < OltpConfig::tables; ++t) {
         // Index: one 64B node per fan-out group, all levels packed.
         const std::uint64_t index_nodes =
             config.rowsPerTable / (btreeFanout / 2) + btreeFanout;
@@ -60,7 +56,8 @@ OltpServer::OltpServer(sim::Machine &machine, os::Kernel &kernel,
     logRegion_ = {addressSpace_.allocate(1 << 20, 4096), 1 << 20};
 
     auto &regions = machine.regions();
-    const unsigned total_stripes = config.tables * config.lockStripes;
+    const unsigned total_stripes =
+        OltpConfig::tables * OltpConfig::lockStripes;
     stripes_.reserve(total_stripes);
     for (unsigned i = 0; i < total_stripes; ++i) {
         stripes_.push_back(std::make_unique<InstrumentedMutex>(
@@ -68,7 +65,7 @@ OltpServer::OltpServer(sim::Machine &machine, os::Kernel &kernel,
     }
     wal_ = std::make_unique<InstrumentedMutex>(
         addressSpace_.allocate(64, 64), "oltp.wal", regions);
-    for (unsigned t = 0; t < config.tables; ++t) {
+    for (unsigned t = 0; t < OltpConfig::tables; ++t) {
         indexLocks_.push_back(std::make_unique<sync::RwLock>(
             addressSpace_.allocate(64, 64)));
     }
@@ -143,19 +140,19 @@ OltpServer::runTransaction(sim::Guest &g)
     Rng &rng = g.rng();
 
     // Receive the client request.
-    co_await g.syscall(os::sysIoSubmit, {config_.netLatency, 0, 0, 0});
+    co_await g.syscall(os::sysIoSubmit, {OltpConfig::netLatency, 0, 0, 0});
     co_await g.compute(4200); // parse + plan the SQL-ish request
 
-    const unsigned ops =
-        static_cast<unsigned>(rng.range(config_.opsMin, config_.opsMax));
+    const unsigned ops = static_cast<unsigned>(
+        rng.range(OltpConfig::opsMin, OltpConfig::opsMax));
     for (unsigned op = 0; op < ops; ++op) {
         const unsigned table =
-            static_cast<unsigned>(rng.below(config_.tables));
+            static_cast<unsigned>(rng.below(OltpConfig::tables));
         const std::uint64_t row =
-            rng.zipf(config_.rowsPerTable, config_.skew);
+            rng.zipf(config_.rowsPerTable, OltpConfig::skew);
         sync::RwLock &index_lock = *indexLocks_[table];
 
-        if (rng.chance(config_.scanRatio)) {
+        if (rng.chance(OltpConfig::scanRatio)) {
             // Range scan: walk to the leaf under the shared index
             // latch, then stream consecutive rows.
             const std::uint64_t w = co_await index_lock.readLock(g);
@@ -163,8 +160,8 @@ OltpServer::runTransaction(sim::Guest &g)
             co_await indexWalk(g, table, row);
             const mem::Region &rows = rowRegions_[table];
             const std::uint64_t start =
-                row % (config_.rowsPerTable - config_.scanSpan);
-            for (unsigned i = 0; i < config_.scanSpan; ++i) {
+                row % (config_.rowsPerTable - OltpConfig::scanSpan);
+            for (unsigned i = 0; i < OltpConfig::scanSpan; ++i) {
                 co_await g.load(rows.base + (start + i) * 128);
                 co_await g.compute(36); // tuple qualify + aggregate
             }
@@ -193,9 +190,9 @@ OltpServer::runTransaction(sim::Guest &g)
             co_await g.compute(1400); // predicate evaluation, copy-out
         } else {
             InstrumentedMutex &stripe =
-                *stripes_[table * config_.lockStripes +
+                *stripes_[table * OltpConfig::lockStripes +
                           static_cast<unsigned>(
-                              row % config_.lockStripes)];
+                              row % OltpConfig::lockStripes)];
             co_await stripe.lock(g, siteUpdate_);
             // Short critical section: modify the row in place.
             co_await g.load(row_addr);
@@ -214,7 +211,7 @@ OltpServer::runTransaction(sim::Guest &g)
             co_await g.compute(260);
             co_await wal_->unlock(g);
 
-            if (g.rng().chance(config_.splitProb)) {
+            if (g.rng().chance(OltpConfig::splitProb)) {
                 // Leaf split: restructure the index under the
                 // exclusive latch (rare but heavy, blocks scanners).
                 const std::uint64_t w =
@@ -237,7 +234,7 @@ OltpServer::runTransaction(sim::Guest &g)
     }
 
     co_await g.compute(2600); // serialize the response
-    co_await g.syscall(os::sysIoSubmit, {config_.netLatency, 0, 0, 0});
+    co_await g.syscall(os::sysIoSubmit, {OltpConfig::netLatency, 0, 0, 0});
 }
 
 } // namespace limit::workloads

@@ -7,8 +7,8 @@
  * updates under striped row locks, and write-ahead-log appends under
  * a global log lock — the fine-grained, many-short-critical-sections
  * locking structure whose behaviour the paper's MySQL case study
- * characterizes. Optional per-transaction network I/O gives the
- * kernel-time profile of a socket-fed database server.
+ * characterizes. Per-transaction network I/O gives the kernel-time
+ * profile of a socket-fed database server.
  */
 
 #ifndef LIMIT_WORKLOADS_OLTP_HH
@@ -30,30 +30,10 @@ namespace limit::workloads {
 struct OltpConfig
 {
     unsigned clients = 8;
-    unsigned tables = 8;
-    /** Row-lock stripes per table. */
-    unsigned lockStripes = 16;
     /** Rows per table (sets index depth and leaf working set). */
     std::uint64_t rowsPerTable = 1 << 16;
-    /** Zipf skew of row selection. */
-    double skew = 0.9;
     /** Fraction of operations that only read. */
     double readRatio = 0.7;
-    /** Fraction of operations that are index range scans. */
-    double scanRatio = 0.12;
-    /** Rows touched by one range scan. */
-    unsigned scanSpan = 32;
-    /** Probability a write also restructures the index (node split),
-        taking the table's index lock exclusively. */
-    double splitProb = 0.03;
-    /** Operations per transaction: uniform in [min, max]. */
-    unsigned opsMin = 1;
-    unsigned opsMax = 4;
-    /**
-     * Device latency of one socket operation (client recv/send around
-     * each transaction), in ticks.
-     */
-    sim::Tick netLatency = 20'000;
     /**
      * Optional per-operation instrumentation hook (e.g. a counter
      * read for the overhead-scaling experiment); awaited after every
@@ -61,6 +41,29 @@ struct OltpConfig
      */
     std::function<sim::Task<void>(sim::Guest &)> opHook;
     unsigned hookEvery = 1;
+
+    /** @name Fixed by the model @{ */
+    static constexpr unsigned tables = 8;
+    /** Row-lock stripes per table. */
+    static constexpr unsigned lockStripes = 16;
+    /** Zipf skew of row selection. */
+    static constexpr double skew = 0.9;
+    /** Fraction of operations that are index range scans. */
+    static constexpr double scanRatio = 0.12;
+    /** Rows touched by one range scan. */
+    static constexpr unsigned scanSpan = 32;
+    /** Probability a write also restructures the index (node split),
+        taking the table's index lock exclusively. */
+    static constexpr double splitProb = 0.03;
+    /** Operations per transaction: uniform in [min, max]. */
+    static constexpr unsigned opsMin = 1;
+    static constexpr unsigned opsMax = 4;
+    /**
+     * Device latency of one socket operation (client recv/send around
+     * each transaction), in ticks.
+     */
+    static constexpr sim::Tick netLatency = 20'000;
+    /** @} */
 };
 
 /** The engine: construct, optionally attach a profiler, spawn. */

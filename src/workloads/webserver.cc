@@ -10,10 +10,10 @@ WebServer::WebServer(sim::Machine &machine, os::Kernel &kernel,
     : machine_(machine), kernel_(kernel), config_(config), rng_(seed)
 {
     fatal_if(config.workers == 0, "web server with no workers");
-    fatal_if(config.documents == 0, "web server with no documents");
 
-    cacheRegion_ = {addressSpace_.allocate(config.documents * 256, 4096),
-                    config.documents * 256};
+    cacheRegion_ = {
+        addressSpace_.allocate(WebConfig::documents * 256, 4096),
+        WebConfig::documents * 256};
     logRegion_ = {addressSpace_.allocate(1 << 20, 4096), 1 << 20};
 
     auto &regions = machine.regions();
@@ -21,7 +21,7 @@ WebServer::WebServer(sim::Machine &machine, os::Kernel &kernel,
         addressSpace_.allocate(64, 64));
     queueCv_ = std::make_unique<sync::CondVar>(
         addressSpace_.allocate(64, 64));
-    for (unsigned i = 0; i < config.cacheStripes; ++i) {
+    for (unsigned i = 0; i < WebConfig::cacheStripes; ++i) {
         cacheLocks_.push_back(std::make_unique<InstrumentedMutex>(
             addressSpace_.allocate(64, 64), "web.cache-lock", regions));
     }
@@ -72,9 +72,9 @@ WebServer::acceptorBody(sim::Guest &g)
 {
     while (!g.shouldStop()) {
         // Wait for the next arrival, then accept() it.
-        co_await g.syscall(os::sysSleep, {config_.arrivalGap, 0, 0, 0});
+        co_await g.syscall(os::sysSleep, {WebConfig::arrivalGap, 0, 0, 0});
         co_await g.syscall(os::sysIoSubmit,
-                           {config_.netLatency, 0, 0, 0});
+                           {WebConfig::netLatency, 0, 0, 0});
         co_await g.compute(150); // allocate connection state
 
         co_await queueMutex_->lock(g);
@@ -123,27 +123,27 @@ WebServer::handleRequest(sim::Guest &g, std::uint64_t conn)
     Rng &rng = g.rng();
 
     // Read the request from the socket and parse it.
-    co_await g.syscall(os::sysIoSubmit, {config_.netLatency, 0, 0, 0});
+    co_await g.syscall(os::sysIoSubmit, {WebConfig::netLatency, 0, 0, 0});
     co_await g.compute(3200); // header parse: branchy string work
 
-    const std::uint64_t doc = rng.zipf(config_.documents, config_.skew);
+    const std::uint64_t doc = rng.zipf(WebConfig::documents, WebConfig::skew);
     const sim::Addr doc_addr = cacheRegion_.base + doc * 256;
     InstrumentedMutex &stripe =
-        *cacheLocks_[doc % config_.cacheStripes];
+        *cacheLocks_[doc % WebConfig::cacheStripes];
 
     // Probe the content cache (short critical section).
     bool hit;
     co_await stripe.lock(g, siteProbe_);
     co_await g.load(doc_addr);
     co_await g.compute(70); // hash lookup + LRU touch
-    hit = rng.chance(config_.hitRatio);
+    hit = rng.chance(WebConfig::hitRatio);
     co_await stripe.unlock(g);
 
     if (!hit) {
         ++cacheMisses_;
         // Fetch from disk, then install in the cache.
         co_await g.syscall(os::sysIoSubmit,
-                           {config_.diskLatency, 0, 0, 0});
+                           {WebConfig::diskLatency, 0, 0, 0});
         co_await stripe.lock(g, siteInstall_);
         co_await g.store(doc_addr);
         co_await g.store(doc_addr + 64);
@@ -154,7 +154,7 @@ WebServer::handleRequest(sim::Guest &g, std::uint64_t conn)
     // Build and send the response.
     co_await g.compute(2400);
     co_await g.load(doc_addr + 128);
-    co_await g.syscall(os::sysIoSubmit, {config_.netLatency, 0, 0, 0});
+    co_await g.syscall(os::sysIoSubmit, {WebConfig::netLatency, 0, 0, 0});
 
     // Append to the access log (global lock, very short hold).
     co_await logLock_->lock(g, siteLog_);

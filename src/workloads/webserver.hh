@@ -30,19 +30,22 @@ namespace limit::workloads {
 struct WebConfig
 {
     unsigned workers = 8;
+
+    /** @name Fixed by the model @{ */
     /** Distinct cacheable documents. */
-    std::uint64_t documents = 4096;
+    static constexpr std::uint64_t documents = 4096;
     /** Zipf skew of document popularity. */
-    double skew = 1.0;
+    static constexpr double skew = 1.0;
     /** Probability a probed document is already cached. */
-    double hitRatio = 0.85;
-    unsigned cacheStripes = 16;
+    static constexpr double hitRatio = 0.85;
+    static constexpr unsigned cacheStripes = 16;
     /** Inter-arrival of connections at the acceptor, in ticks. */
-    sim::Tick arrivalGap = 4'000;
+    static constexpr sim::Tick arrivalGap = 4'000;
     /** Socket operation latency. */
-    sim::Tick netLatency = 15'000;
+    static constexpr sim::Tick netLatency = 15'000;
     /** Disk fetch latency on cache miss. */
-    sim::Tick diskLatency = 120'000;
+    static constexpr sim::Tick diskLatency = 120'000;
+    /** @} */
 };
 
 /** The server: acceptor + worker pool. */

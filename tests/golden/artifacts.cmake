@@ -1,9 +1,12 @@
 # Run one bench with --trace, --timeline and --profile together,
 # demand all three files, and demand that every key of the trace's
 # "metrics" block is in the profile's "meta" with the same value (both
-# come from one counter list):
+# come from one counter list). With REPLAYS true, also demand that the
+# run replayed a declared loop (superblock.ops_replayed > 0), unless
+# LIMITPP_FORCE_NO_BATCH selects the per-op scheduler, which never
+# replays:
 #
-#   cmake -DBENCH=<binary> -P artifacts.cmake
+#   cmake -DBENCH=<binary> [-DREPLAYS=1] -P artifacts.cmake
 #
 # Writes t.json, tl.json and p.json into the working directory.
 
@@ -57,5 +60,13 @@ foreach(i RANGE ${last})
              "profile")
     endif()
 endforeach()
+set(per_op "$ENV{LIMITPP_FORCE_NO_BATCH}")
+if(REPLAYS AND (per_op STREQUAL "" OR per_op STREQUAL "0"))
+    string(JSON replayed GET "${meta}" superblock.ops_replayed)
+    if(NOT replayed GREATER 0)
+        fail("superblock.ops_replayed is ${replayed}: the run replayed "
+             "no declared loop")
+    endif()
+endif()
 message(STATUS "artifacts ok: all ${count} trace metrics are in the "
                "profile meta")

@@ -52,7 +52,7 @@ TEST(Bundle, FlatMemoryOptionSkipsHierarchy)
 TEST(Bundle, QuantumOptionPropagates)
 {
     SimBundle b(BundleOptions::builder().quantum(123'456).build());
-    EXPECT_EQ(b.machine().config().costs.quantum, 123'456u);
+    EXPECT_EQ(b.machine().config().quantum, 123'456u);
 }
 
 TEST(Bundle, PmuOptionsPropagate)
@@ -135,7 +135,7 @@ TEST(BundleBuilder, SettersPropagateIntoTheBundle)
     EXPECT_EQ(pmu.numCounters(), 6u);
     EXPECT_EQ(pmu.features().counterWidth, 20u);
     EXPECT_TRUE(pmu.features().destructiveRead);
-    EXPECT_EQ(b.machine().config().costs.quantum, 123'456u);
+    EXPECT_EQ(b.machine().config().quantum, 123'456u);
 }
 
 TEST(BundleBuilder, TraceCapacityCreatesTracer)

@@ -31,7 +31,7 @@ cfg(unsigned width = 48)
 {
     MachineConfig c;
     c.numCores = 1;
-    c.costs.quantum = 1'000'000;
+    c.quantum = 1'000'000;
     c.pmuFeatures.counterWidth = width;
     return c;
 }

@@ -29,7 +29,7 @@ cfg(unsigned cores, sim::Tick quantum = 50'000)
 {
     MachineConfig c;
     c.numCores = cores;
-    c.costs.quantum = quantum;
+    c.quantum = quantum;
     return c;
 }
 

@@ -27,7 +27,7 @@ smallConfig(unsigned cores = 1)
 {
     MachineConfig cfg;
     cfg.numCores = cores;
-    cfg.costs.quantum = 50'000; // short quanta so switches happen
+    cfg.quantum = 50'000; // short quanta so switches happen
     return cfg;
 }
 
@@ -78,9 +78,8 @@ TEST(Machine, MispredictsAddPenaltyCycles)
     });
     m.run();
     const auto &ledger = k.thread(0).ctx.ledger();
-    const Tick penalty = m.config().costs.mispredictPenalty;
     EXPECT_EQ(ledger.count(EventType::Cycles, PrivMode::User),
-              100 + 100 * penalty);
+              100 + 100 * sim::mispredictPenalty);
     EXPECT_EQ(ledger.count(EventType::BranchMisses, PrivMode::User),
               100u);
 }
@@ -323,7 +322,7 @@ TEST(Machine, SleepWakesInOrder)
 TEST(Machine, RusageHasQuantumResolution)
 {
     auto cfg = smallConfig();
-    cfg.costs.quantum = 100'000;
+    cfg.quantum = 100'000;
     Machine m(cfg);
     Kernel k(m);
     std::uint64_t utime = 1;

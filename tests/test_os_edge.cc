@@ -30,7 +30,7 @@ cfg(unsigned cores, Tick quantum = 50'000)
 {
     MachineConfig c;
     c.numCores = cores;
-    c.costs.quantum = quantum;
+    c.quantum = quantum;
     return c;
 }
 

@@ -35,7 +35,7 @@ cfg(unsigned cores = 1, unsigned width = 48)
 {
     MachineConfig c;
     c.numCores = cores;
-    c.costs.quantum = 100'000;
+    c.quantum = 100'000;
     c.pmuFeatures.counterWidth = width;
     return c;
 }
@@ -92,7 +92,7 @@ TEST(Pec, ReadExactAcrossContextSwitches)
     // Two threads share one core with short quanta: values must be
     // per-thread exact despite dozens of counter save/restores.
     auto c = cfg(1);
-    c.costs.quantum = 20'000;
+    c.quantum = 20'000;
     Machine m(c);
     Kernel k(m);
     PecSession s(k, policy(OverflowPolicy::KernelFixup));
@@ -457,7 +457,7 @@ TEST(RegionProfiler, DestructiveModeMatchesSnapshotMode)
 TEST(RegionProfiler, OpenRegionsReportsEnteredNeverExitedVisits)
 {
     auto c = cfg();
-    c.costs.quantum = 50'000;
+    c.quantum = 50'000;
     Machine m(c);
     Kernel k(m);
     PecSession s(k, policy(OverflowPolicy::KernelFixup));

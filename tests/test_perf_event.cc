@@ -27,7 +27,7 @@ cfg(unsigned cores = 1, unsigned width = 48)
 {
     MachineConfig c;
     c.numCores = cores;
-    c.costs.quantum = 50'000;
+    c.quantum = 50'000;
     c.pmuFeatures.counterWidth = width;
     return c;
 }

@@ -43,7 +43,7 @@ cfg(unsigned cores = 1)
     c.numCores = cores;
     // One quantum covers every test workload: no timer interrupts
     // land inside a measured region.
-    c.costs.quantum = 50'000'000;
+    c.quantum = 50'000'000;
     return c;
 }
 

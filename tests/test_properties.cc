@@ -66,7 +66,7 @@ TEST_P(PecExactnessSweep, FinalReadMatchesLedgerUnderPreemption)
 
     MachineConfig mc;
     mc.numCores = 1;
-    mc.costs.quantum = 7'000; // frequent preemption
+    mc.quantum = 7'000; // frequent preemption
     mc.pmuFeatures.counterWidth = width;
     Machine m(mc);
     Kernel k(m);
@@ -137,7 +137,7 @@ TEST_P(MutexExclusionSweep, ExclusionAndProgress)
     const auto [threads, cores] = GetParam();
     MachineConfig mc;
     mc.numCores = cores;
-    mc.costs.quantum = 25'000;
+    mc.quantum = 25'000;
     Machine m(mc);
     Kernel k(m);
     sync::Mutex mu(0x1000);

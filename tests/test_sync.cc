@@ -26,7 +26,7 @@ cfg(unsigned cores)
 {
     MachineConfig c;
     c.numCores = cores;
-    c.costs.quantum = 30'000;
+    c.quantum = 30'000;
     return c;
 }
 

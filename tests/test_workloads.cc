@@ -53,9 +53,7 @@ TEST(Oltp, RangeScansAndSplitsExerciseIndexLatch)
     SimBundle b(opts());
     workloads::OltpConfig cfg;
     cfg.clients = 6;
-    cfg.scanRatio = 0.3;
     cfg.readRatio = 0.3; // write-heavy so splits occur
-    cfg.splitProb = 0.1;
     workloads::OltpServer oltp(b.machine(), b.kernel(), cfg, 7);
     oltp.spawn();
     b.run(6'000'000);
@@ -65,7 +63,7 @@ TEST(Oltp, RangeScansAndSplitsExerciseIndexLatch)
     // Scans load scanSpan rows each: loads scale with scan count.
     const auto loads = analysis::totalEvent(
         b.kernel(), EventType::Loads, PrivMode::User);
-    EXPECT_GT(loads, oltp.scans() * cfg.scanSpan);
+    EXPECT_GT(loads, oltp.scans() * workloads::OltpConfig::scanSpan);
 }
 
 TEST(Oltp, NetworkIoPutsTimeInKernel)
